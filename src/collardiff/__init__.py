@@ -28,8 +28,7 @@ from .cusps import (PunctureGerm, pole_order, l1_norm, l1_norm_quadrature,
                     l1_norm_hyperbolic, l1_norm_cylinder, is_bounded,
                     classify, truncation_profile, hyperbolic_density,
                     germ_from_json, germ_to_json, load_germ)
-from .sweeps import (SweepConfig, SweepReport, decay_sweep,
-                     principal_mass_sweep, bij_normalization_check,
-                     lp_vanishing_sweep, interleaved_modes,
-                     PRINCIPAL_MASS_CONSTANT)
+from .sweeps import (SweepConfig, decay_sweep, principal_mass_sweep,
+                     bij_normalization_check, lp_vanishing_sweep,
+                     interleaved_modes, PRINCIPAL_MASS_CONSTANT)
 from .report import Report, ReportRow, CSV_SCHEMA

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from types import SimpleNamespace
 
 import click
@@ -37,9 +38,11 @@ from .report import Report, ReportRow, STATUS_EMPTY, STATUS_OK
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Base seed for randomized commands (unsigned 64-bit).")
 @click.option("--tol-abs", type=float, default=DEFAULT_TOL_ABS,
-              show_default=True, help="Absolute quadrature tolerance.")
+              show_default=True,
+              help="Absolute quadrature tolerance (read only by qd norms).")
 @click.option("--tol-rel", type=float, default=DEFAULT_TOL_REL,
-              show_default=True, help="Relative quadrature tolerance.")
+              show_default=True,
+              help="Relative quadrature tolerance (read only by qd norms).")
 @click.option("--n-max", type=int, default=None,
               help="Laurent mode cutoff (default: 32 for sweeps, inferred "
                    "from input files elsewhere).")
@@ -57,9 +60,23 @@ def cli(ctx, fmt, out, seed, tol_abs, tol_rel, n_max):
 def _write(opts, text: str) -> None:
     if opts.out is None:
         sys.stdout.write(text)
-    else:
-        with open(opts.out, "w", encoding="utf-8", newline="") as fh:
+        return
+    # a sibling temp file renamed over the target: the target holds either
+    # its old bytes or all of the new ones, never a truncated mix
+    head, name = os.path.split(os.path.abspath(opts.out))
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=head)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)   # mkstemp makes 0600; match open()
+        os.replace(tmp, opts.out)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _emit(opts, report: Report) -> None:
@@ -101,8 +118,7 @@ def _sweep_config(opts, ell_grid, delta_grid, delta0, trials) -> sw.SweepConfig:
     return sw.SweepConfig(
         ell_grid=parse_grid(ell_grid), delta_grid=parse_grid(delta_grid),
         delta0=delta0, n_max=opts.n_max if opts.n_max is not None else 32,
-        trials=trials, seed=opts.seed, tol_abs=opts.tol_abs,
-        tol_rel=opts.tol_rel)
+        trials=trials, seed=opts.seed)
 
 
 def _load_json(path):

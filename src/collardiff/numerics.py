@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .errors import QuadratureError
 
@@ -153,6 +152,10 @@ def adaptive_quad(f, lo: float, hi: float, *,
     that misses the requested tolerance by more than a factor of 10
     raises QuadratureError instead of returning a silently bad value.
     """
+    # imported here: scipy.integrate is most of the package's import time
+    # and most commands never integrate
+    from scipy import integrate
+
     kwargs = {"epsabs": tol_abs, "epsrel": tol_rel, "limit": limit,
               "full_output": 1}
     if points is not None and math.isfinite(lo) and math.isfinite(hi):

@@ -24,12 +24,9 @@ import numpy as np
 from .collar import (CollarParams, DEFAULT_DELTA0, DELTA_MAX, ELL_MAX,
                      cos_profile_vec, thin_boundary, validate_delta0)
 from .errors import QuadratureError, ValidationError
-from .numerics import (DEFAULT_TOL_ABS, DEFAULT_TOL_REL, exp_cos2_integral,
-                       vec_exp_cos2_window)
+from .numerics import exp_cos2_integral, vec_exp_cos2_window
 from .report import (Report, ReportRow, STATUS_EMPTY, STATUS_FAILED,
                      STATUS_OK)
-
-SweepReport = Report
 
 #: C0 = 32 pi^5: thin L^2 mass of the principal differential is C0/ell^3 + O(delta^-3)
 PRINCIPAL_MASS_CONSTANT = 32.0 * math.pi ** 5
@@ -41,6 +38,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # geometric panel cuts, as fractions of the covered depth from the thin edge
 _PANEL_FRACTIONS = (0.0, 1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.15, 0.35, 0.65, 1.0)
 _EDGE_DEPTH = 40.0   # e^{-40}: deeper contributions are below double noise
+_ROW_BATCH = 256     # (trial, s) rows per FFT call in _density_max
 
 
 def _strictly_increasing(xs) -> bool:
@@ -55,8 +53,6 @@ class SweepConfig:
     n_max: int = 32
     trials: int = 64
     seed: int = 0
-    tol_abs: float = DEFAULT_TOL_ABS
-    tol_rel: float = DEFAULT_TOL_REL
 
     def __post_init__(self):
         ells = tuple(float(x) for x in self.ell_grid)
@@ -151,21 +147,44 @@ def _sup_nodes(x_delta: float) -> np.ndarray:
 
 def _density_max(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
                  s_nodes: np.ndarray, n_theta: int) -> np.ndarray:
-    """Per-trial sup of |phi| * 2 rho^{-2} over s_nodes x theta grid."""
+    """Per-trial sup of |phi| * 2 rho^{-2} over s_nodes x theta grid.
+
+    Exact, not approximate.  Each (trial, s) row has the triangle bound
+    pref(s) * sum_n |g_n| e^{ns - |n|X} >= max_theta of its density, so
+    only rows whose bound reaches the running max are transformed.  They
+    get the same arithmetic as a full-grid evaluation, so the result is
+    bit-identical to transforming every row.
+    """
     X = c.half_length
     pref = 2.0 * (2.0 * math.pi / c.ell) ** 2 \
         * cos_profile_vec(c, s_nodes) ** 2
     bins = np.mod(ns, n_theta)
-    out = np.zeros(Gt.shape[0])
-    for lo in range(0, s_nodes.size, 48):
-        sl = slice(lo, min(lo + 48, s_nodes.size))
-        amp = np.exp(s_nodes[sl][:, None] * ns[None, :]
-                     - np.abs(ns)[None, :] * X)          # (chunk, modes)
-        F = np.zeros((Gt.shape[0], amp.shape[0], n_theta), dtype=complex)
-        F[:, :, bins] = Gt[:, None, :] * amp[None, :, :]
-        phi = np.fft.ifft(F, axis=2) * n_theta
-        dens = np.abs(phi) * pref[sl][None, :, None]
-        np.maximum(out, dens.max(axis=(1, 2)), out=out)
+    amp = np.exp(s_nodes[:, None] * ns[None, :]
+                 - np.abs(ns)[None, :] * X)              # (s, modes)
+    bound = (np.abs(Gt) @ amp.T) * pref[None, :]         # (trial, s)
+
+    def rows_max(t, s):
+        F = np.zeros((t.size, n_theta), dtype=complex)
+        F[:, bins] = Gt[t] * amp[s]
+        phi = np.fft.ifft(F, axis=1) * n_theta
+        # pref > 0 and rounding is monotone, so scaling the row max
+        # equals the max of the scaled row, bit for bit
+        return np.abs(phi).max(axis=1) * pref[s]
+
+    trials = np.arange(Gt.shape[0])
+    top = np.argmax(bound, axis=1)
+    out = rows_max(trials, top)
+    # Rounding in the bound (a sum of nonnegative terms) and in the FFT is
+    # of order n_modes * eps relative to sum_n |g_n amp_n| (~1e-14 at the
+    # default 64 modes), about 100x below the 1e-12 margin, so a skipped
+    # row's computed density stays strictly below the running max.
+    # The ~(<) form keeps NaN and inf bounds, whose rows must be seen.
+    keep = ~(bound < out[:, None] * (1.0 - 1e-12))
+    keep[trials, top] = False
+    t_idx, s_idx = np.nonzero(keep)
+    for lo in range(0, t_idx.size, _ROW_BATCH):
+        sl = slice(lo, lo + _ROW_BATCH)
+        np.maximum.at(out, t_idx[sl], rows_max(t_idx[sl], s_idx[sl]))
     return out
 
 

@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import stat
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import pytest
 
-from collardiff.cli import main, parse_grid
+import collardiff
+from collardiff.cli import _write, main, parse_grid
 from collardiff.errors import ValidationError
 from collardiff.report import CSV_SCHEMA
 
@@ -179,6 +185,37 @@ def test_failed_run_leaves_no_partial_output(capsys, tmp_path):
                           "cusp", "classify", str(bad))
     assert code == 2 and "invalid JSON" in err
     assert not out_path.exists()
+
+
+def test_out_replaces_target_atomically(capsys, tmp_path):
+    out_path = tmp_path / "report.csv"
+    out_path.write_bytes(b"old bytes\n")
+    with pytest.raises(UnicodeEncodeError):
+        _write(SimpleNamespace(out=str(out_path)), "half\ud800written\n")
+    assert out_path.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["report.csv"]  # no temp file left
+    new_path = tmp_path / "new.txt"
+    code, _, _ = invoke(capsys, "--out", str(new_path), "topology", "dim",
+                        "2,0")
+    assert code == 0 and new_path.read_text() == "3\n"
+    assert sorted(os.listdir(tmp_path)) == ["new.txt", "report.csv"]
+    # same permissions as a file created by a plain open()
+    assert stat.S_IMODE(new_path.stat().st_mode) \
+        == stat.S_IMODE(out_path.stat().st_mode)
+
+
+def test_commands_without_quadrature_skip_scipy_integrate():
+    src = os.path.dirname(os.path.dirname(collardiff.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, collardiff.cli\n"
+            "rc = collardiff.cli.main(['collar', 'info', '0.5'])\n"
+            "print('scipy.integrate loaded:', 'scipy.integrate' in sys.modules)\n"
+            "sys.exit(rc)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "half_length" in proc.stdout
+    assert proc.stdout.endswith("scipy.integrate loaded: False\n")
 
 
 def test_cusp_classify_pole(capsys, tmp_path):

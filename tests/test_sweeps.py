@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from collardiff.collar import CollarParams, thin_area, thin_boundary
+from collardiff.collar import (CollarParams, cos_profile_vec, thin_area,
+                               thin_boundary)
 from collardiff.errors import DomainError, QuadratureError, ValidationError
 from collardiff.laurent import LaurentQD, SubCollar, l2_norm, lp_norm
 from collardiff.report import STATUS_EMPTY, STATUS_FAILED, STATUS_OK
@@ -127,6 +128,49 @@ def test_cell_against_unscaled_laurent_oracle():
         p4 = lp.values("lp_ratio_p4")[trial].value
         assert p4 == pytest.approx(
             lp_norm(q, 4.0, thin, tol_abs=1e-13, tol_rel=1e-11), rel=1e-8)
+
+
+def _full_grid_density_max(Gt, ns, c, s_nodes, n_theta):
+    """Reference for sweeps._density_max: transform every (trial, s) row."""
+    X = c.half_length
+    pref = 2.0 * (2.0 * math.pi / c.ell) ** 2 \
+        * cos_profile_vec(c, s_nodes) ** 2
+    bins = np.mod(ns, n_theta)
+    out = np.zeros(Gt.shape[0])
+    for lo in range(0, s_nodes.size, 48):
+        sl = slice(lo, min(lo + 48, s_nodes.size))
+        amp = np.exp(s_nodes[sl][:, None] * ns[None, :]
+                     - np.abs(ns)[None, :] * X)          # (chunk, modes)
+        F = np.zeros((Gt.shape[0], amp.shape[0], n_theta), dtype=complex)
+        F[:, :, bins] = Gt[:, None, :] * amp[None, :, :]
+        phi = np.fft.ifft(F, axis=2) * n_theta
+        dens = np.abs(phi) * pref[sl][None, :, None]
+        np.maximum(out, dens.max(axis=(1, 2)), out=out)
+    return out
+
+
+@pytest.mark.parametrize("n_max", [1, 13, 48])
+def test_pruned_density_max_matches_full_grid_bitwise(n_max):
+    # n_theta = 256 for n_max 1 and 13, 384 (not a power of two) for 48
+    cfg = SweepConfig(ell_grid=(1e-4, 1e-2, 0.3, 0.9),
+                      delta_grid=(0.05, 0.3, 0.79), n_max=n_max, trials=24,
+                      seed=5)
+    ns = interleaved_modes(n_max)
+    n_theta = max(256, 8 * n_max)
+    checked = 0
+    for li, ell in enumerate(cfg.ell_grid):
+        c = CollarParams(ell)
+        for di, delta in enumerate(cfg.delta_grid):
+            win = thin_boundary(c, delta)
+            if win.empty:
+                continue
+            Gt = sweeps._normalized_draws(cfg, c, li, di, ns)
+            s_nodes = sweeps._sup_nodes(win.x_delta)
+            want = _full_grid_density_max(Gt, ns, c, s_nodes, n_theta)
+            got = sweeps._density_max(Gt, ns, c, s_nodes, n_theta)
+            assert got.tobytes() == want.tobytes(), (ell, delta)
+            checked += 1
+    assert checked == 9
 
 
 def test_lp_pinf_reproduces_decay_exactly():
