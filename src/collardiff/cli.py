@@ -39,10 +39,12 @@ from .report import Report, ReportRow, STATUS_EMPTY, STATUS_OK
               help="Base seed for randomized commands (unsigned 64-bit).")
 @click.option("--tol-abs", type=float, default=DEFAULT_TOL_ABS,
               show_default=True,
-              help="Absolute quadrature tolerance (read only by qd norms).")
+              help="Absolute quadrature tolerance (read by qd norms and "
+                   "cusp classify).")
 @click.option("--tol-rel", type=float, default=DEFAULT_TOL_REL,
               show_default=True,
-              help="Relative quadrature tolerance (read only by qd norms).")
+              help="Relative quadrature tolerance (read by qd norms and "
+                   "cusp classify).")
 @click.option("--n-max", type=int, default=None,
               help="Laurent mode cutoff (default: 32 for sweeps, inferred "
                    "from input files elsewhere).")
@@ -377,7 +379,8 @@ def cusp_classify(opts, germ_file, radius):
         ReportRow(None, None, "bounded", float(cl.bounded)),
         ReportRow(None, None, "simple_pole_or_better",
                   float(cl.simple_pole_or_better)),
-        ReportRow(None, None, "l1_norm", cu.l1_norm(g)),
+        ReportRow(None, None, "l1_norm",
+                  cu.l1_norm(g, tol_abs=opts.tol_abs, tol_rel=opts.tol_rel)),
         ReportRow(None, None, "density_sup",
                   bound.sup if bound.bounded else math.nan),
     ]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .collar import (CollarParams, DEFAULT_DELTA0, DELTA_MAX, ELL_MAX,
                      cos_profile_vec, thin_boundary, validate_delta0)
-from .errors import QuadratureError, ValidationError
+from .errors import ValidationError
 from .numerics import exp_cos2_integral, vec_exp_cos2_window
 from .report import (Report, ReportRow, STATUS_EMPTY, STATUS_FAILED,
                      STATUS_OK)
@@ -38,7 +38,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # geometric panel cuts, as fractions of the covered depth from the thin edge
 _PANEL_FRACTIONS = (0.0, 1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.15, 0.35, 0.65, 1.0)
 _EDGE_DEPTH = 40.0   # e^{-40}: deeper contributions are below double noise
-_ROW_BATCH = 256     # (trial, s) rows per FFT call in _density_max
+_ROW_BATCH = 256     # (trial, s) rows per FFT call
+_LP_CHUNK = 48       # s-nodes per partial sum, rows per gemv block in _cell_lp
 
 
 def _strictly_increasing(xs) -> bool:
@@ -145,6 +146,29 @@ def _sup_nodes(x_delta: float) -> np.ndarray:
     return np.unique(np.concatenate([right, -right, bridge]))
 
 
+def _row_bounds(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
+                s_nodes: np.ndarray, pref: np.ndarray):
+    """amp = e^{ns - |n|X} per (s, mode), and the triangle bound
+    pref(s) * sum_n |g_n| amp_n >= max_theta density per (trial, s) row."""
+    amp = np.exp(s_nodes[:, None] * ns[None, :]
+                 - np.abs(ns)[None, :] * c.half_length)
+    return amp, (np.abs(Gt) @ amp.T) * pref[None, :]
+
+
+def _abs_phi_rows(Gt: np.ndarray, amp: np.ndarray, bins: np.ndarray,
+                  n_theta: int, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """|phi| on the theta grid for the (trial t, node s) index pairs.
+
+    pocketfft gives a row the same bits in any batch, so callers may pick
+    any subset of rows without moving a result.
+    """
+    F = np.zeros((t.size, n_theta), dtype=complex)
+    F[:, bins] = Gt[t] * amp[s]
+    phi = np.fft.ifft(F, axis=1)
+    phi *= n_theta
+    return np.abs(phi)
+
+
 def _density_max(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
                  s_nodes: np.ndarray, n_theta: int) -> np.ndarray:
     """Per-trial sup of |phi| * 2 rho^{-2} over s_nodes x theta grid.
@@ -155,21 +179,16 @@ def _density_max(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
     get the same arithmetic as a full-grid evaluation, so the result is
     bit-identical to transforming every row.
     """
-    X = c.half_length
     pref = 2.0 * (2.0 * math.pi / c.ell) ** 2 \
         * cos_profile_vec(c, s_nodes) ** 2
     bins = np.mod(ns, n_theta)
-    amp = np.exp(s_nodes[:, None] * ns[None, :]
-                 - np.abs(ns)[None, :] * X)              # (s, modes)
-    bound = (np.abs(Gt) @ amp.T) * pref[None, :]         # (trial, s)
+    amp, bound = _row_bounds(Gt, ns, c, s_nodes, pref)
 
     def rows_max(t, s):
-        F = np.zeros((t.size, n_theta), dtype=complex)
-        F[:, bins] = Gt[t] * amp[s]
-        phi = np.fft.ifft(F, axis=1) * n_theta
         # pref > 0 and rounding is monotone, so scaling the row max
         # equals the max of the scaled row, bit for bit
-        return np.abs(phi).max(axis=1) * pref[s]
+        return _abs_phi_rows(Gt, amp, bins, n_theta, t, s).max(axis=1) \
+            * pref[s]
 
     trials = np.arange(Gt.shape[0])
     top = np.argmax(bound, axis=1)
@@ -199,6 +218,13 @@ def _envelope(delta: float) -> float:
     return delta * delta * math.exp(math.pi / delta)
 
 
+def _trial_row(ell: float, delta: float, statistic: str, value: float,
+               env: float) -> ReportRow:
+    """One trial's row; a non-finite value is reported as non-converged."""
+    status = STATUS_OK if math.isfinite(value) else STATUS_FAILED
+    return ReportRow(ell, delta, statistic, value, value * env, status)
+
+
 # --- decay of zero-principal differentials into the thin part ------------------
 
 def _decay_cell(cfg: SweepConfig, li: int, di: int) -> list:
@@ -207,15 +233,10 @@ def _decay_cell(cfg: SweepConfig, li: int, di: int) -> list:
     win = thin_boundary(c, delta)
     if win.empty:
         return [ReportRow(ell, delta, "linf_ratio", 0.0, 0.0, STATUS_EMPTY)]
-    try:
-        sups = _cell_sups(cfg, c, li, di, win.x_delta,
-                          interleaved_modes(cfg.n_max))
-    except QuadratureError:
-        return [ReportRow(ell, delta, "linf_ratio", math.nan, math.nan,
-                          STATUS_FAILED)]
+    sups = _cell_sups(cfg, c, li, di, win.x_delta,
+                      interleaved_modes(cfg.n_max))
     env = _envelope(delta)
-    return [ReportRow(ell, delta, "linf_ratio", float(s), float(s) * env)
-            for s in sups]
+    return [_trial_row(ell, delta, "linf_ratio", float(s), env) for s in sups]
 
 
 def _run_cells(cfg: SweepConfig, cell_fn, workers: int) -> list:
@@ -374,6 +395,71 @@ def _thin_panels(x_delta: float):
     return left + bridge + right
 
 
+def _theta_sums(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """rows @ w, reduced in gemv blocks of _LP_CHUNK rows.
+
+    BLAS rounds a row differently when it lands in a short remainder
+    group, so the last rows are padded to a whole block: every row is
+    reduced in the shape the s-chunked full tile used.
+    """
+    k, n = rows.shape
+    head = k - k % _LP_CHUNK
+    tail = np.zeros((_LP_CHUNK, n))
+    tail[:k - head] = rows[head:]
+    return np.concatenate([(rows[:head].reshape(-1, _LP_CHUNK, n) @ w)
+                           .ravel(), (tail @ w)[:k - head]])
+
+
+def _density_lp(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
+                s_nodes: np.ndarray, w_nodes: np.ndarray, n_theta: int,
+                ps) -> dict:
+    """Per-trial (sum of dens^p rho^2 w dtheta over s_nodes x theta)^{1/p}
+    for each finite p, where dens = |phi| * 2 rho^{-2}.
+
+    Exact, not approximate.  A (trial, s) row whose triangle bound
+    pref(s) * sum_n |g_n| e^{ns - |n|X} is at most 2^{-1080/p} adds exactly
+    +0 to the p-th power sum: its true dens^p is below 2^-1080, far under
+    half the smallest subnormal, so pow rounds it to +0.  At p = 1 the cut
+    2^-1080 is itself +0, which leaves the rows whose every term
+    underflowed (their F row is all zeros).  A row is raised only to the
+    p for which it is hot and transformed only if some p needs it; hot
+    rows get the arithmetic of the full tile, so the result is
+    bit-identical to evaluating every row.
+    """
+    rho_sq = (c.ell / (2.0 * math.pi)) ** 2 \
+        / cos_profile_vec(c, s_nodes) ** 2
+    pref = 2.0 / rho_sq
+    bins = np.mod(ns, n_theta)
+    amp, bound = _row_bounds(Gt, ns, c, s_nodes, pref)
+    # the ~(<=) form keeps NaN bounds, whose rows must be evaluated
+    hot = {p: ~(bound <= 2.0 ** (-1080.0 / p)) for p in ps}
+    t_idx, s_idx = np.nonzero(np.logical_or.reduce(list(hot.values())))
+    w_theta = np.full(n_theta, 2.0 * math.pi / n_theta)
+    contrib = {p: np.zeros(bound.shape) for p in ps}
+    for lo in range(0, t_idx.size, _ROW_BATCH):
+        t, s = t_idx[lo:lo + _ROW_BATCH], s_idx[lo:lo + _ROW_BATCH]
+        dens = _abs_phi_rows(Gt, amp, bins, n_theta, t, s)
+        dens *= pref[s][:, None]
+        for p in ps:
+            if p == 1.0:
+                # every transformed row is hot at p = 1, and dens ** 1.0
+                # is a bitwise copy of dens
+                powers = dens
+            else:
+                powers = np.power(dens, p, out=np.zeros_like(dens),
+                                  where=hot[p][t, s][:, None])
+            contrib[p][t, s] = _theta_sums(powers, w_theta)
+    rw = rho_sq * w_nodes
+    out = {}
+    for p in ps:
+        acc = np.zeros(Gt.shape[0])
+        for lo in range(0, s_nodes.size, _LP_CHUNK):
+            sl = slice(lo, lo + _LP_CHUNK)
+            acc += (contrib[p][:, sl] * rw[sl]).sum(axis=1)
+        out[p] = acc ** (1.0 / p)
+    return out
+
+
 def _cell_lp(cfg: SweepConfig, c: CollarParams, li: int, di: int,
              x_delta: float, ns: np.ndarray, ps) -> dict:
     """Per-trial L^p(thin) norms; p=2 by anchored closed form, finite p
@@ -394,28 +480,8 @@ def _cell_lp(cfg: SweepConfig, c: CollarParams, li: int, di: int,
             mid, hw = 0.5 * (s1 + s2), 0.5 * (s2 - s1)
             s_nodes.append(mid + hw * _GL_NODES)
             w_nodes.append(hw * _GL_WEIGHTS)
-        s_nodes = np.concatenate(s_nodes)
-        w_nodes = np.concatenate(w_nodes)
-        X = c.half_length
-        rho_sq = (c.ell / (2.0 * math.pi)) ** 2 \
-            / cos_profile_vec(c, s_nodes) ** 2
-        pref = 2.0 / rho_sq
-        bins = np.mod(ns, n_theta)
-        acc = {p: np.zeros(Gt.shape[0]) for p in finite}
-        for lo in range(0, s_nodes.size, 48):
-            sl = slice(lo, min(lo + 48, s_nodes.size))
-            amp = np.exp(s_nodes[sl][:, None] * ns[None, :]
-                         - np.abs(ns)[None, :] * X)
-            F = np.zeros((Gt.shape[0], amp.shape[0], n_theta), dtype=complex)
-            F[:, :, bins] = Gt[:, None, :] * amp[None, :, :]
-            dens = np.abs(np.fft.ifft(F, axis=2) * n_theta) \
-                * pref[sl][None, :, None]
-            for p in finite:
-                contrib = dens ** p @ np.full(n_theta, 2.0 * math.pi / n_theta)
-                acc[p] += (contrib * (rho_sq[sl] * w_nodes[sl])[None, :]) \
-                    .sum(axis=1)
-        for p in finite:
-            out[p] = acc[p] ** (1.0 / p)
+        out.update(_density_lp(Gt, ns, c, np.concatenate(s_nodes),
+                               np.concatenate(w_nodes), n_theta, finite))
     return out
 
 
@@ -426,19 +492,11 @@ def _lp_cell(cfg: SweepConfig, li: int, di: int, ps) -> list:
     if win.empty:
         return [ReportRow(ell, delta, _LP_STATS[p], 0.0, 0.0, STATUS_EMPTY)
                 for p in ps]
-    try:
-        per_p = _cell_lp(cfg, c, li, di, win.x_delta,
-                         interleaved_modes(cfg.n_max), ps)
-    except QuadratureError:
-        return [ReportRow(ell, delta, _LP_STATS[p], math.nan, math.nan,
-                          STATUS_FAILED) for p in ps]
+    per_p = _cell_lp(cfg, c, li, di, win.x_delta,
+                     interleaved_modes(cfg.n_max), ps)
     env = _envelope(delta)
-    rows = []
-    for trial in range(cfg.trials):
-        for p in ps:
-            v = float(per_p[p][trial])
-            rows.append(ReportRow(ell, delta, _LP_STATS[p], v, v * env))
-    return rows
+    return [_trial_row(ell, delta, _LP_STATS[p], float(per_p[p][trial]), env)
+            for trial in range(cfg.trials) for p in ps]
 
 
 def lp_vanishing_sweep(cfg: SweepConfig, workers: int = 1,

@@ -137,12 +137,22 @@ def test_qd_norms_empty_thin(capsys, coeffs_file):
         == {"empty-thin"}
 
 
-def test_quadrature_failure_exit_code(capsys, coeffs_file):
+@pytest.mark.parametrize("command", ["qd norms", "cusp classify"])
+def test_quadrature_failure_exit_code(capsys, tmp_path, coeffs_file,
+                                      command):
     # demand an impossible tolerance: QUADPACK's honest error estimate
     # exceeds it and the error surfaces as exit 3
+    if command == "qd norms":
+        args = ["qd", "norms", "--coeffs", coeffs_file, "--ell", "0.3",
+                "--delta", "0.35"]
+    else:
+        # two modes, so l1_norm integrates instead of using the closed form
+        germ = tmp_path / "germ.json"
+        germ.write_text(json.dumps([{"k": -1, "re": 1.0, "im": 0.0},
+                                    {"k": 1, "re": 0.5, "im": 0.25}]))
+        args = ["cusp", "classify", str(germ)]
     code, out, err = invoke(capsys, "--tol-abs", "1e-300", "--tol-rel",
-                            "1e-300", "qd", "norms", "--coeffs", coeffs_file,
-                            "--ell", "0.3", "--delta", "0.35")
+                            "1e-300", *args)
     assert code == 3
     assert "numerical failure" in err
     assert out == ""

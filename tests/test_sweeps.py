@@ -8,7 +8,7 @@ import pytest
 
 from collardiff.collar import (CollarParams, cos_profile_vec, thin_area,
                                thin_boundary)
-from collardiff.errors import DomainError, QuadratureError, ValidationError
+from collardiff.errors import DomainError, ValidationError
 from collardiff.laurent import LaurentQD, SubCollar, l2_norm, lp_norm
 from collardiff.report import STATUS_EMPTY, STATUS_FAILED, STATUS_OK
 from collardiff.sweeps import (PRINCIPAL_MASS_CONSTANT, SweepConfig,
@@ -173,6 +173,85 @@ def test_pruned_density_max_matches_full_grid_bitwise(n_max):
     assert checked == 9
 
 
+def _full_tile_lp(Gt, ns, c, x_delta, n_theta, finite):
+    """Reference for the finite-p path of sweeps._cell_lp: transform every
+    (trial, s) row of the Gauss-Legendre tile, 48 s-nodes at a time."""
+    s_nodes, w_nodes = [], []
+    for s1, s2 in sweeps._thin_panels(x_delta):
+        mid, hw = 0.5 * (s1 + s2), 0.5 * (s2 - s1)
+        s_nodes.append(mid + hw * sweeps._GL_NODES)
+        w_nodes.append(hw * sweeps._GL_WEIGHTS)
+    s_nodes = np.concatenate(s_nodes)
+    w_nodes = np.concatenate(w_nodes)
+    X = c.half_length
+    rho_sq = (c.ell / (2.0 * math.pi)) ** 2 \
+        / cos_profile_vec(c, s_nodes) ** 2
+    pref = 2.0 / rho_sq
+    bins = np.mod(ns, n_theta)
+    acc = {p: np.zeros(Gt.shape[0]) for p in finite}
+    for lo in range(0, s_nodes.size, 48):
+        sl = slice(lo, min(lo + 48, s_nodes.size))
+        amp = np.exp(s_nodes[sl][:, None] * ns[None, :]
+                     - np.abs(ns)[None, :] * X)
+        F = np.zeros((Gt.shape[0], amp.shape[0], n_theta), dtype=complex)
+        F[:, :, bins] = Gt[:, None, :] * amp[None, :, :]
+        dens = np.abs(np.fft.ifft(F, axis=2) * n_theta) \
+            * pref[sl][None, :, None]
+        for p in finite:
+            contrib = dens ** p @ np.full(n_theta, 2.0 * math.pi / n_theta)
+            acc[p] += (contrib * (rho_sq[sl] * w_nodes[sl])[None, :]) \
+                .sum(axis=1)
+    # the triangle bound of every row, to show which skip branches ran
+    bound = (np.abs(Gt) @ np.exp(s_nodes[:, None] * ns[None, :]
+                                 - np.abs(ns)[None, :] * X).T) * pref
+    return {p: acc[p] ** (1.0 / p) for p in finite}, bound
+
+
+@pytest.mark.parametrize("n_max", [1, 13, 48])
+def test_lp_tile_matches_full_tile_bitwise(n_max):
+    # n_theta = 256 for n_max 1 and 13, 384 (not a power of two) for 48
+    cfg = SweepConfig(ell_grid=(1e-4, 1e-2, 0.3, 0.9),
+                      delta_grid=(0.05, 0.3, 0.79), n_max=n_max, trials=24,
+                      seed=5)
+    ns = interleaved_modes(n_max)
+    n_theta = max(256, 8 * n_max)
+    checked = zero_rows = underflow_rows = 0
+    for li, ell in enumerate(cfg.ell_grid):
+        c = CollarParams(ell)
+        for di, delta in enumerate(cfg.delta_grid):
+            win = thin_boundary(c, delta)
+            if win.empty:
+                continue
+            Gt = sweeps._normalized_draws(cfg, c, li, di, ns)
+            for ps in ((1.0, 4.0), (4.0,)):
+                want, bound = _full_tile_lp(Gt, ns, c, win.x_delta, n_theta,
+                                            ps)
+                got = sweeps._cell_lp(cfg, c, li, di, win.x_delta, ns, ps)
+                for p in ps:
+                    assert got[p].tobytes() == want[p].tobytes(), \
+                        (ell, delta, ps, p)
+            zero_rows += np.count_nonzero(bound == 0.0)
+            underflow_rows += np.count_nonzero(
+                (bound > 0.0) & (bound < 2.0 ** (-1080.0 / 4.0)))
+            checked += 1
+    assert checked == 9
+    # both skips ran: all-zero rows, and p = 4 powers that underflow
+    assert zero_rows > 0 and underflow_rows > 0, (zero_rows, underflow_rows)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 47, 49, 101])
+def test_theta_sums_round_rows_as_the_chunked_tile(count):
+    # BLAS gemv rounds the rows of a short remainder group differently;
+    # any subset of rows must come out as in the (trial, 48, n_theta) tile
+    rng = np.random.default_rng(count)
+    tile = rng.random((3, 48, 256)) ** 4
+    w = np.full(256, 2.0 * math.pi / 256)
+    want = (tile @ w).ravel()
+    rows = np.sort(rng.choice(tile.shape[0] * 48, count, replace=False))
+    got = sweeps._theta_sums(tile.reshape(-1, 256)[rows], w)
+    assert got.tobytes() == want[rows].tobytes()
+
+
 def test_lp_pinf_reproduces_decay_exactly():
     cfg = SweepConfig(**SMALL)
     decay = decay_sweep(cfg)
@@ -203,22 +282,36 @@ def test_lp_rejects_unknown_exponent():
         lp_vanishing_sweep(SweepConfig(**SMALL), ps=(3.0,))
 
 
-def test_sweep_failure_marks_rows(monkeypatch):
+def test_nan_trial_is_non_converged(monkeypatch):
+    # one NaN draw in cell (0.4, 0.5), trial 2, poisons only that trial
     cfg = SweepConfig(**SMALL)
+    clean = [decay_sweep(cfg), lp_vanishing_sweep(cfg)]
+    real = sweeps.draw_coefficients
 
-    def boom(*a, **k):
-        raise QuadratureError("forced")
+    def draws(seed, li, di, trial, count):
+        g = real(seed, li, di, trial, count)
+        if (li, di, trial) == (0, 1, 2):
+            g[0] = math.nan
+        return g
 
-    monkeypatch.setattr(sweeps, "_cell_sups", boom)
-    rep = decay_sweep(cfg)
-    failed = [r for r in rep.values("linf_ratio") if r.status == STATUS_FAILED]
-    assert len(failed) == 3  # every nonempty cell
-    assert all(math.isnan(r.value) for r in failed)
-    assert rep.single("max_normalized").status == STATUS_EMPTY
-
-    monkeypatch.setattr(sweeps, "_cell_lp", boom)
-    rep2 = lp_vanishing_sweep(cfg, ps=(1.0, 2.0))
-    assert len([r for r in rep2.rows if r.status == STATUS_FAILED]) == 6
+    monkeypatch.setattr(sweeps, "draw_coefficients", draws)
+    for want, rep in zip(clean, [decay_sweep(cfg), lp_vanishing_sweep(cfg)]):
+        trial_stats = {r.statistic for r in want.rows
+                       if not r.statistic.startswith("max_normalized")}
+        for stat in trial_stats:
+            rows, rows0 = rep.values(stat), want.values(stat)
+            i = [j for j, r in enumerate(rows)
+                 if (r.ell, r.delta) == (0.4, 0.5)][2]
+            assert rows[i].status == STATUS_FAILED
+            assert math.isnan(rows[i].value)
+            assert rows[:i] + rows[i + 1:] == rows0[:i] + rows0[i + 1:]
+            # the summary row is the best finite trial, not the NaN one
+            suffix = "" if stat == "linf_ratio" else "_" + stat.split("_")[-1]
+            best = rep.single("max_normalized" + suffix)
+            ok = [r for r in rows if r.status == STATUS_OK]
+            assert best.status == STATUS_OK
+            assert math.isfinite(best.normalized)
+            assert best.normalized == max(r.normalized for r in ok)
 
 
 def test_principal_mass_frozen_values():
