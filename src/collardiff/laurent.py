@@ -253,8 +253,76 @@ def lp_norm(q: LaurentQD, p: float, win: SubCollar | None = None, *,
     return total ** (1.0 / p)
 
 
-def linf_thin(q: LaurentQD, delta: float, *,
-              n_s: int = 257, n_theta: int | None = None) -> ThinSup:
+_ROW_BATCH = 256     # (batch, s) rows per FFT call
+
+
+class DensityRows:
+    """Rows of the density |phi| * pref(s) on the theta grid, one per (t, s):
+    phi_t(s, theta) = sum_n coef[t, n] e^{sn + log_scale_n} e^{i n theta},
+    modes ns distinct modulo n_theta.  pocketfft gives a row the same bits
+    in any batch, so rows are transformed on demand, any subset at a time.
+    ``bound``, the triangle bound pref(s) * sum_n |coef[t, n]| e^{sn +
+    log_scale_n}, is at least the row's largest density.
+    """
+
+    def __init__(self, coef: np.ndarray, ns: np.ndarray, log_scale: np.ndarray,
+                 s_nodes: np.ndarray, pref: np.ndarray, n_theta: int):
+        self.coef, self.pref, self.n_theta = coef, pref, n_theta
+        self.bins = np.mod(ns, n_theta)
+        self.amp = np.exp(s_nodes[:, None] * ns[None, :] + log_scale[None, :])
+        self.bound = (np.abs(coef) @ self.amp.T) * pref[None, :]
+
+    def abs_phi(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """|phi| on the theta grid for the (t, s) index pairs."""
+        F = np.zeros((t.size, self.n_theta), dtype=complex)
+        F[:, self.bins] = self.coef[t] * self.amp[s]
+        phi = np.fft.ifft(F, axis=1)
+        phi *= self.n_theta
+        return np.abs(phi)
+
+    def batches(self, t: np.ndarray, s: np.ndarray):
+        """(t, s, |phi| rows) for the index pairs, _ROW_BATCH rows at a time."""
+        for lo in range(0, t.size, _ROW_BATCH):
+            tb, sb = t[lo:lo + _ROW_BATCH], s[lo:lo + _ROW_BATCH]
+            yield tb, sb, self.abs_phi(tb, sb)
+
+    def sup(self) -> np.ndarray:
+        """Per-t max of the density over every (s, theta) point.
+
+        Exact, not approximate.  Each t is seeded with its highest-bound
+        row, and only rows whose bound reaches the running max are
+        transformed.  They get the same arithmetic as a full-grid
+        evaluation, so the result is bit-identical to transforming every
+        row.  (pref > 0 and rounding is monotone, so scaling a row's max
+        equals the max of the scaled row, bit for bit.)
+        """
+        trials = np.arange(self.coef.shape[0])
+        top = np.argmax(self.bound, axis=1)
+        out = self.abs_phi(trials, top).max(axis=1) * self.pref[top]
+        keep = self._reaches(out[:, None])
+        keep[trials, top] = False
+        for t, s, phi_abs in self.batches(*np.nonzero(keep)):
+            np.maximum.at(out, t, phi_abs.max(axis=1) * self.pref[s])
+        return out
+
+    def _reaches(self, level) -> np.ndarray:
+        # Rounding in the bound (a sum of nonnegative terms) and in the FFT
+        # is of order n_modes * eps relative to sum_n |coef_n amp_n| (~1e-14
+        # at 64 modes), 100x below the 1e-12 margin, so a row outside this
+        # mask has every computed density strictly below the level.  The
+        # ~(<) form keeps NaN and inf bounds, whose rows must be seen.
+        return ~(self.bound < level * (1.0 - 1e-12))
+
+    def argmax(self, sup: float) -> tuple[int, int]:
+        """(s, theta) indices of the first row-major point where the density
+        of t = 0 equals its sup; every row is searched for a NaN sup."""
+        s = np.nonzero(self._reaches(sup)[0])[0]
+        dens = self.abs_phi(np.zeros_like(s), s) * self.pref[s][:, None]
+        i, j = divmod(int(np.argmax(dens)), self.n_theta)
+        return int(s[i]), j
+
+
+def linf_thin(q: LaurentQD, delta: float, *, n_s: int = 257) -> ThinSup:
     """Supremum of the density over the delta-thin sub-collar.
 
     Returns the grid supremum together with the analytic mode-wise
@@ -263,41 +331,32 @@ def linf_thin(q: LaurentQD, delta: float, *,
     tw = thin_boundary(q.collar, delta)
     if tw.empty or q.is_zero:
         return ThinSup(0.0, 0.0)
-    if n_theta is None:
-        n_theta = max(256, 8 * q.n_max)
+    n_theta = max(256, 8 * q.n_max)
     c = q.collar
     xd = tw.x_delta
+    center = 2.0 * (2.0 * math.pi / c.ell) ** 2  # 2 rho^-2 = center * cos^2
 
     grid = _sup_grid(xd, n_s)
-    ns = np.array(sorted(q.coeffs), dtype=float)
-    logb = np.array([math.log(abs(q.coeffs[int(n)])) for n in ns])
-    phase = np.array([q.coeffs[int(n)] / abs(q.coeffs[int(n)]) for n in ns])
-    # amplitude matrix |b_n| e^{n s}; sane inputs keep every exponent <= 0
-    amp = np.exp(logb[None, :] + ns[None, :] * grid[:, None])
-    spec = np.zeros((grid.size, n_theta), dtype=complex)
-    cols = (ns.astype(int)) % n_theta
-    for j, col in enumerate(cols):
-        spec[:, col] += amp[:, j] * phase[j]
-    phi = np.fft.ifft(spec, axis=1) * n_theta
-    weight = 2.0 * (2.0 * math.pi / c.ell) ** 2 * cos_profile_vec(c, grid) ** 2
-    dens = np.abs(phi) * weight[:, None]
-    flat = int(np.argmax(dens))
-    i, j = divmod(flat, n_theta)
-    sup = float(dens[i, j])
+    modes = sorted(q.coeffs)
+    # |b_n| e^{n s} as e^{n s + log|b_n|}; sane inputs keep every exponent <= 0
+    logb = np.array([math.log(abs(q.coeffs[n])) for n in modes])
+    phase = np.array([q.coeffs[n] / abs(q.coeffs[n]) for n in modes])
+    rows = DensityRows(phase[None, :], np.array(modes), logb, grid,
+                       center * cos_profile_vec(c, grid) ** 2, n_theta)
+    sup = float(rows.sup()[0])
+    i, j = rows.argmax(sup)
 
     # envelope: each mode profile e^{ns} cos^2 is monotone for n != 0
     # (max at the matching endpoint) and peaks at s = 0 for n = 0
     r = math.sinh(0.5 * c.ell) / math.sinh(delta)
-    edge = 2.0 * (2.0 * math.pi / c.ell) ** 2 * r * r
-    center = 2.0 * (2.0 * math.pi / c.ell) ** 2
+    edge = center * r * r
     env = 0.0
     for n, b in q.coeffs.items():
         if n == 0:
             env += abs(b) * center
         else:
             env += exp_scale(abs(b) * edge, abs(n) * xd)
-    theta_j = 2.0 * math.pi * j / n_theta
-    return ThinSup(sup, env, float(grid[i]), theta_j)
+    return ThinSup(sup, env, float(grid[i]), 2.0 * math.pi * j / n_theta)
 
 
 def _sup_grid(xd: float, n_s: int) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from .collar import CollarParams, thin_boundary
 from .errors import DomainError, RankDeficiencyError, ValidationError
 from .laurent import (LaurentQD, coeffs_from_json, coeffs_to_json, l2_inner,
-                      l2_norm, linf_thin, principal_part)
+                      l2_norm, linf_thin, principal_part, remove_principal)
 from .report import Report, ReportRow, STATUS_EMPTY, STATUS_OK
 
 # Relative spectral floor below which a Gram matrix counts as singular.
@@ -101,12 +101,6 @@ def principal_vector(u: MultiCollarQD) -> np.ndarray:
     return np.array([principal_part(p) for p in u.parts], dtype=complex)
 
 
-def _strip_principal(u: MultiCollarQD) -> MultiCollarQD:
-    parts = [LaurentQD(p.collar, {n: b for n, b in p.coeffs.items() if n != 0},
-                       p.n_max) for p in u.parts]
-    return MultiCollarQD(parts)
-
-
 class QDSpace:
     """A span of multi-collar differentials with its Gram matrix."""
 
@@ -162,22 +156,17 @@ def _cholesky_or_raise(g: np.ndarray):
             eigenvalue=float(evals[0])) from exc
 
 
-def unitary_basis(space: QDSpace, rank_tol: float = RANK_TOL) -> list:
+def unitary_basis(space: QDSpace) -> list:
     """An L2-orthonormal basis of the span, via Hermitian factorization.
 
     Equivalent to Gram-Schmidt in exact arithmetic; one refinement pass
     is applied when the recomputed Gram of the result drifts from the
     identity.  Raises RankDeficiencyError (with the offending eigenvalue)
-    if the smallest Gram eigenvalue falls below rank_tol * largest.
+    if the smallest Gram eigenvalue falls below RANK_TOL * largest.
     """
     if space.dim == 0:
         return []
     g = space.gram
-    evals = np.linalg.eigvalsh(g)
-    if evals[0] < rank_tol * max(evals[-1], 0.0) or evals[0] <= 0.0:
-        raise RankDeficiencyError(
-            f"Gram matrix is numerically rank deficient: smallest eigenvalue "
-            f"{evals[0]:.6g} vs largest {evals[-1]:.6g}", eigenvalue=float(evals[0]))
     elems = list(space.basis)
     for _ in range(3):
         low = _cholesky_or_raise(g)
@@ -209,7 +198,8 @@ def w_subspace(space: QDSpace) -> QDSpace:
         return QDSpace([], collars=space.collars)
     combos = []
     for v in kernel.T:
-        elem = _strip_principal(mc_combine(space.basis, v))
+        elem = MultiCollarQD([remove_principal(part)
+                              for part in mc_combine(space.basis, v).parts])
         nrm = mc_norm(elem)
         if nrm > 0:
             elem = mc_combine([elem], [1.0 / nrm])

@@ -24,6 +24,7 @@ import numpy as np
 from .collar import (CollarParams, DEFAULT_DELTA0, DELTA_MAX, ELL_MAX,
                      cos_profile_vec, thin_boundary, validate_delta0)
 from .errors import ValidationError
+from .laurent import DensityRows
 from .numerics import exp_cos2_integral, vec_exp_cos2_window
 from .report import (Report, ReportRow, STATUS_EMPTY, STATUS_FAILED,
                      STATUS_OK)
@@ -38,7 +39,6 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # geometric panel cuts, as fractions of the covered depth from the thin edge
 _PANEL_FRACTIONS = (0.0, 1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.15, 0.35, 0.65, 1.0)
 _EDGE_DEPTH = 40.0   # e^{-40}: deeper contributions are below double noise
-_ROW_BATCH = 256     # (trial, s) rows per FFT call
 _LP_CHUNK = 48       # s-nodes per partial sum, rows per gemv block in _cell_lp
 
 
@@ -146,65 +146,14 @@ def _sup_nodes(x_delta: float) -> np.ndarray:
     return np.unique(np.concatenate([right, -right, bridge]))
 
 
-def _row_bounds(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
-                s_nodes: np.ndarray, pref: np.ndarray):
-    """amp = e^{ns - |n|X} per (s, mode), and the triangle bound
-    pref(s) * sum_n |g_n| amp_n >= max_theta density per (trial, s) row."""
-    amp = np.exp(s_nodes[:, None] * ns[None, :]
-                 - np.abs(ns)[None, :] * c.half_length)
-    return amp, (np.abs(Gt) @ amp.T) * pref[None, :]
-
-
-def _abs_phi_rows(Gt: np.ndarray, amp: np.ndarray, bins: np.ndarray,
-                  n_theta: int, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """|phi| on the theta grid for the (trial t, node s) index pairs.
-
-    pocketfft gives a row the same bits in any batch, so callers may pick
-    any subset of rows without moving a result.
-    """
-    F = np.zeros((t.size, n_theta), dtype=complex)
-    F[:, bins] = Gt[t] * amp[s]
-    phi = np.fft.ifft(F, axis=1)
-    phi *= n_theta
-    return np.abs(phi)
-
-
 def _density_max(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
                  s_nodes: np.ndarray, n_theta: int) -> np.ndarray:
-    """Per-trial sup of |phi| * 2 rho^{-2} over s_nodes x theta grid.
-
-    Exact, not approximate.  Each (trial, s) row has the triangle bound
-    pref(s) * sum_n |g_n| e^{ns - |n|X} >= max_theta of its density, so
-    only rows whose bound reaches the running max are transformed.  They
-    get the same arithmetic as a full-grid evaluation, so the result is
-    bit-identical to transforming every row.
-    """
+    """Per-trial sup of |phi| * 2 rho^{-2} over s_nodes x theta grid (exact,
+    see DensityRows.sup); the law factor e^{-|n|X} enters as the log-scale."""
     pref = 2.0 * (2.0 * math.pi / c.ell) ** 2 \
         * cos_profile_vec(c, s_nodes) ** 2
-    bins = np.mod(ns, n_theta)
-    amp, bound = _row_bounds(Gt, ns, c, s_nodes, pref)
-
-    def rows_max(t, s):
-        # pref > 0 and rounding is monotone, so scaling the row max
-        # equals the max of the scaled row, bit for bit
-        return _abs_phi_rows(Gt, amp, bins, n_theta, t, s).max(axis=1) \
-            * pref[s]
-
-    trials = np.arange(Gt.shape[0])
-    top = np.argmax(bound, axis=1)
-    out = rows_max(trials, top)
-    # Rounding in the bound (a sum of nonnegative terms) and in the FFT is
-    # of order n_modes * eps relative to sum_n |g_n amp_n| (~1e-14 at the
-    # default 64 modes), about 100x below the 1e-12 margin, so a skipped
-    # row's computed density stays strictly below the running max.
-    # The ~(<) form keeps NaN and inf bounds, whose rows must be seen.
-    keep = ~(bound < out[:, None] * (1.0 - 1e-12))
-    keep[trials, top] = False
-    t_idx, s_idx = np.nonzero(keep)
-    for lo in range(0, t_idx.size, _ROW_BATCH):
-        sl = slice(lo, lo + _ROW_BATCH)
-        np.maximum.at(out, t_idx[sl], rows_max(t_idx[sl], s_idx[sl]))
-    return out
+    return DensityRows(Gt, ns, -np.abs(ns) * c.half_length, s_nodes, pref,
+                       n_theta).sup()
 
 
 def _cell_sups(cfg: SweepConfig, c: CollarParams, li: int, di: int,
@@ -429,16 +378,14 @@ def _density_lp(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
     rho_sq = (c.ell / (2.0 * math.pi)) ** 2 \
         / cos_profile_vec(c, s_nodes) ** 2
     pref = 2.0 / rho_sq
-    bins = np.mod(ns, n_theta)
-    amp, bound = _row_bounds(Gt, ns, c, s_nodes, pref)
+    rows = DensityRows(Gt, ns, -np.abs(ns) * c.half_length, s_nodes, pref,
+                       n_theta)
     # the ~(<=) form keeps NaN bounds, whose rows must be evaluated
-    hot = {p: ~(bound <= 2.0 ** (-1080.0 / p)) for p in ps}
+    hot = {p: ~(rows.bound <= 2.0 ** (-1080.0 / p)) for p in ps}
     t_idx, s_idx = np.nonzero(np.logical_or.reduce(list(hot.values())))
     w_theta = np.full(n_theta, 2.0 * math.pi / n_theta)
-    contrib = {p: np.zeros(bound.shape) for p in ps}
-    for lo in range(0, t_idx.size, _ROW_BATCH):
-        t, s = t_idx[lo:lo + _ROW_BATCH], s_idx[lo:lo + _ROW_BATCH]
-        dens = _abs_phi_rows(Gt, amp, bins, n_theta, t, s)
+    contrib = {p: np.zeros(rows.bound.shape) for p in ps}
+    for t, s, dens in rows.batches(t_idx, s_idx):
         dens *= pref[s][:, None]
         for p in ps:
             if p == 1.0:

@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from collardiff.collar import CollarParams, thin_boundary
+from collardiff.collar import CollarParams, cos_profile_vec, thin_boundary
 from collardiff.errors import DomainError, ValidationError
-from collardiff.laurent import (LaurentQD, SubCollar, coefficient_bound_check,
+from collardiff.laurent import (LaurentQD, SubCollar, ThinSup, _sup_grid,
+                                coefficient_bound_check,
                                 coeffs_from_json, coeffs_to_json, eval_density,
                                 full_window, l2_inner, l2_norm, linf_thin,
                                 load_coeffs, lp_norm, mode_l2_norm_sq,
                                 mode_inner_quadrature_ratios, principal_part,
                                 remove_principal)
+from collardiff.numerics import exp_scale
 from conftest import random_collar, random_qd
 
 
@@ -181,6 +183,75 @@ def test_linf_grid_refinement_stable(rng):
     fine = linf_thin(q, 0.35, n_s=4097).sup
     assert coarse <= fine * (1.0 + 1e-12)
     assert fine <= coarse * 1.005
+
+
+def _full_grid_linf_thin(q, delta, n_s=257):
+    """Reference for laurent.linf_thin: the density on every (s, theta)
+    point of the grid, then the global argmax."""
+    tw = thin_boundary(q.collar, delta)
+    if tw.empty or q.is_zero:
+        return ThinSup(0.0, 0.0)
+    n_theta = max(256, 8 * q.n_max)
+    c = q.collar
+    xd = tw.x_delta
+    grid = _sup_grid(xd, n_s)
+    ns = np.array(sorted(q.coeffs), dtype=float)
+    logb = np.array([math.log(abs(q.coeffs[int(n)])) for n in ns])
+    phase = np.array([q.coeffs[int(n)] / abs(q.coeffs[int(n)]) for n in ns])
+    amp = np.exp(logb[None, :] + ns[None, :] * grid[:, None])
+    spec = np.zeros((grid.size, n_theta), dtype=complex)
+    for j, col in enumerate(ns.astype(int) % n_theta):
+        spec[:, col] += amp[:, j] * phase[j]
+    phi = np.fft.ifft(spec, axis=1) * n_theta
+    weight = 2.0 * (2.0 * math.pi / c.ell) ** 2 * cos_profile_vec(c, grid) ** 2
+    dens = np.abs(phi) * weight[:, None]
+    i, j = divmod(int(np.argmax(dens)), n_theta)
+    r = math.sinh(0.5 * c.ell) / math.sinh(delta)
+    edge = 2.0 * (2.0 * math.pi / c.ell) ** 2 * r * r
+    center = 2.0 * (2.0 * math.pi / c.ell) ** 2
+    env = 0.0
+    for n, b in q.coeffs.items():
+        if n == 0:
+            env += abs(b) * center
+        else:
+            env += exp_scale(abs(b) * edge, abs(n) * xd)
+    return ThinSup(float(dens[i, j]), env, float(grid[i]),
+                   2.0 * math.pi * j / n_theta)
+
+
+def test_linf_thin_matches_full_grid_bitwise():
+    rng = np.random.default_rng(7)
+
+    def g():
+        return complex(*rng.standard_normal(2))
+
+    nonzero = nan = 0
+    for ell in (1e-4, 1e-2, 0.3, 0.9):
+        c = CollarParams(ell)
+        x = c.half_length
+        for delta in (0.05, 0.3, 0.79):
+            # the coefficient law g_n e^{-|n|X}; it underflows to an
+            # absent mode at small ell, where the tiny lone mode stays
+            sets = [{0: g()}, {3: g() * math.exp(-3 * x)},
+                    {-3: g() * math.exp(-3 * x)}, {1: 1e-300 * g()},
+                    {-1: 1e-300 * g()}]
+            sets += [{n: g() * math.exp(-abs(n) * x)
+                      for n in range(-n_max, n_max + 1)}
+                     for n_max in (1, 5, 32)]
+            for coeffs in sets:
+                q = LaurentQD(c, coeffs, max(abs(n) for n in coeffs))
+                got = linf_thin(q, delta)
+                assert repr(got) == repr(_full_grid_linf_thin(q, delta)), \
+                    (ell, delta, coeffs)
+                nonzero += got.sup > 0.0
+                nan += math.isnan(got.sup)
+    assert nonzero >= 40 and nan > 0, (nonzero, nan)
+    # exp(log|b| + n s) overflows at the thin edge: the NaN sup and its
+    # first-NaN location are pinned to the full grid's
+    q = LaurentQD(CollarParams(0.01), {1: 1.0, -2: 0.5j})
+    got = linf_thin(q, 0.3)
+    assert math.isnan(got.sup)
+    assert repr(got) == repr(_full_grid_linf_thin(q, 0.3))
 
 
 def test_coefficient_bound_check():
