@@ -16,7 +16,7 @@ from .laurent import (LaurentQD, SubCollar, ThinSup, CoefficientBoundReport,
                       lp_norm, linf_thin, coefficient_bound_check,
                       coeffs_from_json, coeffs_to_json, load_coeffs)
 from .spaces import (MultiCollarQD, QDSpace, mc_inner, mc_norm, mc_combine,
-                     mc_zero, principal_vector, gram_matrix, unitary_basis,
+                     mc_zero, principal_vector, unitary_basis,
                      w_subspace, project_onto_w, w_decay_report,
                      space_from_json, multi_from_json, multi_to_json,
                      load_space)

@@ -162,11 +162,13 @@ def cusp_conformal_factor(s: float) -> float:
     return 1.0 / s
 
 
-def disc_metric_density(r: float) -> float:
-    """Cusp metric density 1/(r*log(1/r)) in the punctured-disc model."""
-    if not 0.0 < r < 1.0:
+def disc_metric_density(r):
+    """Cusp metric density 1/(r*log(1/r)) in the punctured-disc model,
+    at a radius or an array of radii."""
+    radii = np.asarray(r)
+    if not np.all((radii > 0.0) & (radii < 1.0)):
         raise DomainError(f"disc radius must lie in (0, 1), got {r!r}")
-    return 1.0 / (r * (-math.log(r)))
+    return 1.0 / (r * (-np.log(r)))
 
 
 def validate_delta0(delta0: float, ell_values=None) -> float:

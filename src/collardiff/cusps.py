@@ -139,10 +139,8 @@ def l1_norm_quadrature(g: PunctureGerm, n_theta: int = 256,
     if r_lo == 0.0 and pole_order(g) >= 2:
         raise DomainError("integral diverges; pass r_lo > 0 to truncate")
 
-    def integrand(r: float) -> float:
-        if r == 0.0:
-            return 0.0
-        return 4.0 * math.pi * r * float(_abs_phi_mean(g, r, n_theta)[0])
+    def integrand(r: np.ndarray) -> np.ndarray:
+        return 4.0 * math.pi * r * _abs_phi_mean(g, r, n_theta)
 
     R = g.radius
     pts = [R * f for f in (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5) if R * f > r_lo]
@@ -164,11 +162,8 @@ def l1_norm_hyperbolic(g: PunctureGerm, n_theta: int = 256,
     if pole_order(g) >= 2:
         return math.inf
 
-    def integrand(r: float) -> float:
-        if r == 0.0:
-            return 0.0
-        dens = 2.0 * float(_abs_phi_mean(g, r, n_theta)[0]) \
-            * r * r * math.log(r) ** 2
+    def integrand(r: np.ndarray) -> np.ndarray:
+        dens = 2.0 * _abs_phi_mean(g, r, n_theta) * r * r * np.log(r) ** 2
         return 2.0 * math.pi * dens * disc_metric_density(r) ** 2 * r
 
     R = g.radius
@@ -193,10 +188,9 @@ def l1_norm_cylinder(g: PunctureGerm, n_theta: int = 256,
     # tail from S: 2*2pi*sum |c_k| e^{-(k+2)S}/(k+2), slowest mode k = -1
     s1 = s0 + 45.0
 
-    def integrand(s: float) -> float:
-        r = math.exp(-s)
-        return 4.0 * math.pi * math.exp(-2.0 * s) \
-            * float(_abs_phi_mean(g, r, n_theta)[0])
+    def integrand(s: np.ndarray) -> np.ndarray:
+        r = np.exp(-s)
+        return 4.0 * math.pi * np.exp(-2.0 * s) * _abs_phi_mean(g, r, n_theta)
 
     pts = [s0 + d for d in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)]
     return adaptive_quad(integrand, s0, s1, tol_abs=tol_abs, tol_rel=tol_rel,
@@ -257,8 +251,8 @@ def truncation_profile(g: PunctureGerm, steps: int = 17, shrink: float = 4.0,
 
 
 def _annulus_mass(g: PunctureGerm, lo: float, hi: float, n_theta: int) -> float:
-    def integrand(r: float) -> float:
-        return 4.0 * math.pi * r * float(_abs_phi_mean(g, r, n_theta)[0])
+    def integrand(r: np.ndarray) -> np.ndarray:
+        return 4.0 * math.pi * r * _abs_phi_mean(g, r, n_theta)
     mid = math.sqrt(lo * hi)
     return adaptive_quad(integrand, lo, hi, tol_abs=1e-300, tol_rel=1e-10,
                          points=[mid])

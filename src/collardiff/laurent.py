@@ -30,7 +30,8 @@ from .collar import CollarParams, ThinWindow, thin_boundary, cos_profile_vec, \
     conformal_factor, DEFAULT_DELTA0
 from .errors import DomainError, ValidationError
 from .numerics import (DEFAULT_TOL_ABS, DEFAULT_TOL_REL, adaptive_quad,
-                       exp_cos2_window, exp_scale, scale_complex)
+                       exp_cos2_window, exp_scale, scale_complex,
+                       vec_scale_complex)
 
 
 @dataclass(frozen=True)
@@ -195,13 +196,13 @@ def _theta_points(n_theta: int) -> np.ndarray:
     return np.arange(n_theta) * (2.0 * math.pi / n_theta)
 
 
-def _phi_on_circle(q: LaurentQD, s: float, n_theta: int) -> np.ndarray:
-    # phi(s, theta_j) on the uniform grid, via an inverse FFT of the
-    # Laurent spectrum at height s.
-    spec = np.zeros(n_theta, dtype=complex)
+def _phi_on_circle(q: LaurentQD, s: np.ndarray, n_theta: int) -> np.ndarray:
+    # phi(s_i, theta_j) on the uniform grid, one row per height s_i, via
+    # an inverse FFT of the Laurent spectrum at that height.
+    spec = np.zeros((s.size, n_theta), dtype=complex)
     for n, b in q.coeffs.items():
-        spec[n % n_theta] += scale_complex(b, n * s)
-    return np.fft.ifft(spec) * n_theta
+        spec[:, n % n_theta] += vec_scale_complex(b, n * s)
+    return np.fft.ifft(spec, axis=1) * n_theta
 
 
 def _endpoint_cascade(win: SubCollar) -> list[float]:
@@ -239,13 +240,14 @@ def lp_norm(q: LaurentQD, p: float, win: SubCollar | None = None, *,
     two_pi = 2.0 * math.pi
     base = (two_pi / c.ell) ** 2  # rho(s)^-2 = base * cos^2
 
-    def integrand(s: float) -> float:
-        cs = float(cos_profile_vec(c, np.array([s]))[0])
+    def integrand(s: np.ndarray) -> np.ndarray:
+        cs = cos_profile_vec(c, s)
         rho_inv_sq = base * cs * cs
-        dens = np.abs(_phi_on_circle(q, s, n_theta)) * (2.0 * rho_inv_sq)
+        dens = np.abs(_phi_on_circle(q, s, n_theta)) \
+            * (2.0 * rho_inv_sq)[:, None]
         # theta average times 2*pi, weighted by the area element rho^2
         rho_sq = (c.ell / two_pi) ** 2 / (cs * cs)
-        return float(np.mean(dens ** p)) * two_pi * rho_sq
+        return np.mean(dens ** p, axis=1) * two_pi * rho_sq
 
     total = adaptive_quad(integrand, win.s1, win.s2,
                           tol_abs=tol_abs, tol_rel=tol_rel,
@@ -422,8 +424,7 @@ def mode_inner_quadrature_ratios(c: CollarParams, modes, win: SubCollar, *,
         anchor = win.s2 if ktot > 0 else win.s1
 
         def f(s, _k=ktot, _a=anchor):
-            return math.exp(_k * (s - _a)) * \
-                float(cos_profile_vec(c, np.array([s]))[0]) ** 2
+            return np.exp(_k * (s - _a)) * cos_profile_vec(c, s) ** 2
 
         val = adaptive_quad(f, win.s1, win.s2, tol_abs=tol_abs,
                             tol_rel=tol_rel, points=_endpoint_cascade(win))

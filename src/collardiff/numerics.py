@@ -72,6 +72,16 @@ def scale_complex(z: complex, t: float) -> complex:
     return (z / abs(z)) * r
 
 
+def vec_scale_complex(z: complex, t: np.ndarray) -> np.ndarray:
+    """scale_complex over an array of exponents t."""
+    t = np.asarray(t, dtype=float)
+    if z == 0:
+        return np.zeros(t.shape, dtype=complex)
+    with np.errstate(over="ignore"):
+        return np.where(np.abs(t) < 700.0, z * np.exp(t),
+                        (z / abs(z)) * np.exp(math.log(abs(z)) + t))
+
+
 def _core_exp_cos2(alpha: float, b: float, t1: float, t2: float) -> float:
     # integral over [t1, t2] of exp(alpha*(t - t2)) * cos(b*t)**2, alpha > 0.
     # Both terms are assembled from expm1/cexpm1 so short windows lose no
@@ -142,40 +152,128 @@ def vec_exp_cos2_window(a: np.ndarray, b: float, s1: float, s2: float
     return vals, anchors
 
 
+# QUADPACK's qk21 rule (Piessens et al., 1983): the 21-point Kronrod
+# abscissae on [0, 1] with their weights, then the weights of the embedded
+# 10-point Gauss rule, whose nodes are _XGK[1], _XGK[3], ..., _XGK[9].
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208977044720, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+
+# the same rules on all 21 nodes of [-1, 1], left to right
+_X21 = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_W21 = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_WG21 = np.zeros(21)
+_WG21[1:10:2] = _WG
+_WG21[19:10:-2] = _WG
+
+_EPS = np.finfo(float).eps
+_UFLOW = np.finfo(float).tiny
+
+
+def _gk21(f, a: np.ndarray, b: np.ndarray):
+    """qk21 on every interval (a[i], b[i]) with one call of f.
+
+    Returns the Kronrod results, their error estimates and each
+    estimate's roundoff floor, 50 * eps * integral of |f|, formed as
+    QUADPACK's qk21 forms them (its sums run in another order).
+    """
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    x = centr[:, None] + hlgth[:, None] * _X21
+    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    # a non-finite f makes the result non-finite, which the caller reports
+    with np.errstate(all="ignore"):
+        resk = (fx * _W21).sum(axis=1)
+        resg = (fx * _WG21).sum(axis=1)
+        dh = np.abs(hlgth)
+        resabs = (np.abs(fx) * _W21).sum(axis=1) * dh
+        resasc = (np.abs(fx - 0.5 * resk[:, None]) * _W21).sum(axis=1) * dh
+        err = np.abs((resk - resg) * hlgth)
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+        err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+        floor = np.where(resabs > _UFLOW / (50.0 * _EPS),
+                         50.0 * _EPS * resabs, 0.0)
+        return resk * hlgth, np.maximum(err, floor), floor
+
+
 def adaptive_quad(f, lo: float, hi: float, *,
                   tol_abs: float = DEFAULT_TOL_ABS,
                   tol_rel: float = DEFAULT_TOL_REL,
                   points=None, limit: int = 200) -> float:
-    """Adaptive quadrature with an explicit failure mode.
+    """Global adaptive Gauss-Kronrod (G10/K21) quadrature over [lo, hi].
 
-    Thin wrapper over QUADPACK: non-convergence or an error estimate
-    that misses the requested tolerance by more than a factor of 10
-    raises QuadratureError instead of returning a silently bad value.
+    ``lo`` and ``hi`` must be finite.  ``f`` takes a 1-D array of
+    abscissae and returns the integrand there, an array of the same size.
+    The break ``points`` inside (lo, hi) seed the first intervals.  Each
+    round bisects the intervals with the largest error estimates, worst
+    first, until the rest hold at most half the tolerance
+    max(tol_abs, tol_rel * |value|), and evaluates f once on the nodes of
+    every new interval.  There is no extrapolation.  Raises
+    QuadratureError, never returns a silently bad value, when ``limit``
+    intervals are reached before convergence, when the value or its error
+    estimate is not finite, and when no interval can be refined further
+    (every estimate is at its roundoff floor, or the interval is too
+    short to bisect) with the error estimate still more than 10 times the
+    tolerance.
     """
-    # imported here: scipy.integrate is most of the package's import time
-    # and most commands never integrate
-    from scipy import integrate
-
-    kwargs = {"epsabs": tol_abs, "epsrel": tol_rel, "limit": limit,
-              "full_output": 1}
-    if points is not None and math.isfinite(lo) and math.isfinite(hi):
-        pts = [p for p in points if lo < p < hi]
-        if pts:
-            kwargs["points"] = sorted(set(pts))
-    out = integrate.quad(f, lo, hi, **kwargs)
-    value, abserr = out[0], out[1]
-    if len(out) > 3:
-        raise QuadratureError(
-            f"quadrature did not converge: {out[3]} "
-            f"(estimate {value:.17g}, abs error {abserr:.3e})",
-            estimate=value, error=abserr)
-    if not math.isfinite(value):
-        raise QuadratureError(
-            f"quadrature produced a non-finite value {value}",
-            estimate=value, error=abserr)
-    if abserr > 10.0 * max(tol_abs, tol_rel * abs(value)):
-        raise QuadratureError(
-            f"quadrature error estimate {abserr:.3e} exceeds the requested "
-            f"tolerance (estimate {value:.17g})",
-            estimate=value, error=abserr)
-    return value
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"integration limits must be finite: [{lo}, {hi}]")
+    inner = sorted({float(p) for p in points or ()
+                    if min(lo, hi) < p < max(lo, hi)}, reverse=hi < lo)
+    edges = np.array([lo, *inner, hi], dtype=float)
+    a, b = edges[:-1], edges[1:]
+    res, err, floor = _gk21(f, a, b)
+    while True:
+        value, abserr = float(res.sum()), float(err.sum())
+        if not (math.isfinite(value) and math.isfinite(abserr)):
+            raise QuadratureError(
+                f"quadrature produced a non-finite value {value} "
+                f"(abs error {abserr:.3e})", estimate=value, error=abserr)
+        tol = max(tol_abs, tol_rel * abs(value))
+        if abserr <= tol:
+            return value
+        mid = 0.5 * (a + b)
+        # QUADPACK's test for an interval too short to bisect
+        wide = np.maximum(np.abs(a), np.abs(b)) \
+            > (1.0 + 100.0 * _EPS) * (np.abs(mid) + 1000.0 * _UFLOW)
+        can = (err > floor) & wide
+        if not can.any():
+            if abserr > 10.0 * tol:
+                raise QuadratureError(
+                    f"quadrature error estimate {abserr:.3e} exceeds the "
+                    f"requested tolerance (estimate {value:.17g})",
+                    estimate=value, error=abserr)
+            return value
+        if a.size >= limit:
+            raise QuadratureError(
+                f"quadrature did not converge within {limit} intervals "
+                f"(estimate {value:.17g}, abs error {abserr:.3e})",
+                estimate=value, error=abserr)
+        worst = np.flatnonzero(can)[np.argsort(-err[can], kind="stable")]
+        left = abserr - np.cumsum(err[worst])
+        take = min(int(np.searchsorted(-left, -0.5 * tol)) + 1,
+                   worst.size, limit - a.size)
+        split = np.zeros(a.size, dtype=bool)
+        split[worst[:take]] = True
+        new_a = np.concatenate([a[split], mid[split]])
+        new_b = np.concatenate([mid[split], b[split]])
+        new = _gk21(f, new_a, new_b)
+        keep = ~split
+        a, b = np.concatenate([a[keep], new_a]), np.concatenate([b[keep], new_b])
+        res, err, floor = (np.concatenate([old[keep], part])
+                           for old, part in zip((res, err, floor), new))

@@ -135,13 +135,6 @@ def gram_matrix_of(basis) -> np.ndarray:
     return g
 
 
-def gram_matrix(space: QDSpace) -> np.ndarray:
-    """The Hermitian matrix of closed-form inner products of the basis."""
-    if space.dim == 0:
-        raise DomainError("gram_matrix needs a nonempty basis")
-    return space.gram.copy()
-
-
 def _cholesky_or_raise(g: np.ndarray):
     evals = np.linalg.eigvalsh(g)
     if evals[0] < RANK_TOL * max(evals[-1], 0.0) or evals[0] <= 0.0:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from collardiff.collar import (CollarParams, DELTA_MAX, ELL_MAX,
-                               conformal_factor, injectivity_radius,
+                               cos_profile_vec, injectivity_radius,
                                thin_area, thin_boundary)
 from collardiff.cli import main as cli_main
 from collardiff.laurent import (LaurentQD, SubCollar, full_window, l2_norm,
@@ -69,7 +69,7 @@ def test_criterion_1_thin_boundary_identity(announce):
         win = thin_boundary(c, delta)
         closed = thin_area(c, delta)
         quad = 2.0 * math.pi * adaptive_quad(
-            lambda s: conformal_factor(c, s) ** 2,
+            lambda s: (c.ell / (2.0 * math.pi * cos_profile_vec(c, s))) ** 2,
             -win.x_delta, win.x_delta, tol_abs=1e-12, tol_rel=1e-12)
         if abs(closed - quad) > 1e-8 * abs(quad):
             failures.append(("area", ell, delta, closed, quad))

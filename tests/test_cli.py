@@ -140,7 +140,7 @@ def test_qd_norms_empty_thin(capsys, coeffs_file):
 @pytest.mark.parametrize("command", ["qd norms", "cusp classify"])
 def test_quadrature_failure_exit_code(capsys, tmp_path, coeffs_file,
                                       command):
-    # demand an impossible tolerance: QUADPACK's honest error estimate
+    # demand an impossible tolerance: the quadrature's honest error estimate
     # exceeds it and the error surfaces as exit 3
     if command == "qd norms":
         args = ["qd", "norms", "--coeffs", coeffs_file, "--ell", "0.3",
@@ -214,18 +214,30 @@ def test_out_replaces_target_atomically(capsys, tmp_path):
         == stat.S_IMODE(out_path.stat().st_mode)
 
 
-def test_commands_without_quadrature_skip_scipy_integrate():
+def test_no_command_needs_scipy(tmp_path, coeffs_file):
+    # scipy is a test-only dependency: with every scipy import failing,
+    # the two commands that integrate still run
+    germ = tmp_path / "germ.json"
+    germ.write_text(json.dumps([{"k": -1, "re": 1.0, "im": 0.0},
+                                {"k": 1, "re": 0.5, "im": 0.25}]))
+    commands = [["collar", "info", "0.5"],
+                ["qd", "norms", "--coeffs", coeffs_file, "--ell", "0.3",
+                 "--delta", "0.35"],
+                ["cusp", "classify", str(germ)]]
     src = os.path.dirname(os.path.dirname(collardiff.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, collardiff.cli\n"
-            "rc = collardiff.cli.main(['collar', 'info', '0.5'])\n"
-            "print('scipy.integrate loaded:', 'scipy.integrate' in sys.modules)\n"
-            "sys.exit(rc)")
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import collardiff.cli\n"
+            f"for argv in {commands!r}:\n"
+            "    rc = collardiff.cli.main(argv)\n"
+            "    print('exit', rc)\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "half_length" in proc.stdout
-    assert proc.stdout.endswith("scipy.integrate loaded: False\n")
+    assert proc.stdout.count("exit 0\n") == 3, proc.stdout + proc.stderr
+    for stat_name in ("half_length", "l2_thin_quadrature", "l1_norm"):
+        assert stat_name in proc.stdout
 
 
 def test_cusp_classify_pole(capsys, tmp_path):

@@ -11,10 +11,9 @@ from collardiff.errors import (DomainError, RankDeficiencyError,
                                ValidationError)
 from collardiff.laurent import LaurentQD, lp_norm, principal_part
 from collardiff.report import STATUS_EMPTY, STATUS_OK
-from collardiff.spaces import (MultiCollarQD, QDSpace, gram_matrix,
-                               load_space, mc_combine, mc_inner, mc_norm,
-                               mc_zero, multi_from_json, multi_to_json,
-                               principal_vector, project_onto_w,
+from collardiff.spaces import (MultiCollarQD, QDSpace, load_space, mc_combine,
+                               mc_inner, mc_norm, mc_zero, multi_from_json,
+                               multi_to_json, principal_vector, project_onto_w,
                                space_from_json, unitary_basis, w_decay_report,
                                w_subspace)
 from conftest import random_qd
@@ -56,7 +55,7 @@ def test_mc_basics(rng):
 
 def test_gram_closed_form_vs_quadrature(rng):
     space = random_space(rng, dim=2, n_max=2)
-    g = gram_matrix(space)
+    g = space.gram
     assert np.allclose(g, g.conj().T)
     # independent route: polarization of the p = 2 quadrature norm
     u, v = space.basis
