@@ -4,9 +4,9 @@ subspace projections, and dimension bookkeeping under pinching."""
 
 __version__ = "0.1.0"
 
-from .collar import (CollarParams, ThinWindow, half_length, conformal_factor,
+from .collar import (CollarParams, ThinWindow, conformal_factor,
                      thin_boundary, injectivity_radius, thin_area,
-                     thin_area_bound, cusp_conformal_factor, validate_delta0,
+                     thin_area_bound, validate_delta0,
                      DEFAULT_DELTA0, ELL_MAX, DELTA_MAX, CUSP_DISC_RADIUS)
 from .errors import (DomainError, ValidationError, InvalidMoveError,
                      RankDeficiencyError, QuadratureError)

@@ -149,7 +149,7 @@ def collar_info(opts, ell, deltas):
     x = c.half_length
     rows = [
         ReportRow(ell, None, "half_length", x, ell * x / math.pi ** 2),
-        ReportRow(ell, None, "boundary_cos", cg.cos_profile(c, x),
+        ReportRow(ell, None, "boundary_cos", cg.cos_profile_vec(c, x),
                   math.tanh(0.5 * ell)),
     ]
     for d in deltas:

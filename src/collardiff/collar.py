@@ -81,28 +81,18 @@ class ThinWindow:
         return self.x_delta == 0.0
 
 
-def half_length(c: CollarParams) -> float:
-    """X(ell): the collar extends over (-X, X)."""
-    return c.half_length
-
-
-def cos_profile(c: CollarParams, s: float) -> float:
-    """cos(ell*s/(2*pi)), switching to the boundary identity near the ends."""
-    x = c.half_length
-    if abs(s) <= 0.9 * x:
-        return math.cos(c.freq * s)
-    return math.sin(c._alpha + c.freq * (x - abs(s)))
-
-
-def cos_profile_vec(c: CollarParams, s: np.ndarray) -> np.ndarray:
-    """Vectorized cos_profile."""
+def cos_profile_vec(c: CollarParams, s):
+    """cos(ell*s/(2*pi)) at a point or elementwise on an array, switching
+    to the boundary identity near the ends.  A float gives a float, with
+    the bits of a one-element array call."""
     s = np.asarray(s, dtype=float)
+    pts = np.atleast_1d(s)
     x = c.half_length
-    near = np.abs(s) > 0.9 * x
-    out = np.cos(c.freq * s)
+    near = np.abs(pts) > 0.9 * x
+    out = np.cos(c.freq * pts)
     if np.any(near):
-        out[near] = np.sin(c._alpha + c.freq * (x - np.abs(s[near])))
-    return out
+        out[near] = np.sin(c._alpha + c.freq * (x - np.abs(pts[near])))
+    return out if s.ndim else float(out[0])
 
 
 def conformal_factor(c: CollarParams, s: float) -> float:
@@ -111,7 +101,7 @@ def conformal_factor(c: CollarParams, s: float) -> float:
     if not abs(s) < x:
         raise DomainError(f"s = {s!r} outside the open collar (-{x:.6g}, {x:.6g})")
     s = math.copysign(min(abs(s), x * _CLAMP), s)
-    return c.ell / (2.0 * math.pi * cos_profile(c, s))
+    return c.ell / (2.0 * math.pi * cos_profile_vec(c, s))
 
 
 def thin_boundary(c: CollarParams, delta: float) -> ThinWindow:
@@ -133,7 +123,7 @@ def injectivity_radius(c: CollarParams, s: float) -> float:
     x = c.half_length
     if abs(s) > x:
         raise DomainError(f"s = {s!r} outside the collar [-{x:.6g}, {x:.6g}]")
-    return math.asinh(math.sinh(0.5 * c.ell) / cos_profile(c, s))
+    return math.asinh(math.sinh(0.5 * c.ell) / cos_profile_vec(c, s))
 
 
 def thin_area(c: CollarParams, delta: float) -> float:
@@ -153,13 +143,6 @@ def thin_area_bound(c: CollarParams, delta: float) -> float:
     """The elementary bound 2*ell*sinh(delta)/sinh(ell/2) >= thin_area."""
     _check_delta(delta)
     return 2.0 * c.ell * math.sinh(delta) / math.sinh(0.5 * c.ell)
-
-
-def cusp_conformal_factor(s: float) -> float:
-    """Conformal factor 1/s of the standard cusp on (pi, inf)."""
-    if not s > math.pi:
-        raise DomainError(f"cusp coordinate must satisfy s > pi, got {s!r}")
-    return 1.0 / s
 
 
 def disc_metric_density(r):

@@ -154,11 +154,30 @@ def _norm_const(c: CollarParams) -> float:
     return 32.0 * math.pi ** 3 / (c.ell * c.ell)
 
 
+def _mode_sum(c: CollarParams, weights: dict, windows) -> complex:
+    """sum_n weights[n] * ||e^{nw} dw^2||^2 over the union of the windows.
+
+    One kernel call per window covers every mode; each term is re-scaled
+    through the overflow guard and the terms are summed in mode order,
+    windows innermost.  Real weights give a real sum (imaginary part 0).
+    """
+    ns = list(weights)
+    a = 2.0 * np.array(ns, dtype=float)
+    k = _norm_const(c)
+    kernel = [[part.tolist() for part in exp_cos2_window(a, c.freq, s1, s2)]
+              for s1, s2 in windows]
+    total = 0j
+    for i, n in enumerate(ns):
+        for vals, anchors in kernel:
+            total += scale_complex(weights[n] * k * vals[i],
+                                   2.0 * n * anchors[i])
+    return total
+
+
 def mode_l2_norm_sq(c: CollarParams, n: int, win: SubCollar) -> float:
     """Closed-form ||e^{nw} dw^2||^2 over the window (unit coefficient)."""
     win = _check_window(c, win)
-    val, anchor = exp_cos2_window(2.0 * n, c.freq, win.s1, win.s2)
-    return exp_scale(_norm_const(c) * val, 2.0 * n * anchor)
+    return _mode_sum(c, {n: 1.0}, [(win.s1, win.s2)]).real
 
 
 def l2_inner(q: LaurentQD, r: LaurentQD, win: SubCollar | None = None) -> complex:
@@ -168,15 +187,9 @@ def l2_inner(q: LaurentQD, r: LaurentQD, win: SubCollar | None = None) -> comple
     if win is None:
         win = full_window(q.collar)
     win = _check_window(q.collar, win)
-    k = _norm_const(q.collar)
-    out = 0j
-    for n, b in q.coeffs.items():
-        d = r.coeffs.get(n)
-        if d is None:
-            continue
-        val, anchor = exp_cos2_window(2.0 * n, q.collar.freq, win.s1, win.s2)
-        out += scale_complex(b * d.conjugate() * k * val, 2.0 * n * anchor)
-    return out
+    weights = {n: b * r.coeffs[n].conjugate()
+               for n, b in q.coeffs.items() if n in r.coeffs}
+    return _mode_sum(q.collar, weights, [(win.s1, win.s2)])
 
 
 def l2_norm(q: LaurentQD, win: SubCollar | None = None) -> float:
@@ -184,12 +197,8 @@ def l2_norm(q: LaurentQD, win: SubCollar | None = None) -> float:
     if win is None:
         win = full_window(q.collar)
     win = _check_window(q.collar, win)
-    k = _norm_const(q.collar)
-    total = 0.0
-    for n, b in q.coeffs.items():
-        val, anchor = exp_cos2_window(2.0 * n, q.collar.freq, win.s1, win.s2)
-        total += exp_scale(abs(b) ** 2 * k * val, 2.0 * n * anchor)
-    return math.sqrt(total)
+    weights = {n: abs(b) ** 2 for n, b in q.coeffs.items()}
+    return math.sqrt(_mode_sum(q.collar, weights, [(win.s1, win.s2)]).real)
 
 
 def _theta_points(n_theta: int) -> np.ndarray:
@@ -385,13 +394,8 @@ def coefficient_bound_check(q: LaurentQD, delta0: float = DEFAULT_DELTA0
     c = q.collar
     x = c.half_length
     xd = thin_boundary(c, delta0).x_delta
-    k = _norm_const(c)
-    tn_sq = 0.0
-    for n, b in q.coeffs.items():
-        for (a1, a2) in ((xd, x), (-x, -xd)):
-            val, anchor = exp_cos2_window(2.0 * n, c.freq, a1, a2)
-            tn_sq += exp_scale(abs(b) ** 2 * k * val, 2.0 * n * anchor)
-    tn = math.sqrt(tn_sq)
+    weights = {n: abs(b) ** 2 for n, b in q.coeffs.items()}
+    tn = math.sqrt(_mode_sum(c, weights, [(xd, x), (-x, -xd)]).real)
     per = {}
     for n, b in q.coeffs.items():
         per[n] = exp_scale(abs(b) / (math.sqrt(abs(n)) * tn), abs(n) * x)

@@ -28,19 +28,6 @@ DEFAULT_TOL_REL = 1e-10
 _A_ZERO = 1e-12
 
 
-def cexpm1(z: complex) -> complex:
-    """exp(z) - 1 without cancellation for small z.
-
-    Built from the real expm1 and the half-angle identity
-    cos(y) - 1 = -2*sin(y/2)**2, so both parts keep full precision.
-    """
-    x, y = z.real, z.imag
-    sy2 = math.sin(0.5 * y)
-    re = math.expm1(x) * math.cos(y) - 2.0 * sy2 * sy2
-    im = math.exp(x) * math.sin(y)
-    return complex(re, im)
-
-
 def exp_scale(mag: float, t: float) -> float:
     """mag * exp(t) without spurious intermediate overflow.
 
@@ -82,38 +69,51 @@ def vec_scale_complex(z: complex, t: np.ndarray) -> np.ndarray:
                         (z / abs(z)) * np.exp(math.log(abs(z)) + t))
 
 
-def _core_exp_cos2(alpha: float, b: float, t1: float, t2: float) -> float:
-    # integral over [t1, t2] of exp(alpha*(t - t2)) * cos(b*t)**2, alpha > 0.
-    # Both terms are assembled from expm1/cexpm1 so short windows lose no
-    # precision, and every exponent is <= 0.
-    h = t2 - t1
-    term1 = -math.expm1(-alpha * h) / (2.0 * alpha)
-    w = cexpm1(complex(-alpha * h, -2.0 * b * h))
-    phase = complex(math.cos(2.0 * b * t2), math.sin(2.0 * b * t2))
-    term2 = (phase * (-w) / complex(alpha, 2.0 * b)).real / 2.0
-    return term1 + term2
-
-
-def exp_cos2_window(a: float, b: float, s1: float, s2: float) -> tuple[float, float]:
+def exp_cos2_window(a, b: float, s1: float, s2: float):
     """Anchored window integral of exp(a*s) * cos(b*s)**2.
 
     Returns (value, anchor) with
         integral over [s1, s2] = exp(a*anchor) * value,
-    anchor at the endpoint where exp(a*s) is largest.  Requires b > 0
+    anchor at the endpoint where exp(a*s) is largest (0 for a = 0), for
+    a float growth rate a or elementwise for an array of them.  A float
+    gives the bits of the same element of an array call.  Requires b > 0
     and s1 <= s2.
     """
     if s2 < s1:
         raise ValueError(f"window endpoints out of order: {s1} > {s2}")
-    if abs(a) < _A_ZERO:
-        # n = 0 mode: plain cos^2 antiderivative, stable as written
-        # (the sin difference is collapsed to a product).
-        h = s2 - s1
-        val = 0.5 * h + math.cos(b * (s1 + s2)) * math.sin(b * h) / (2.0 * b)
-        return val, 0.0
-    if a > 0:
-        return _core_exp_cos2(a, b, s1, s2), s2
-    # reflect s -> -s; cos^2 is even so only the window flips
-    return _core_exp_cos2(-a, b, -s2, -s1), s1
+    a = np.asarray(a, dtype=float)
+    rates = np.atleast_1d(a)
+    h = s2 - s1
+    alpha = np.abs(rates)
+    zero = alpha < _A_ZERO
+    up = rates > 0
+    anchors = np.where(zero, 0.0, np.where(up, s2, s1))
+    # integral over [t2 - h, t2] of exp(alpha*(t - t2)) * cos(b*t)**2 with
+    # alpha = |a| > 0: a < 0 reflects s -> -s, and cos^2 is even.  Both
+    # terms are assembled from expm1 so short windows lose no precision,
+    # and every exponent is <= 0.  Entries with a = 0 take alpha = 1 here
+    # and the plain cos^2 antiderivative below.
+    alpha = np.where(zero, 1.0, alpha)
+    t2 = np.where(up, s2, -s1)
+    x = -alpha * h
+    em1 = np.expm1(x)
+    term1 = -em1 / (2.0 * alpha)
+    # exp(x + iy) - 1 from the real expm1 and the half-angle identity
+    # cos(y) - 1 = -2*sin(y/2)**2, so both parts keep full precision
+    y = -2.0 * b * h
+    sy2 = math.sin(0.5 * y)
+    w = em1 * math.cos(y) - 2.0 * sy2 * sy2
+    wim = np.exp(x) * math.sin(y)
+    phase = np.exp(1j * 2.0 * b * t2)
+    denom = alpha + 2.0j * b
+    term2 = (phase * -(w + 1j * wim) / denom).real / 2.0
+    # a = 0: the sin difference of the cos^2 antiderivative is collapsed
+    # to a product, stable as written
+    flat = 0.5 * h + math.cos(b * (s1 + s2)) * math.sin(b * h) / (2.0 * b)
+    vals = np.where(zero, flat, term1 + term2)
+    if a.ndim == 0:
+        return float(vals[0]), float(anchors[0])
+    return vals, anchors
 
 
 def exp_cos2_integral(a: float, b: float, s1: float, s2: float) -> float:
@@ -122,34 +122,9 @@ def exp_cos2_integral(a: float, b: float, s1: float, s2: float) -> float:
     return exp_scale(val, a * anchor)
 
 
-def vec_exp_cos2_window(a: np.ndarray, b: float, s1: float, s2: float
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized exp_cos2_window over an array of growth rates a."""
-    a = np.asarray(a, dtype=float)
-    h = s2 - s1
-    vals = np.empty_like(a)
-    anchors = np.where(a > 0, s2, np.where(a < 0, s1, 0.0))
-
-    zero = np.abs(a) < _A_ZERO
-    if np.any(zero):
-        vals[zero] = 0.5 * h + math.cos(b * (s1 + s2)) * math.sin(b * h) / (2.0 * b)
-    nz = ~zero
-    if np.any(nz):
-        alpha = np.abs(a[nz])
-        # reflected window endpoints for a < 0
-        t2 = np.where(a[nz] > 0, s2, -s1)
-        term1 = -np.expm1(-alpha * h) / (2.0 * alpha)
-        # complex expm1 via the same half-angle split as cexpm1
-        x = -alpha * h
-        y = -2.0 * b * h
-        sy2 = math.sin(0.5 * y)
-        w = np.expm1(x) * math.cos(y) - 2.0 * sy2 * sy2
-        wim = np.exp(x) * math.sin(y)
-        phase = np.exp(1j * 2.0 * b * t2)
-        denom = alpha + 2.0j * b
-        term2 = (phase * -(w + 1j * wim) / denom).real / 2.0
-        vals[nz] = term1 + term2
-    return vals, anchors
+# perfbench/tracer.py wraps this name; an alias would be wrapped twice.
+def vec_exp_cos2_window(a, b, s1, s2):
+    return exp_cos2_window(a, b, s1, s2)
 
 
 # QUADPACK's qk21 rule (Piessens et al., 1983): the 21-point Kronrod

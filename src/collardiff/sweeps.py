@@ -24,8 +24,9 @@ import numpy as np
 from .collar import (CollarParams, DEFAULT_DELTA0, DELTA_MAX, ELL_MAX,
                      cos_profile_vec, thin_boundary, validate_delta0)
 from .errors import ValidationError
-from .laurent import DensityRows
-from .numerics import exp_cos2_integral, vec_exp_cos2_window
+from .laurent import (DensityRows, SubCollar, _norm_const, full_window,
+                      mode_l2_norm_sq)
+from .numerics import exp_cos2_window
 from .report import (Report, ReportRow, STATUS_EMPTY, STATUS_FAILED,
                      STATUS_OK)
 
@@ -39,7 +40,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # geometric panel cuts, as fractions of the covered depth from the thin edge
 _PANEL_FRACTIONS = (0.0, 1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.15, 0.35, 0.65, 1.0)
 _EDGE_DEPTH = 40.0   # e^{-40}: deeper contributions are below double noise
-_LP_CHUNK = 48       # s-nodes per partial sum, rows per gemv block in _cell_lp
+_LP_CHUNK = 48       # s-nodes per partial sum, rows per gemv in _row_dots
 
 
 def _strictly_increasing(xs) -> bool:
@@ -109,13 +110,12 @@ def _window_weights(c: CollarParams, ns: np.ndarray, windows) -> np.ndarray:
     exponentiation, so underflow is the only rounding mode and it is
     the honest one.
     """
-    const = 32.0 * math.pi ** 3 / (c.ell * c.ell)
     X = c.half_length
     t = np.zeros(ns.size)
     for s1, s2 in windows:
-        vals, anchors = vec_exp_cos2_window(2.0 * ns, c.freq, s1, s2)
+        vals, anchors = exp_cos2_window(2.0 * ns, c.freq, s1, s2)
         t += vals * np.exp(2.0 * (ns * anchors - np.abs(ns) * X))
-    return const * t
+    return _norm_const(c) * t
 
 
 def _thick_windows(c: CollarParams, delta0: float):
@@ -132,7 +132,7 @@ def _normalized_draws(cfg: SweepConfig, c: CollarParams, li: int, di: int,
     t = _window_weights(c, ns, _thick_windows(c, cfg.delta0))
     G = np.stack([draw_coefficients(cfg.seed, li, di, trial, ns.size)
                   for trial in range(cfg.trials)])
-    norms = np.sqrt((np.abs(G) ** 2) @ t)
+    norms = np.sqrt(_row_dots(np.abs(G) ** 2, t))
     return G / norms[:, None]
 
 
@@ -242,10 +242,8 @@ def _principal_cell(cfg: SweepConfig, li: int, di: int) -> list:
             ReportRow(ell, delta, "principal_mass_fraction", 0.0, 0.0,
                       STATUS_EMPTY),
         ]
-    const = 32.0 * math.pi ** 3 / (ell * ell)
-    X = c.half_length
-    thin = const * exp_cos2_integral(0.0, c.freq, -win.x_delta, win.x_delta)
-    full = const * exp_cos2_integral(0.0, c.freq, -X, X)
+    thin = mode_l2_norm_sq(c, 0, SubCollar(-win.x_delta, win.x_delta))
+    full = mode_l2_norm_sq(c, 0, full_window(c))
     scaled = ell ** 3 * thin
     return [
         ReportRow(ell, delta, "principal_thin_mass", scaled,
@@ -294,9 +292,7 @@ def bij_normalization_check(cfg: SweepConfig, b0_sequence) -> Report:
                                   STATUS_EMPTY))
             norms.append(0.0)
             continue
-        const = 32.0 * math.pi ** 3 / (ell * ell)
-        thin = const * exp_cos2_integral(0.0, c.freq, -win.x_delta,
-                                         win.x_delta)
+        thin = mode_l2_norm_sq(c, 0, SubCollar(-win.x_delta, win.x_delta))
         val = abs(b) * math.sqrt(thin)
         rows.append(ReportRow(ell, cfg.delta0, "b0_thin_norm", val, ref))
         norms.append(val)
@@ -344,12 +340,13 @@ def _thin_panels(x_delta: float):
     return left + bridge + right
 
 
-def _theta_sums(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _row_dots(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     """rows @ w, reduced in gemv blocks of _LP_CHUNK rows.
 
     BLAS rounds a row differently when it lands in a short remainder
     group, so the last rows are padded to a whole block: every row is
-    reduced in the shape the s-chunked full tile used.
+    reduced in the shape the s-chunked full tile used, and a trial's
+    value does not depend on how many trials or rows run.
     """
     k, n = rows.shape
     head = k - k % _LP_CHUNK
@@ -395,7 +392,7 @@ def _density_lp(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
             else:
                 powers = np.power(dens, p, out=np.zeros_like(dens),
                                   where=hot[p][t, s][:, None])
-            contrib[p][t, s] = _theta_sums(powers, w_theta)
+            contrib[p][t, s] = _row_dots(powers, w_theta)
     rw = rho_sq * w_nodes
     out = {}
     for p in ps:
@@ -418,7 +415,7 @@ def _cell_lp(cfg: SweepConfig, c: CollarParams, li: int, di: int,
         out[math.inf] = _density_max(Gt, ns, c, _sup_nodes(x_delta), n_theta)
     if 2.0 in ps:
         t2 = _window_weights(c, ns, [(-x_delta, x_delta)])
-        out[2.0] = np.sqrt((np.abs(Gt) ** 2) @ t2)
+        out[2.0] = np.sqrt(_row_dots(np.abs(Gt) ** 2, t2))
     finite = sorted(p for p in ps if p not in (2.0, math.inf))
     if finite:
         panels = _thin_panels(x_delta)

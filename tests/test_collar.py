@@ -2,13 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from collardiff.collar import (CollarParams, DELTA_MAX, DEFAULT_DELTA0,
-                               ELL_MAX, conformal_factor, cos_profile,
-                               cos_profile_vec, disc_metric_density,
-                               half_length, injectivity_radius, thin_area,
+                               ELL_MAX, conformal_factor, cos_profile_vec,
+                               disc_metric_density, injectivity_radius,
+                               thin_area,
                                thin_area_bound, thin_boundary,
                                validate_delta0)
 from collardiff.errors import DomainError
@@ -33,7 +34,7 @@ deltas = st.floats(min_value=0.05, max_value=DELTA_MAX - 1e-6)
 
 @pytest.mark.parametrize("ell,expected", sorted(FROZEN_X.items()))
 def test_half_length_frozen(ell, expected):
-    assert half_length(CollarParams(ell)) == pytest.approx(expected, rel=1e-14)
+    assert CollarParams(ell).half_length == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize("ell,delta", sorted(FROZEN_THIN))
@@ -44,13 +45,18 @@ def test_thin_boundary_frozen(ell, delta):
     assert thin_area(CollarParams(ell), delta) == pytest.approx(area, rel=1e-13)
 
 
-@given(ells)
-def test_boundary_identity(ell):
+@given(ells, st.floats(-1.0, 1.0))
+def test_boundary_identity(ell, u):
     # cos(ell*X/(2pi)) = tanh(ell/2), via the stabilized profile
     c = CollarParams(ell)
-    x = half_length(c)
-    assert cos_profile(c, x) == pytest.approx(math.tanh(0.5 * ell), rel=1e-13)
-    assert cos_profile(c, -x) == pytest.approx(math.tanh(0.5 * ell), rel=1e-13)
+    x = c.half_length
+    assert cos_profile_vec(c, x) == pytest.approx(math.tanh(0.5 * ell), rel=1e-13)
+    assert cos_profile_vec(c, -x) == pytest.approx(math.tanh(0.5 * ell), rel=1e-13)
+    # a float is a one-element array call, bit for bit, on either branch
+    for s in (x, -x, u * x):
+        got = cos_profile_vec(c, s)
+        assert type(got) is float
+        assert got.hex() == float(cos_profile_vec(c, np.array([s]))[0]).hex()
 
 
 @given(ells, deltas)
@@ -66,7 +72,7 @@ def test_injectivity_at_thin_boundary(ell, delta):
 @given(ells)
 def test_injectivity_profile(ell):
     c = CollarParams(ell)
-    x = half_length(c)
+    x = c.half_length
     assert injectivity_radius(c, 0.0) == pytest.approx(0.5 * ell, rel=1e-15)
     end = injectivity_radius(c, x)
     assert end == pytest.approx(math.asinh(math.cosh(0.5 * ell)), rel=1e-12)
@@ -91,7 +97,7 @@ def test_thin_area_closed_vs_quadrature(ell, delta):
 def test_small_ell_asymptotics():
     for ell in (1e-3, 1e-5, 1e-7):
         c = CollarParams(ell)
-        assert ell * half_length(c) == pytest.approx(math.pi ** 2, rel=ell)
+        assert ell * c.half_length == pytest.approx(math.pi ** 2, rel=ell)
         xd = thin_boundary(c, 0.4).x_delta
         approx = math.pi ** 2 / ell - math.pi / math.sinh(0.4)
         assert abs(xd - approx) < max(ell, 1e-8)
@@ -116,9 +122,9 @@ def test_domain_errors():
         with pytest.raises(DomainError):
             thin_boundary(c, bad)
     with pytest.raises(DomainError):
-        conformal_factor(c, half_length(c))  # boundary not in open collar
+        conformal_factor(c, c.half_length)  # boundary not in open collar
     with pytest.raises(DomainError):
-        injectivity_radius(c, half_length(c) + 1.0)
+        injectivity_radius(c, c.half_length + 1.0)
     with pytest.raises(DomainError):
         disc_metric_density(1.0)
 

@@ -2,7 +2,6 @@
 high-precision values, the overflow-guard scaling helpers, and the
 adaptive Gauss-Kronrod rule against scipy's QUADPACK."""
 
-import cmath
 import math
 
 import numpy as np
@@ -19,7 +18,7 @@ from collardiff.cusps import (PunctureGerm, l1_norm_cylinder,
 from collardiff.errors import QuadratureError
 from collardiff.laurent import SubCollar, lp_norm, mode_inner_quadrature_ratios
 from collardiff.numerics import (DEFAULT_TOL_ABS, DEFAULT_TOL_REL,
-                                 adaptive_quad, cexpm1, exp_cos2_integral,
+                                 adaptive_quad, exp_cos2_integral,
                                  exp_cos2_window, exp_scale, scale_complex,
                                  vec_exp_cos2_window, vec_scale_complex)
 from conftest import random_qd
@@ -47,10 +46,21 @@ def test_window_integral_frozen(a, b, s1, s2, expected, anchor):
 
 
 @pytest.mark.parametrize("a,b,s1,s2,expected,anchor", FROZEN_WINDOWS)
-def test_vec_window_matches_scalar(a, b, s1, s2, expected, anchor):
-    vals, ancs = vec_exp_cos2_window(np.array([a, a]), b, s1, s2)
-    assert ancs[0] == anchor
-    assert vals[0] == vals[1] == pytest.approx(expected, rel=1e-13)
+@given(rates=st.lists(st.floats(-128, 128), max_size=4),
+       pos=st.integers(0, 4))
+def test_vec_window_matches_scalar(a, b, s1, s2, expected, anchor, rates,
+                                   pos):
+    # a float call gives the bits of its element in any array call
+    i = min(pos, len(rates))
+    rates.insert(i, a)
+    vals, ancs = exp_cos2_window(np.array(rates), b, s1, s2)
+    assert ancs[i] == anchor
+    assert vals[i] == pytest.approx(expected, rel=1e-13)
+    for rate, val, anc in zip(rates, vals, ancs):
+        got = exp_cos2_window(rate, b, s1, s2)
+        assert [x.hex() for x in got] == [float(val).hex(), float(anc).hex()]
+    shim = vec_exp_cos2_window(np.array(rates), b, s1, s2)
+    assert shim[0].tobytes() == vals.tobytes()
 
 
 def test_window_rejects_reversed_endpoints():
@@ -78,15 +88,21 @@ def test_window_additivity(a, b):
     assert whole == pytest.approx(parts, rel=1e-11)
 
 
-def test_cexpm1_tiny():
-    z = complex(1e-9, -3e-10)
-    # quadratic term is ~1e-18; linear agreement to ~1e-25 abs
-    assert abs(cexpm1(z) - (z + 0.5 * z * z)) < 1e-24
+# mpmath (mp.dps=60) values of the same anchored integral on windows of
+# width <= 1e-9 (float endpoints as written).  Plain exp(z) - 1, or
+# cos(y) - 1 in place of the half-angle form, is off by 1e-14 to 4e-10.
+FROZEN_SHORT_WINDOWS = [
+    (2.0, 1.2 / (2 * math.pi), 0.5, 0.5 + 2.0 ** -30, 9.228557134096045e-10),
+    (-2.0, 0.1 / (2 * math.pi), -3.0, -3.0 + 1e-10, 9.977220876782494e-11),
+    (128.0, 0.5 / (2 * math.pi), 7.25, 7.25 + 1e-9, 7.024744845233481e-10),
+]
 
 
-def test_cexpm1_moderate():
-    z = complex(0.7, -2.1)
-    assert cexpm1(z) == pytest.approx(cmath.exp(z) - 1.0, rel=1e-14)
+@pytest.mark.parametrize("a,b,s1,s2,expected", FROZEN_SHORT_WINDOWS)
+def test_short_window_frozen(a, b, s1, s2, expected):
+    val, anc = exp_cos2_window(a, b, s1, s2)
+    assert anc == (s2 if a > 0 else s1)
+    assert val == pytest.approx(expected, rel=1e-15)
 
 
 def test_exp_scale_ranges():

@@ -248,8 +248,24 @@ def test_theta_sums_round_rows_as_the_chunked_tile(count):
     w = np.full(256, 2.0 * math.pi / 256)
     want = (tile @ w).ravel()
     rows = np.sort(rng.choice(tile.shape[0] * 48, count, replace=False))
-    got = sweeps._theta_sums(tile.reshape(-1, 256)[rows], w)
+    got = sweeps._row_dots(tile.reshape(-1, 256)[rows], w)
     assert got.tobytes() == want[rows].tobytes()
+
+
+def test_trial_values_do_not_depend_on_trial_count():
+    # the thick-part normalization and the p = 2 closed form reduce one
+    # row per trial; each trial must keep its bits as the trial count grows
+    grid = dict(ell_grid=(0.01,), delta_grid=(0.3,), n_max=32, seed=11)
+
+    def values(trials):
+        rep = lp_vanishing_sweep(SweepConfig(trials=trials, **grid),
+                                 ps=(2.0, math.inf))
+        return [r.value.hex() for r in rep.rows
+                if r.statistic.startswith("lp_ratio_")]
+
+    ref = values(13)
+    for trials in range(1, 13):
+        assert values(trials) == ref[:2 * trials], trials
 
 
 def test_lp_pinf_reproduces_decay_exactly():
