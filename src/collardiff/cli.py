@@ -5,6 +5,9 @@ and writes it in one shot (to --out or stdout), so a failing run never
 leaves partial output behind.  Exit codes: 0 success, 2 for input or
 validation problems (including usage errors), 3 for numerical failures
 (quadrature that refuses to converge).
+
+Each command imports the modules it runs when it runs, so a process pays
+only for its own command: the topology commands never import numpy.
 """
 
 from __future__ import annotations
@@ -15,19 +18,18 @@ import os
 import sys
 import tempfile
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
-from . import collar as cg
-from . import cusps as cu
-from . import laurent as lq
-from . import spaces as sp
-from . import sweeps as sw
-from . import topology as tp
+from .defaults import (CUSP_DISC_RADIUS, DEFAULT_DELTA0, DEFAULT_TOL_ABS,
+                       DEFAULT_TOL_REL)
 from .errors import QuadratureError, ValidationError
-from .numerics import DEFAULT_TOL_ABS, DEFAULT_TOL_REL
-from .report import Report, ReportRow, STATUS_EMPTY, STATUS_OK
+from .report import Report, ReportRow, STATUS_EMPTY
+
+if TYPE_CHECKING:
+    from .sweeps import SweepConfig
+    from .topology import SurfaceTopology
 
 
 @click.group(name="collardiff")
@@ -93,6 +95,8 @@ def parse_grid(spec: str) -> tuple:
     a comma-separated list of values."""
     spec = spec.strip()
     if spec.startswith(("log:", "lin:")):
+        import numpy as np
+
         kind, rest = spec[:3], spec[4:]
         parts = rest.split(":")
         if len(parts) != 3:
@@ -116,8 +120,10 @@ def parse_grid(spec: str) -> tuple:
         raise ValidationError(f"bad grid spec {spec!r}: {exc}") from exc
 
 
-def _sweep_config(opts, ell_grid, delta_grid, delta0, trials) -> sw.SweepConfig:
-    return sw.SweepConfig(
+def _sweep_config(opts, ell_grid, delta_grid, delta0, trials) -> SweepConfig:
+    from .sweeps import SweepConfig
+
+    return SweepConfig(
         ell_grid=parse_grid(ell_grid), delta_grid=parse_grid(delta_grid),
         delta0=delta0, n_max=opts.n_max if opts.n_max is not None else 32,
         trials=trials, seed=opts.seed)
@@ -145,6 +151,8 @@ def collar():
 @click.pass_obj
 def collar_info(opts, ell, deltas):
     """Geometry of the collar with core length ELL."""
+    from . import collar as cg
+
     c = cg.CollarParams(ell)
     x = c.half_length
     rows = [
@@ -181,11 +189,14 @@ def qd():
               type=click.Path(exists=True, dir_okay=False),
               help="JSON coefficient file: [{n, re, im}, ...].")
 @click.option("--ell", type=float, required=True, help="Collar core length.")
-@click.option("--delta", type=float, default=cg.DEFAULT_DELTA0,
+@click.option("--delta", type=float, default=DEFAULT_DELTA0,
               show_default=True, help="Thin-part threshold.")
 @click.pass_obj
 def qd_norms(opts, coeffs_path, ell, delta):
     """Norms of a differential: closed forms next to quadrature."""
+    from . import collar as cg
+    from . import laurent as lq
+
     c = cg.CollarParams(ell)
     q = lq.LaurentQD(c, lq.load_coeffs(coeffs_path), n_max=opts.n_max)
     tols = {"tol_abs": opts.tol_abs, "tol_rel": opts.tol_rel}
@@ -210,7 +221,7 @@ def qd_norms(opts, coeffs_path, ell, delta):
 
 
 def _grid_options(fn):
-    fn = click.option("--delta0", type=float, default=cg.DEFAULT_DELTA0,
+    fn = click.option("--delta0", type=float, default=DEFAULT_DELTA0,
                       show_default=True,
                       help="Thick-part threshold for normalization.")(fn)
     fn = click.option("--delta-grid", default="lin:0.05:0.8:16",
@@ -223,21 +234,27 @@ def _grid_options(fn):
 @qd.command("decay-sweep")
 @_grid_options
 @click.option("--trials", type=int, default=64, show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True,
+@click.option("--workers", type=click.IntRange(min=1), default=1,
+              show_default=True,
               help="Worker threads; output is identical for any count.")
 @click.pass_obj
 def qd_decay_sweep(opts, ell_grid, delta_grid, delta0, trials, workers):
     """Thin-part sups of random zero-principal differentials."""
+    from . import sweeps as sw
+
     cfg = _sweep_config(opts, ell_grid, delta_grid, delta0, trials)
     _emit(opts, sw.decay_sweep(cfg, workers=workers))
 
 
 @qd.command("principal-mass")
 @_grid_options
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1,
+              show_default=True)
 @click.pass_obj
 def qd_principal_mass(opts, ell_grid, delta_grid, delta0, workers):
     """ell^3-scaled thin mass of the principal differential."""
+    from . import sweeps as sw
+
     cfg = _sweep_config(opts, ell_grid, delta_grid, delta0, trials=1)
     _emit(opts, sw.principal_mass_sweep(cfg, workers=workers))
 
@@ -250,6 +267,8 @@ def qd_principal_mass(opts, ell_grid, delta_grid, delta0, workers):
 @click.pass_obj
 def qd_bij_check(opts, ell_grid, delta_grid, delta0, b0):
     """Vanishing check for the ell^{-3/2}-normalized principal part."""
+    from . import sweeps as sw
+
     cfg = _sweep_config(opts, ell_grid, delta_grid, delta0, trials=1)
     if b0.startswith("pow:"):
         try:
@@ -278,6 +297,8 @@ def space():
 @click.pass_obj
 def space_project(opts, space_file, target_file):
     """Project a differential onto the zero-principal subspace W."""
+    from . import spaces as sp
+
     s = sp.load_space(space_file)
     psi = sp.multi_from_json(_load_json(target_file), s.collars)
     w = sp.w_subspace(s)
@@ -297,11 +318,14 @@ def space_project(opts, space_file, target_file):
 @click.argument("space_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--delta", "deltas", type=float, multiple=True, required=True,
               help="Thin thresholds to test (repeatable).")
-@click.option("--samples", type=int, default=48, show_default=True,
+@click.option("--samples", type=click.IntRange(min=0), default=48,
+              show_default=True,
               help="Random unit W elements per threshold.")
 @click.pass_obj
 def space_w_report(opts, space_file, deltas, samples):
     """Thin-part decay statistics over the W-subspace of a span."""
+    from . import spaces as sp
+
     s = sp.load_space(space_file)
     _emit(opts, sp.w_decay_report(s, deltas, samples=samples, seed=opts.seed))
 
@@ -313,8 +337,10 @@ def topology():
     """Dimension bookkeeping under pinching."""
 
 
-def _load_surface(spec: str) -> tp.SurfaceTopology:
+def _load_surface(spec: str) -> SurfaceTopology:
     """A path to a JSON surface file, or inline 'g,k;g,k;...'."""
+    from . import topology as tp
+
     if os.path.exists(spec):
         return tp.load_topology(spec)
     try:
@@ -334,6 +360,8 @@ def _load_surface(spec: str) -> tp.SurfaceTopology:
 @click.pass_obj
 def topology_dim(opts, surface):
     """Dimension of holomorphic quadratic differentials; prints an integer."""
+    from . import topology as tp
+
     _write(opts, f"{tp.hol_dimension(_load_surface(surface))}\n")
 
 
@@ -345,6 +373,8 @@ def topology_dim(opts, surface):
 @click.pass_obj
 def topology_pinch(opts, surface, moves_path):
     """Apply a pinch script and tabulate the dimension after each move."""
+    from . import topology as tp
+
     t = _load_surface(surface)
     moves = tp.load_moves(moves_path)
     dims = tp.degeneration_dims(t, moves)
@@ -364,11 +394,13 @@ def cusp():
 
 @cusp.command("classify")
 @click.argument("germ_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--radius", type=float, default=cg.CUSP_DISC_RADIUS,
+@click.option("--radius", type=float, default=CUSP_DISC_RADIUS,
               help="Disc radius (default e^{-pi}).")
 @click.pass_obj
 def cusp_classify(opts, germ_file, radius):
     """The three equivalent finiteness conditions for a germ."""
+    from . import cusps as cu
+
     g = cu.germ_from_json(_load_json(germ_file), radius=radius)
     cl = cu.classify(g)
     order = 0 if g.is_zero else cu.pole_order(g)

@@ -25,6 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
+# re-exported, so that collar.DEFAULT_DELTA0 and collar.CUSP_DISC_RADIUS work
+from .defaults import CUSP_DISC_RADIUS, DEFAULT_DELTA0  # noqa: F401
 from .errors import DomainError
 
 # Collar core lengths live in (0, 2*arcsinh(1)]; thin-part thresholds
@@ -32,13 +34,8 @@ from .errors import DomainError
 ELL_MAX = 2.0 * math.asinh(1.0)
 DELTA_MAX = math.asinh(1.0)
 
-# Default thick/thin split used by the decay experiments.
-DEFAULT_DELTA0 = 0.4
-
 # Evaluation points are clamped to |s| <= X * _CLAMP inside the open collar.
 _CLAMP = 1.0 - 1e-12
-
-CUSP_DISC_RADIUS = math.exp(-math.pi)
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,8 @@ import math
 
 import numpy as np
 
+from .defaults import DEFAULT_TOL_ABS, DEFAULT_TOL_REL
 from .errors import QuadratureError
-
-# Default tolerances for the adaptive quadrature oracle paths.
-DEFAULT_TOL_ABS = 1e-10
-DEFAULT_TOL_REL = 1e-10
 
 # Threshold below which the growth rate a is treated as exactly zero in
 # the window integral.  a = 2n for integer modes, so only n = 0 hits it.

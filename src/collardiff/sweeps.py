@@ -16,7 +16,6 @@ representable exponents.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,6 @@ PRINCIPAL_MASS_CONSTANT = 32.0 * math.pi ** 5
 DEFAULT_ELL_GRID = tuple(float(x) for x in np.logspace(-4.0, 0.0, 25))
 DEFAULT_DELTA_GRID = tuple(float(x) for x in np.linspace(0.05, 0.8, 16))
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # geometric panel cuts, as fractions of the covered depth from the thin edge
 _PANEL_FRACTIONS = (0.0, 1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.15, 0.35, 0.65, 1.0)
 _EDGE_DEPTH = 40.0   # e^{-40}: deeper contributions are below double noise
@@ -194,6 +192,8 @@ def _run_cells(cfg: SweepConfig, cell_fn, workers: int) -> list:
     if workers <= 1:
         chunks = [cell_fn(cfg, li, di) for li, di in cells]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(lambda cell: cell_fn(cfg, *cell), cells))
     return [row for chunk in chunks for row in chunk]
@@ -419,11 +419,12 @@ def _cell_lp(cfg: SweepConfig, c: CollarParams, li: int, di: int,
     finite = sorted(p for p in ps if p not in (2.0, math.inf))
     if finite:
         panels = _thin_panels(x_delta)
+        gl_nodes, gl_weights = np.polynomial.legendre.leggauss(8)
         s_nodes, w_nodes = [], []
         for s1, s2 in panels:
             mid, hw = 0.5 * (s1 + s2), 0.5 * (s2 - s1)
-            s_nodes.append(mid + hw * _GL_NODES)
-            w_nodes.append(hw * _GL_WEIGHTS)
+            s_nodes.append(mid + hw * gl_nodes)
+            w_nodes.append(hw * gl_weights)
         out.update(_density_lp(Gt, ns, c, np.concatenate(s_nodes),
                                np.concatenate(w_nodes), n_theta, finite))
     return out

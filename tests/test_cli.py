@@ -214,6 +214,24 @@ def test_out_replaces_target_atomically(capsys, tmp_path):
         == stat.S_IMODE(out_path.stat().st_mode)
 
 
+def _run_child(code: str) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(collardiff.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _run_without(module: str, commands) -> subprocess.CompletedProcess:
+    """Run CLI commands in one fresh interpreter where importing MODULE
+    fails; each prints its report and then its exit code."""
+    return _run_child("import sys\n"
+                      f"sys.modules[{module!r}] = None\n"
+                      "import collardiff.cli\n"
+                      f"for argv in {commands!r}:\n"
+                      "    rc = collardiff.cli.main(argv)\n"
+                      "    print('exit', rc)\n")
+
+
 def test_no_command_needs_scipy(tmp_path, coeffs_file):
     # scipy is a test-only dependency: with every scipy import failing,
     # the two commands that integrate still run
@@ -224,20 +242,101 @@ def test_no_command_needs_scipy(tmp_path, coeffs_file):
                 ["qd", "norms", "--coeffs", coeffs_file, "--ell", "0.3",
                  "--delta", "0.35"],
                 ["cusp", "classify", str(germ)]]
-    src = os.path.dirname(os.path.dirname(collardiff.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys\n"
-            "sys.modules['scipy'] = None\n"
-            "import collardiff.cli\n"
-            f"for argv in {commands!r}:\n"
-            "    rc = collardiff.cli.main(argv)\n"
-            "    print('exit', rc)\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _run_without("scipy", commands)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("exit 0\n") == 3, proc.stdout + proc.stderr
     for stat_name in ("half_length", "l2_thin_quadrature", "l1_norm"):
         assert stat_name in proc.stdout
+
+
+def test_topology_commands_run_without_numpy(tmp_path):
+    # dimension counts are integer bookkeeping: with every numpy import
+    # failing, both topology commands still run
+    moves = tmp_path / "moves.json"
+    moves.write_text(json.dumps([{"component": 0, "kind": "nonseparating"}]))
+    commands = [["topology", "dim", "2,1"],
+                ["topology", "pinch", "2,1", "--moves", str(moves)]]
+    proc = _run_without("numpy", commands)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("exit 0\n") == 2, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("4\nexit 0\n")
+    assert "dim_after[0],3," in proc.stdout
+
+
+# what importing collardiff.cli loads, whatever the command
+_BASE = {"collardiff.cli", "collardiff.defaults", "collardiff.errors",
+         "collardiff.report"}
+
+
+@pytest.mark.parametrize("group, loads", [
+    (None, set()),
+    ("topology", {"topology"}),
+    ("collar", {"collar"}),
+    ("qd", {"collar", "numerics", "laurent", "sweeps"}),
+    ("space", {"collar", "numerics", "laurent", "spaces"}),
+    ("cusp", {"collar", "numerics", "cusps"}),
+])
+def test_commands_import_only_what_they_run(tmp_path, coeffs_file,
+                                            space_file, group, loads):
+    moves = tmp_path / "moves.json"
+    moves.write_text(json.dumps([{"component": 0, "kind": "nonseparating"}]))
+    germ = tmp_path / "germ.json"
+    germ.write_text(json.dumps([{"k": -1, "re": 1.0, "im": 0.0}]))
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(
+        [[{"n": 1, "re": 1.0, "im": 0.0}], [{"n": 0, "re": 0.2, "im": 0.0}]]))
+    grid = ["--ell-grid", "1e-3,0.1", "--delta-grid", "lin:0.2:0.4:2"]
+    commands = {
+        None: [],
+        "topology": [["topology", "dim", "2,1"],
+                     ["topology", "pinch", "2,1", "--moves", str(moves)]],
+        "collar": [["collar", "info", "0.3", "--delta", "0.2"]],
+        "qd": [["qd", "norms", "--coeffs", coeffs_file, "--ell", "0.5"],
+               ["qd", "decay-sweep", *grid, "--trials", "2"],
+               ["qd", "principal-mass", *grid],
+               ["qd", "bij-check", *grid, "--b0", "pow:2"]],
+        "space": [["space", "project", space_file, str(target)],
+                  ["space", "w-report", space_file, "--delta", "0.3",
+                   "--samples", "2"]],
+        "cusp": [["cusp", "classify", str(germ)]],
+    }[group]
+    proc = _run_child(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import collardiff.cli\n"
+        f"rcs = [collardiff.cli.main(argv) for argv in {commands!r}]\n"
+        "new = sorted(set(sys.modules) - before)\n"
+        "print(json.dumps({'rcs': rcs, 'new': new}))\n")
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(proc.stdout.splitlines()[-1])
+    assert rec["rcs"] == [0] * len(commands)
+    new = set(rec["new"])
+    assert {m for m in new if m.startswith("collardiff.")} \
+        == _BASE | {f"collardiff.{m}" for m in loads}
+    # numpy only for the commands that compute with it; no sweep command
+    # here starts a pool or builds the finite-p quadrature rule
+    assert ("numpy" in new) == bool(loads - {"topology"})
+    assert "concurrent.futures" not in new
+    assert "numpy.polynomial" not in new
+
+
+@pytest.mark.parametrize("args", [
+    ["qd", "decay-sweep", "--workers", "0"],
+    ["qd", "decay-sweep", "--workers", "-3"],
+    ["qd", "principal-mass", "--workers", "0"],
+    ["qd", "principal-mass", "--workers", "-3"],
+    ["space", "w-report", "SPACE", "--delta", "0.3", "--samples", "-1"],
+])
+def test_out_of_range_counts_are_usage_errors(capsys, tmp_path, space_file,
+                                              args):
+    out_path = tmp_path / "never.csv"
+    args = [space_file if a == "SPACE" else a for a in args]
+    code, out, err = invoke(capsys, "--out", str(out_path), *args,
+                            *(["--ell-grid", "0.1", "--delta-grid", "0.3"]
+                              if args[0] == "qd" else []))
+    assert code == 2 and out == ""
+    assert "is not in the range" in err and args[-2] in err
+    assert not out_path.exists()
 
 
 def test_cusp_classify_pole(capsys, tmp_path):

@@ -176,11 +176,12 @@ def test_pruned_density_max_matches_full_grid_bitwise(n_max):
 def _full_tile_lp(Gt, ns, c, x_delta, n_theta, finite):
     """Reference for the finite-p path of sweeps._cell_lp: transform every
     (trial, s) row of the Gauss-Legendre tile, 48 s-nodes at a time."""
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(8)
     s_nodes, w_nodes = [], []
     for s1, s2 in sweeps._thin_panels(x_delta):
         mid, hw = 0.5 * (s1 + s2), 0.5 * (s2 - s1)
-        s_nodes.append(mid + hw * sweeps._GL_NODES)
-        w_nodes.append(hw * sweeps._GL_WEIGHTS)
+        s_nodes.append(mid + hw * gl_nodes)
+        w_nodes.append(hw * gl_weights)
     s_nodes = np.concatenate(s_nodes)
     w_nodes = np.concatenate(w_nodes)
     X = c.half_length
