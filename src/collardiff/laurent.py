@@ -264,7 +264,7 @@ def lp_norm(q: LaurentQD, p: float, win: SubCollar | None = None, *,
     return total ** (1.0 / p)
 
 
-_ROW_BATCH = 256     # (batch, s) rows per FFT call
+_ROW_BATCH = 128     # (batch, s) rows per FFT call
 
 
 class DensityRows:
@@ -274,28 +274,50 @@ class DensityRows:
     in any batch, so rows are transformed on demand, any subset at a time.
     ``bound``, the triangle bound pref(s) * sum_n |coef[t, n]| e^{sn +
     log_scale_n}, is at least the row's largest density.
+
+    The modes are kept in FFT-bin order and split into runs of consecutive
+    bins (two for the sweeps' +-n modes), so a batch writes its products
+    coef[t, n] e^{sn + log_scale_n} straight into the columns of one
+    spectrum buffer that ``batches`` reuses; the columns outside the runs
+    stay zero.  The transform is ifft times n_theta, not a forward-norm
+    ifft: the full-grid bitwise tests pin those bits, and at n_theta that
+    are not powers of two the two forms round differently.
     """
 
     def __init__(self, coef: np.ndarray, ns: np.ndarray, log_scale: np.ndarray,
                  s_nodes: np.ndarray, pref: np.ndarray, n_theta: int):
         self.coef, self.pref, self.n_theta = coef, pref, n_theta
-        self.bins = np.mod(ns, n_theta)
-        self.amp = np.exp(s_nodes[:, None] * ns[None, :] + log_scale[None, :])
-        self.bound = (np.abs(coef) @ self.amp.T) * pref[None, :]
+        amp = np.exp(s_nodes[:, None] * ns[None, :] + log_scale[None, :])
+        self.bound = (np.abs(coef) @ amp.T) * pref[None, :]
+        bins = np.mod(ns, n_theta)
+        order = np.argsort(bins)
+        bins = bins[order]
+        cuts = [0, *(np.flatnonzero(np.diff(bins) != 1) + 1), bins.size]
+        # (first bin, end bin, first column, end column) per run
+        self._runs = [(int(bins[a]), int(bins[a]) + b - a, a, b)
+                      for a, b in zip(cuts, cuts[1:])]
+        self._coef, self._amp = coef[:, order], amp[:, order]
 
-    def abs_phi(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """|phi| on the theta grid for the (t, s) index pairs."""
-        F = np.zeros((t.size, self.n_theta), dtype=complex)
-        F[:, self.bins] = self.coef[t] * self.amp[s]
+    def abs_phi(self, t: np.ndarray, s: np.ndarray,
+                spec: np.ndarray | None = None) -> np.ndarray:
+        """|phi| on the theta grid for the (t, s) index pairs; ``spec`` is a
+        spectrum buffer of at least t.size rows, zero outside the runs."""
+        if spec is None:
+            spec = np.zeros((t.size, self.n_theta), dtype=complex)
+        F = spec[:t.size]
+        coef, amp = self._coef[t], self._amp[s]
+        for lo, hi, a, b in self._runs:
+            np.multiply(coef[:, a:b], amp[:, a:b], out=F[:, lo:hi])
         phi = np.fft.ifft(F, axis=1)
         phi *= self.n_theta
         return np.abs(phi)
 
     def batches(self, t: np.ndarray, s: np.ndarray):
         """(t, s, |phi| rows) for the index pairs, _ROW_BATCH rows at a time."""
+        spec = np.zeros((min(t.size, _ROW_BATCH), self.n_theta), dtype=complex)
         for lo in range(0, t.size, _ROW_BATCH):
             tb, sb = t[lo:lo + _ROW_BATCH], s[lo:lo + _ROW_BATCH]
-            yield tb, sb, self.abs_phi(tb, sb)
+            yield tb, sb, self.abs_phi(tb, sb, spec)
 
     def sup(self) -> np.ndarray:
         """Per-t max of the density over every (s, theta) point.
@@ -376,7 +398,17 @@ def _sup_grid(xd: float, n_s: int) -> np.ndarray:
     while u < xd:
         pts.extend((xd - u, u - xd))
         u *= 2.0
-    return np.unique(np.asarray(pts))
+    return _sorted_unique(np.asarray(pts))
+
+
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """np.unique of a float array without NaNs, bit for bit, without the
+    numpy.ma import that np.unique does on its first call."""
+    x = np.sort(x)
+    keep = np.empty(x.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 def coefficient_bound_check(q: LaurentQD, delta0: float = DEFAULT_DELTA0

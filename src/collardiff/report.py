@@ -4,18 +4,22 @@ the CLI, with deterministic CSV/JSON rendering.
 CSV output starts with the versioned schema comment line and uses
 RFC-4180-style quoting with 17-significant-digit floats, so identical
 configurations produce byte-identical files.
+
+Both renderers fill a fixed row template from pre-formatted fields.
+They write the bytes of ``csv.writer`` and of ``json.dumps(payload,
+indent=1)``, whose indented form would run the pure-Python encoder.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 
 CSV_SCHEMA = "# collardiff-sweep v1"
 _COLUMNS = ("ell", "delta", "statistic", "value", "normalized", "status")
+_JSON_ROW = " {\n" + ",\n".join(f"  {_json_str(c)}: %s" for c in _COLUMNS) \
+    + "\n }"
 
 # Row status vocabulary; anything else is a bug.
 STATUS_OK = "ok"
@@ -30,6 +34,19 @@ def _fmt(x: float | None) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_text(text: str) -> str:
+    """A text field as csv.writer writes it; only a field with a delimiter,
+    quote or line break can need quoting, and those go through csv."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        import csv
+        import io
+
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([text])
+        return buf.getvalue()[:-1]
+    return text
+
+
 def _jsonable(x: float | None):
     if x is None:
         return None
@@ -38,6 +55,13 @@ def _jsonable(x: float | None):
         return x
     # JSON has no Infinity/NaN literals; keep the payload portable.
     return format(x, ".17g")
+
+
+def _json_num(x: float | None) -> str:
+    v = _jsonable(x)
+    if v is None:
+        return "null"
+    return float.__repr__(v) if isinstance(v, float) else _json_str(v)
 
 
 @dataclass(frozen=True)
@@ -59,25 +83,20 @@ class Report:
     rows: list
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(CSV_SCHEMA + "\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_COLUMNS)
-        for r in self.rows:
-            writer.writerow([_fmt(r.ell), _fmt(r.delta), r.statistic,
-                             _fmt(r.value), _fmt(r.normalized), r.status])
-        return buf.getvalue()
+        # statuses are the fixed vocabulary above and never need quoting
+        lines = [CSV_SCHEMA, ",".join(_COLUMNS)]
+        lines += [f"{_fmt(r.ell)},{_fmt(r.delta)},{_csv_text(r.statistic)},"
+                  f"{_fmt(r.value)},{_fmt(r.normalized)},{r.status}"
+                  for r in self.rows]
+        return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = [{
-            "ell": _jsonable(r.ell),
-            "delta": _jsonable(r.delta),
-            "statistic": r.statistic,
-            "value": _jsonable(r.value),
-            "normalized": _jsonable(r.normalized),
-            "status": r.status,
-        } for r in self.rows]
-        return json.dumps(payload, indent=1)
+        if not self.rows:
+            return "[]"
+        return "[\n" + ",\n".join(_JSON_ROW % (
+            _json_num(r.ell), _json_num(r.delta), _json_str(r.statistic),
+            _json_num(r.value), _json_num(r.normalized), _json_str(r.status))
+            for r in self.rows) + "\n]"
 
     def render(self, fmt: str) -> str:
         if fmt == "csv":

@@ -23,8 +23,8 @@ import numpy as np
 from .collar import (CollarParams, DEFAULT_DELTA0, DELTA_MAX, ELL_MAX,
                      cos_profile_vec, thin_boundary, validate_delta0)
 from .errors import ValidationError
-from .laurent import (DensityRows, SubCollar, _norm_const, full_window,
-                      mode_l2_norm_sq)
+from .laurent import (DensityRows, SubCollar, _norm_const, _sorted_unique,
+                      full_window, mode_l2_norm_sq)
 from .numerics import exp_cos2_window
 from .report import (Report, ReportRow, STATUS_EMPTY, STATUS_FAILED,
                      STATUS_OK)
@@ -96,8 +96,8 @@ def draw_coefficients(seed: int, li: int, di: int, trial: int,
     """Scaled coefficient draws g_n for one cell trial (law: the raw
     coefficient is g_n e^{-|n|X})."""
     ss = np.random.SeedSequence(seed, spawn_key=(li, di, trial))
-    z = np.random.default_rng(ss).standard_normal(2 * count)
-    return z[0::2] + 1j * z[1::2]
+    # pairs (z_2k, z_2k+1) read as z_2k + i z_2k+1, without temporaries
+    return np.random.default_rng(ss).standard_normal(2 * count).view(complex)
 
 
 def _window_weights(c: CollarParams, ns: np.ndarray, windows) -> np.ndarray:
@@ -141,7 +141,7 @@ def _sup_nodes(x_delta: float) -> np.ndarray:
     u = cap * np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 96)])
     right = x_delta - u
     bridge = np.linspace(-x_delta, x_delta, 19)[1:-1]
-    return np.unique(np.concatenate([right, -right, bridge]))
+    return _sorted_unique(np.concatenate([right, -right, bridge]))
 
 
 def _density_max(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
@@ -388,11 +388,12 @@ def _density_lp(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
             if p == 1.0:
                 # every transformed row is hot at p = 1, and dens ** 1.0
                 # is a bitwise copy of dens
-                powers = dens
+                contrib[p][t, s] = _row_dots(dens, w_theta)
             else:
-                powers = np.power(dens, p, out=np.zeros_like(dens),
-                                  where=hot[p][t, s][:, None])
-            contrib[p][t, s] = _row_dots(powers, w_theta)
+                # only hot rows are raised; a cold row's sum stays +0
+                h = hot[p][t, s]
+                contrib[p][t[h], s[h]] = _row_dots(np.power(dens[h], p),
+                                                   w_theta)
     rw = rho_sq * w_nodes
     out = {}
     for p in ps:

@@ -320,6 +320,26 @@ def test_commands_import_only_what_they_run(tmp_path, coeffs_file,
     assert "numpy.polynomial" not in new
 
 
+@pytest.mark.parametrize("argv", [
+    ["qd", "norms", "--coeffs", "COEFFS", "--ell", "0.5", "--delta", "0.4"],
+    ["qd", "decay-sweep", "--ell-grid", "1e-3,0.1", "--delta-grid", "0.3",
+     "--trials", "2"],
+    ["space", "w-report", "SPACE", "--delta", "0.3", "--samples", "2"],
+])
+def test_thin_sup_commands_do_not_load_numpy_ma(coeffs_file, space_file,
+                                                argv):
+    # the thin-sup s-grids are deduplicated without np.unique, whose first
+    # call imports numpy.ma; each command runs in its own interpreter
+    argv = [{"COEFFS": coeffs_file, "SPACE": space_file}.get(a, a)
+            for a in argv]
+    proc = _run_child("import sys\n"
+                      "import collardiff.cli\n"
+                      f"rc = collardiff.cli.main({argv!r})\n"
+                      "print('exit', rc, 'numpy.ma' in sys.modules)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("exit 0 False\n"), proc.stdout + proc.stderr
+
+
 @pytest.mark.parametrize("args", [
     ["qd", "decay-sweep", "--workers", "0"],
     ["qd", "decay-sweep", "--workers", "-3"],

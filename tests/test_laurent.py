@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 
 from collardiff.collar import CollarParams, cos_profile_vec, thin_boundary
 from collardiff.errors import DomainError, ValidationError
-from collardiff.laurent import (LaurentQD, SubCollar, ThinSup, _sup_grid,
+from collardiff.laurent import (_ROW_BATCH, DensityRows, LaurentQD,
+                                SubCollar, ThinSup, _sorted_unique, _sup_grid,
                                 coefficient_bound_check,
                                 coeffs_from_json, coeffs_to_json, eval_density,
                                 full_window, l2_inner, l2_norm, linf_thin,
@@ -252,6 +253,52 @@ def test_linf_thin_matches_full_grid_bitwise():
     got = linf_thin(q, 0.3)
     assert math.isnan(got.sup)
     assert repr(got) == repr(_full_grid_linf_thin(q, 0.3))
+
+
+@pytest.mark.parametrize("n_theta", [256, 384])
+@pytest.mark.parametrize("modes", ["sweep", "sparse", "nyquist"])
+def test_density_rows_do_not_depend_on_the_batch(n_theta, modes):
+    # the spectrum buffer is reused across batches and filled by bin runs:
+    # a row's bits must not depend on which rows share its batch, and must
+    # equal a scatter of the products into a fresh zero spectrum
+    half = n_theta // 2
+    ns = np.array({"sweep": [1, -1, 2, -2, 3, -3, 4, -4],
+                   "sparse": [-5, -1, 0, 3],
+                   "nyquist": [half, 1 - half, -2, 0, 1, half - 1]}[modes])
+    rng = np.random.default_rng(n_theta)
+    trials, n_s = 3, 70
+    coef = rng.standard_normal((trials, ns.size)) \
+        + 1j * rng.standard_normal((trials, ns.size))
+    s_nodes = np.linspace(-2.0, 2.0, n_s)
+    log_scale = -0.5 * np.abs(ns)
+    rows = DensityRows(coef, ns, log_scale, s_nodes, np.ones(n_s), n_theta)
+    t, s = np.divmod(rng.permutation(trials * n_s), n_s)
+
+    amp = np.exp(s_nodes[:, None] * ns[None, :] + log_scale[None, :])
+    spec = np.zeros((t.size, n_theta), dtype=complex)
+    spec[:, ns % n_theta] = coef[t] * amp[s]
+    want = np.fft.ifft(spec, axis=1)
+    want *= n_theta
+    want = np.abs(want)
+    assert np.array_equal(rows.abs_phi(t, s), want)
+    assert np.array_equal(np.concatenate(
+        [phi for _, _, phi in rows.batches(t, s)]), want)
+    for size in (1, 7, _ROW_BATCH):
+        buf = np.zeros((size, n_theta), dtype=complex)
+        got = np.concatenate([rows.abs_phi(t[lo:lo + size], s[lo:lo + size],
+                                           buf)
+                              for lo in range(0, t.size, size)])
+        assert np.array_equal(got, want), size
+
+
+def test_sorted_unique_is_np_unique():
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.standard_normal(50), rng.standard_normal(50),
+                        [0.0, -0.0, 0.0, 1.0, 1.0]])
+    rng.shuffle(x)
+    for arr in (x, x[:1], x[:0], np.array([-0.0, 0.0])):
+        got, want = _sorted_unique(arr), np.unique(arr)
+        assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
 
 
 def test_coefficient_bound_check():
