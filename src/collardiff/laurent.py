@@ -286,7 +286,7 @@ class DensityRows:
 
     def __init__(self, coef: np.ndarray, ns: np.ndarray, log_scale: np.ndarray,
                  s_nodes: np.ndarray, pref: np.ndarray, n_theta: int):
-        self.coef, self.pref, self.n_theta = coef, pref, n_theta
+        self.pref, self.n_theta = pref, n_theta
         amp = np.exp(s_nodes[:, None] * ns[None, :] + log_scale[None, :])
         self.bound = (np.abs(coef) @ amp.T) * pref[None, :]
         bins = np.mod(ns, n_theta)
@@ -329,7 +329,7 @@ class DensityRows:
         row.  (pref > 0 and rounding is monotone, so scaling a row's max
         equals the max of the scaled row, bit for bit.)
         """
-        trials = np.arange(self.coef.shape[0])
+        trials = np.arange(self.bound.shape[0])
         top = np.argmax(self.bound, axis=1)
         out = self.abs_phi(trials, top).max(axis=1) * self.pref[top]
         keep = self._reaches(out[:, None])

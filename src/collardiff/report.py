@@ -35,15 +35,11 @@ def _fmt(x: float | None) -> str:
 
 
 def _csv_text(text: str) -> str:
-    """A text field as csv.writer writes it; only a field with a delimiter,
-    quote or line break can need quoting, and those go through csv."""
-    if "," in text or '"' in text or "\n" in text or "\r" in text:
-        import csv
-        import io
-
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([text])
-        return buf.getvalue()[:-1]
+    """A text field as csv.writer writes it: a field holding the delimiter,
+    a quote or a newline (the line terminator) is quoted, its quotes
+    doubled; a carriage return alone leaves it bare."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
     return text
 
 
