@@ -264,24 +264,45 @@ def lp_norm(q: LaurentQD, p: float, win: SubCollar | None = None, *,
     return total ** (1.0 / p)
 
 
-_ROW_BATCH = 128     # (batch, s) rows per FFT call
+_ROW_BATCH = 128     # (batch, s) rows per FFT call, rows per transfer block
 
 
 class DensityRows:
     """Rows of the density |phi| * pref(s) on the theta grid, one per (t, s):
-    phi_t(s, theta) = sum_n coef[t, n] e^{sn + log_scale_n} e^{i n theta},
-    modes ns distinct modulo n_theta.  pocketfft gives a row the same bits
-    in any batch, so rows are transformed on demand, any subset at a time.
-    ``bound``, the triangle bound pref(s) * sum_n |coef[t, n]| e^{sn +
-    log_scale_n}, is at least the row's largest density.
+    phi_t(s, theta) = sum_n coef[t, n] amp[s, n] e^{i n theta}, where
+    amp[s, n] = e^{sn + log_scale_n} and the modes ns are distinct modulo
+    n_theta.  pocketfft gives a row the same bits in any batch, so rows are
+    transformed on demand, any subset at a time.  ``bound``, the triangle
+    bound pref(s) * sum_n |coef[t, n]| amp[s, n], is at least the row's
+    largest density.
+
+    A transformed row s of trial t, with computed grid max M_s of |phi|,
+    also bounds every other row s' of t (the transfer bound).  For any
+    rho >= 0, phi_{s'} = rho phi_s + sum_n coef_n (amp[s', n] - rho
+    amp[s, n]) e^{i n theta}, so the density of row s' is at most
+
+        pref(s') * (rho M_s + sum_n |coef_n| |amp[s', n] - rho amp[s, n]|
+                    + kappa sum_n |coef_n| (amp[s', n] + rho amp[s, n])
+                    + (1 + rho) floor_t).
+
+    rho = amp[s', n*] / amp[s, n*] for the mode n* that dominates row s,
+    from the stored amplitudes (exp(n*(s' - s)) rounds by ~1e-9 at
+    |s n| ~ 6e6), so the n* term drops out of the sum and the bound sits
+    just above the row's max wherever n* dominates.  kappa is the rounding
+    of the products, the FFT (a few eps per stage of log2(n_theta), each
+    relative to sum_n |coef_n| amp[., n]), |.| and the bound's own sums
+    over n_modes terms.  floor_t = (sum_n |coef[t, n]| + n_theta (n_modes +
+    n_theta)) 2^-1070 covers operations that round at subnormal scale, each
+    off by up to 2^-1075 absolute: times |coef_n| in the correction sum,
+    n_theta-fold once the ifft's 1/n_theta is undone.
 
     The modes are kept in FFT-bin order and split into runs of consecutive
     bins (two for the sweeps' +-n modes), so a batch writes its products
-    coef[t, n] e^{sn + log_scale_n} straight into the columns of one
-    spectrum buffer that ``batches`` reuses; the columns outside the runs
-    stay zero.  The transform is ifft times n_theta, not a forward-norm
-    ifft: the full-grid bitwise tests pin those bits, and at n_theta that
-    are not powers of two the two forms round differently.
+    coef[t, n] amp[s, n] straight into the columns of one spectrum buffer
+    that ``batches`` reuses; the columns outside the runs stay zero.  The
+    transform is ifft times n_theta, not a forward-norm ifft: the full-grid
+    bitwise tests pin those bits, and at n_theta that are not powers of two
+    the two forms round differently.
     """
 
     def __init__(self, coef: np.ndarray, ns: np.ndarray, log_scale: np.ndarray,
@@ -296,6 +317,7 @@ class DensityRows:
         # (first bin, end bin, first column, end column) per run
         self._runs = [(int(bins[a]), int(bins[a]) + b - a, a, b)
                       for a, b in zip(cuts, cuts[1:])]
+        self._abs_coef = None
         self._coef, self._amp = coef[:, order], amp[:, order]
 
     def abs_phi(self, t: np.ndarray, s: np.ndarray,
@@ -323,18 +345,22 @@ class DensityRows:
         """Per-t max of the density over every (s, theta) point.
 
         Exact, not approximate.  Each t is seeded with its highest-bound
-        row, and only rows whose bound reaches the running max are
-        transformed.  They get the same arithmetic as a full-grid
+        row; the other rows are transformed only if both their triangle
+        bound and their transfer bound from the seed reach the seed's max.
+        A skipped row has every computed density strictly below that max,
+        and the transformed rows get the same arithmetic as a full-grid
         evaluation, so the result is bit-identical to transforming every
         row.  (pref > 0 and rounding is monotone, so scaling a row's max
         equals the max of the scaled row, bit for bit.)
         """
         trials = np.arange(self.bound.shape[0])
         top = np.argmax(self.bound, axis=1)
-        out = self.abs_phi(trials, top).max(axis=1) * self.pref[top]
+        m = self.abs_phi(trials, top).max(axis=1)
+        out = m * self.pref[top]
         keep = self._reaches(out[:, None])
         keep[trials, top] = False
-        for t, s, phi_abs in self.batches(*np.nonzero(keep)):
+        t, s = self._transfer(*np.nonzero(keep), top, m, out)
+        for t, s, phi_abs in self.batches(t, s):
             np.maximum.at(out, t, phi_abs.max(axis=1) * self.pref[s])
         return out
 
@@ -346,10 +372,58 @@ class DensityRows:
         # ~(<) form keeps NaN and inf bounds, whose rows must be seen.
         return ~(self.bound < level * (1.0 - 1e-12))
 
+    def transfer_bound(self, t: np.ndarray, s: np.ndarray, top: np.ndarray,
+                       m: np.ndarray) -> np.ndarray:
+        """The transfer bound (class docstring) on the density of each row
+        (t, s), from the seed row top[t] of t whose computed |phi| max is
+        m[t].  NaN or inf where the seed's dominant amplitude is zero or a
+        term overflows (silently: 0/0 and inf * 0 are expected here), and
+        NaN for every row of a trial whose seed max is NaN."""
+        if self._abs_coef is None:    # only sup and argmax need it
+            self._abs_coef = np.abs(self._coef)
+        c, a0, a1 = self._abs_coef[t], self._amp[top[t]], self._amp[s]
+        rows = np.arange(t.size)
+        n_modes, n_theta = c.shape[1], self.n_theta
+        kappa = 4.0 * np.finfo(float).eps \
+            * (n_modes + 8.0 * math.log2(n_theta) + 8.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            floor = (c.sum(axis=1) + n_theta * (n_modes + n_theta)) \
+                * 2.0 ** -1070
+            n = np.argmax(c * a0, axis=1)     # the seed row's dominant mode
+            rho = a1[rows, n] / a0[rows, n]
+            a0 *= rho[:, None]                # a0, a1 are gathered copies
+            a1 -= a0
+            np.abs(a1, out=a1)
+            corr = np.einsum("ij,ij->i", c, a1)
+            # sum_n |coef_n| (amp[s', n] + rho amp[s, n]) from the triangle
+            # bounds: kappa needs it only to within a few eps
+            rnd = self.bound[t, s] / self.pref[s] \
+                + rho * (self.bound[t, top[t]] / self.pref[top[t]])
+            return self.pref[s] * (rho * m[t] + corr + kappa * rnd
+                                   + (1.0 + rho) * floor)
+
+    def _transfer(self, t: np.ndarray, s: np.ndarray, top: np.ndarray,
+                  m: np.ndarray, level: np.ndarray):
+        """The (t, s) pairs whose transfer bound reaches level[t], bounded
+        _ROW_BATCH rows at a time; the ~(<) form keeps NaN and inf bounds."""
+        keep = np.empty(t.size, dtype=bool)
+        for lo in range(0, t.size, _ROW_BATCH):
+            tb, sb = t[lo:lo + _ROW_BATCH], s[lo:lo + _ROW_BATCH]
+            keep[lo:lo + _ROW_BATCH] = \
+                ~(self.transfer_bound(tb, sb, top, m) < level[tb])
+        return t[keep], s[keep]
+
     def argmax(self, sup: float) -> tuple[int, int]:
         """(s, theta) indices of the first row-major point where the density
-        of t = 0 equals its sup; every row is searched for a NaN sup."""
+        of t = 0 equals its sup; every row is searched for a NaN sup.  Only
+        the seed row and the rows whose triangle and transfer bounds reach
+        the sup are transformed: no other row holds a point equal to it."""
+        top = np.argmax(self.bound[:1], axis=1)
+        m = self.abs_phi(np.zeros(1, dtype=int), top).max(axis=1)
         s = np.nonzero(self._reaches(sup)[0])[0]
+        s = s[s != top[0]]
+        _, s = self._transfer(np.zeros_like(s), s, top, m, np.array([sup]))
+        s = np.sort(np.append(s, top))
         dens = self.abs_phi(np.zeros_like(s), s) * self.pref[s][:, None]
         i, j = divmod(int(np.argmax(dens)), self.n_theta)
         return int(s[i]), j

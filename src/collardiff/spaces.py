@@ -21,7 +21,8 @@ from .collar import CollarParams, thin_boundary
 from .errors import DomainError, RankDeficiencyError, ValidationError
 from .laurent import (LaurentQD, coeffs_from_json, coeffs_to_json, l2_inner,
                       l2_norm, linf_thin, principal_part, remove_principal)
-from .report import Report, ReportRow, STATUS_EMPTY, STATUS_OK
+from .report import (Report, ReportRow, STATUS_EMPTY, STATUS_FAILED,
+                     STATUS_OK)
 
 # Relative spectral floor below which a Gram matrix counts as singular.
 RANK_TOL = 1e-12
@@ -252,6 +253,7 @@ def w_decay_report(space: QDSpace, deltas, *, samples: int = 48,
     Samples the unit sphere of W (plus the basis directions), measures
     max over collars of the thin-part density sup against the unit L2
     norm, and reports the e^{pi/delta} delta^-2 normalization alongside.
+    A NaN or inf ratio is reported as computed, with status non-converged.
     Empty table when W is trivial.
     """
     w = w_subspace(space)
@@ -265,15 +267,17 @@ def w_decay_report(space: QDSpace, deltas, *, samples: int = 48,
         vecs.append(z / np.linalg.norm(z))
     elems = [mc_combine(w.basis, v) for v in vecs]
     for delta in deltas:
-        best = 0.0
-        for elem in elems:
-            sup = 0.0
-            for part in elem.parts:
-                sup = max(sup, linf_thin(part, delta).sup)
-            best = max(best, sup / mc_norm(elem))
+        # np.max keeps a NaN or inf sup, which Python's max may drop
+        ratios = [float(np.max([linf_thin(part, delta).sup
+                                for part in elem.parts])) / mc_norm(elem)
+                  for elem in elems]
+        best = float(np.max(ratios))
         nonempty_geom = any(not thin_boundary(c, delta).empty
                             for c in space.collars)
-        status = STATUS_OK if nonempty_geom else STATUS_EMPTY
+        if not nonempty_geom:
+            status = STATUS_EMPTY
+        else:
+            status = STATUS_OK if math.isfinite(best) else STATUS_FAILED
         normalized = best * delta * delta * math.exp(math.pi / delta)
         rows.append(ReportRow(None, float(delta), "w_linf_ratio_max",
                               best, normalized, status))

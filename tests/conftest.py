@@ -5,7 +5,8 @@ import pytest
 from hypothesis import settings
 
 from collardiff.collar import CollarParams, ELL_MAX
-from collardiff.laurent import LaurentQD, full_window, mode_l2_norm_sq
+from collardiff.laurent import (DensityRows, LaurentQD, full_window,
+                                mode_l2_norm_sq)
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -37,3 +38,19 @@ def random_qd(rng, c: CollarParams, n_max: int = 8, modes=None,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)
+
+
+@pytest.fixture
+def transfer_calls(monkeypatch):
+    """Records, per DensityRows._transfer call, how many rows beyond the
+    seeds it keeps and whether its level was finite."""
+    calls = []
+    real = DensityRows._transfer
+
+    def recording(self, t, s, top, m, level):
+        kept = real(self, t, s, top, m, level)
+        calls.append((kept[0].size, bool(np.isfinite(level).all())))
+        return kept
+
+    monkeypatch.setattr(DensityRows, "_transfer", recording)
+    return calls

@@ -220,7 +220,7 @@ def _full_grid_linf_thin(q, delta, n_s=257):
                    2.0 * math.pi * j / n_theta)
 
 
-def test_linf_thin_matches_full_grid_bitwise():
+def test_linf_thin_matches_full_grid_bitwise(transfer_calls):
     rng = np.random.default_rng(7)
 
     def g():
@@ -247,6 +247,8 @@ def test_linf_thin_matches_full_grid_bitwise():
                 nonzero += got.sup > 0.0
                 nan += math.isnan(got.sup)
     assert nonzero >= 40 and nan > 0, (nonzero, nan)
+    # some finite sup keeps rows beyond the seed: the fallback transforms ran
+    assert any(kept and finite for kept, finite in transfer_calls)
     # exp(log|b| + n s) overflows at the thin edge: the NaN sup and its
     # first-NaN location are pinned to the full grid's
     q = LaurentQD(CollarParams(0.01), {1: 1.0, -2: 0.5j})
@@ -289,6 +291,54 @@ def test_density_rows_do_not_depend_on_the_batch(n_theta, modes):
                                            buf)
                               for lo in range(0, t.size, size)])
         assert np.array_equal(got, want), size
+
+
+@given(data=st.data(), n_theta=st.sampled_from([256, 384]),
+       dominant=st.sampled_from([None, "low", "high"]))
+def test_transfer_bound_covers_the_computed_row_max(data, n_theta, dominant):
+    # The transfer bound from any seed row, rounding term included, is at
+    # least the computed grid max of every other row of the trial, so a row
+    # it skips cannot hold the sup.  Each mode's amplitude at the seed row is
+    # normal, subnormal or zero; near-duplicate rows leave the rounding term
+    # nearly alone against the bound's rho * M_s part.
+    half = n_theta // 2
+    ns = np.array(data.draw(st.lists(st.integers(1 - half, half), min_size=1,
+                                     max_size=10, unique=True)))
+    k = ns.size
+    seed = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    coef = 10.0 ** seed.uniform(-3.0, 3.0, k) \
+        * np.exp(2j * math.pi * seed.uniform(size=k))
+    # log-amplitude at the seed row: normal, subnormal or below the subnormals
+    at_seed = np.array([seed.uniform(*{"normal": (-30.0, 5.0),
+                                       "subnormal": (-744.0, -709.0),
+                                       "zero": (-900.0, -746.0)}[kind])
+                        for kind in data.draw(st.lists(st.sampled_from(
+                            ["normal", "subnormal", "zero"]),
+                            min_size=k, max_size=k))])
+    if dominant is not None:
+        j = np.argmin(ns) if dominant == "low" else np.argmax(ns)
+        coef[j] *= 1e6
+        at_seed[j] = seed.uniform(-5.0, 5.0)
+    s0 = seed.uniform(-5.0, 5.0)
+    offsets = np.concatenate([seed.choice([-1.0, 1.0], 3)
+                              * 10.0 ** seed.uniform(-10.0, -3.0, 3),
+                              seed.uniform(-1.0, 1.0, 3)])
+    s_nodes = np.concatenate([[s0], s0 + offsets])
+    pref = 10.0 ** seed.uniform(-2.0, 3.0, s_nodes.size)
+    rows = DensityRows(coef[None, :], ns, at_seed - s0 * ns, s_nodes, pref,
+                       n_theta)
+
+    zero = np.zeros(1, dtype=int)
+    m = rows.abs_phi(zero, zero).max(axis=1)
+    others = np.arange(1, s_nodes.size)
+    t = np.zeros_like(others)
+    row_max = rows.abs_phi(t, others).max(axis=1) * pref[others]
+    bound = rows.transfer_bound(t, others, zero, m)
+    # NaN and inf bounds keep their rows, so only a finite bound must cover
+    assert not np.any(bound < row_max), (bound, row_max)
+    full = np.max(rows.abs_phi(np.zeros(s_nodes.size, dtype=int),
+                               np.arange(s_nodes.size)).max(axis=1) * pref)
+    assert rows.sup()[0] == full
 
 
 def test_sorted_unique_is_np_unique():

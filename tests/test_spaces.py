@@ -10,7 +10,7 @@ from collardiff.collar import CollarParams
 from collardiff.errors import (DomainError, RankDeficiencyError,
                                ValidationError)
 from collardiff.laurent import LaurentQD, lp_norm, principal_part
-from collardiff.report import STATUS_EMPTY, STATUS_OK
+from collardiff.report import STATUS_EMPTY, STATUS_FAILED, STATUS_OK
 from collardiff.spaces import (MultiCollarQD, QDSpace, load_space, mc_combine,
                                mc_inner, mc_norm, mc_zero, multi_from_json,
                                multi_to_json, principal_vector, project_onto_w,
@@ -172,6 +172,19 @@ def test_w_decay_report(rng):
     # trivial W: empty table
     only = QDSpace([MultiCollarQD([LaurentQD(c, {0: 1.0})])])
     assert w_decay_report(only, deltas).rows == []
+
+
+def test_w_decay_report_keeps_a_non_finite_sup():
+    # the ell-0.01 part of some W element has a NaN linf_thin (its modes
+    # overflow at the thin edge); the row must say so, not read "ok"
+    cs = (CollarParams(0.01), CollarParams(0.3))
+    basis = [({0: 1}, {0: 0.5}), ({1: 1e-300}, {0: 1}),
+             ({-2: 1e-300j}, {1: 1}), ({0: 0.2, 3: 1e-300}, {2: 0.3})]
+    space = QDSpace([MultiCollarQD([LaurentQD(c, d) for c, d in zip(cs, e)])
+                     for e in basis], collars=cs)
+    row, = w_decay_report(space, [0.3], samples=4, seed=1).rows
+    assert row.status == STATUS_FAILED
+    assert math.isnan(row.value) and math.isnan(row.normalized)
 
 
 def test_space_json_round_trip(tmp_path, rng):

@@ -9,7 +9,8 @@ import pytest
 from collardiff.collar import (CollarParams, cos_profile_vec, thin_area,
                                thin_boundary)
 from collardiff.errors import DomainError, ValidationError
-from collardiff.laurent import LaurentQD, SubCollar, l2_norm, lp_norm
+from collardiff.laurent import (DensityRows, LaurentQD, SubCollar, l2_norm,
+                                lp_norm)
 from collardiff.report import STATUS_EMPTY, STATUS_FAILED, STATUS_OK
 from collardiff.sweeps import (PRINCIPAL_MASS_CONSTANT, SweepConfig,
                                bij_normalization_check, decay_sweep,
@@ -150,7 +151,7 @@ def _full_grid_density_max(Gt, ns, c, s_nodes, n_theta):
 
 
 @pytest.mark.parametrize("n_max", [1, 13, 48])
-def test_pruned_density_max_matches_full_grid_bitwise(n_max):
+def test_pruned_density_max_matches_full_grid_bitwise(n_max, transfer_calls):
     # n_theta = 256 for n_max 1 and 13, 384 (not a power of two) for 48
     cfg = SweepConfig(ell_grid=(1e-4, 1e-2, 0.3, 0.9),
                       delta_grid=(0.05, 0.3, 0.79), n_max=n_max, trials=24,
@@ -171,6 +172,29 @@ def test_pruned_density_max_matches_full_grid_bitwise(n_max):
             assert got.tobytes() == want.tobytes(), (ell, delta)
             checked += 1
     assert checked == 9
+    # with more than one mode pair some cell keeps rows beyond the seeds
+    # (finite maxima), so the fallback transforms ran
+    assert n_max == 1 or any(kept and finite
+                             for kept, finite in transfer_calls)
+
+
+def test_decay_round_transforms_one_row_per_trial(monkeypatch):
+    # the benchmark's decay round at seed 0 (256 nonempty trials): the
+    # triangle bound alone leaves 5043 rows to transform, the transfer
+    # bound from each trial's seed row leaves the seeds and few others
+    transformed = 0
+    real = DensityRows.abs_phi
+
+    def counting(self, t, s, spec=None):
+        nonlocal transformed
+        transformed += t.size
+        return real(self, t, s, spec)
+
+    monkeypatch.setattr(DensityRows, "abs_phi", counting)
+    for n_max in (32, 64):
+        decay_sweep(SweepConfig(ell_grid=(1e-4, 1e-2, 1.0), delta_grid=(0.3,),
+                                n_max=n_max, trials=64, seed=0))
+    assert 256 <= transformed <= 300, transformed
 
 
 def _full_tile_lp(Gt, ns, c, x_delta, n_theta, finite):
