@@ -317,7 +317,7 @@ class DensityRows:
         # (first bin, end bin, first column, end column) per run
         self._runs = [(int(bins[a]), int(bins[a]) + b - a, a, b)
                       for a, b in zip(cuts, cuts[1:])]
-        self._abs_coef = None
+        self._abs_coef = self._floor = None
         self._coef, self._amp = coef[:, order], amp[:, order]
 
     def abs_phi(self, t: np.ndarray, s: np.ndarray,
@@ -364,33 +364,57 @@ class DensityRows:
             np.maximum.at(out, t, phi_abs.max(axis=1) * self.pref[s])
         return out
 
+    def _per_trial(self):
+        """|coef| and floor_t per trial (class docstring); only sup and
+        argmax need them."""
+        if self._abs_coef is None:
+            self._abs_coef = np.abs(self._coef)
+            n_modes, n_theta = self._coef.shape[1], self.n_theta
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._floor = (self._abs_coef.sum(axis=1)
+                               + n_theta * (n_modes + n_theta)) * 2.0 ** -1070
+        return self._abs_coef, self._floor
+
     def _reaches(self, level) -> np.ndarray:
         # Rounding in the bound (a sum of nonnegative terms) and in the FFT
         # is of order n_modes * eps relative to sum_n |coef_n amp_n| (~1e-14
-        # at 64 modes), 100x below the 1e-12 margin, so a row outside this
-        # mask has every computed density strictly below the level.  The
-        # ~(<) form keeps NaN and inf bounds, whose rows must be seen.
-        return ~(self.bound < level * (1.0 - 1e-12))
+        # at 64 modes), 100x below the 1e-12 margin.  At subnormal scale
+        # operations round by up to 2^-1075 absolute, which pref(s) floor_t
+        # covers as in the transfer bound; the margin takes 2^48 floor_t, a
+        # normal number, because products with subnormal operands run ~10x
+        # slower; it still moves only rows whose bound lies within
+        # pref(s) 2^48 floor_t (~1e-290 in the sweeps) of the level.
+        # So a row outside this mask has every computed density strictly
+        # below the level.  The ~(<) form keeps NaN and inf bounds, whose
+        # rows must be seen.
+        margin = self._per_trial()[1] * 2.0 ** 48
+        with np.errstate(invalid="ignore", over="ignore"):
+            return ~(self.bound + margin[:, None] * self.pref[None, :]
+                     < level * (1.0 - 1e-12))
+
+    def _seed_modes(self, top: np.ndarray) -> np.ndarray:
+        """n* per trial: the mode that dominates the seed row top[i] of
+        trial i, argmax_n |coef[i, n]| amp[top[i], n]."""
+        c = self._per_trial()[0][:top.size]
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.argmax(c * self._amp[top], axis=1)
 
     def transfer_bound(self, t: np.ndarray, s: np.ndarray, top: np.ndarray,
-                       m: np.ndarray) -> np.ndarray:
+                       m: np.ndarray, seed_modes: np.ndarray) -> np.ndarray:
         """The transfer bound (class docstring) on the density of each row
         (t, s), from the seed row top[t] of t whose computed |phi| max is
-        m[t].  NaN or inf where the seed's dominant amplitude is zero or a
-        term overflows (silently: 0/0 and inf * 0 are expected here), and
-        NaN for every row of a trial whose seed max is NaN."""
-        if self._abs_coef is None:    # only sup and argmax need it
-            self._abs_coef = np.abs(self._coef)
-        c, a0, a1 = self._abs_coef[t], self._amp[top[t]], self._amp[s]
-        rows = np.arange(t.size)
+        m[t] and whose dominant mode is seed_modes[t] (``_seed_modes``).
+        NaN or inf where the seed's dominant amplitude is zero or a term
+        overflows (silently: 0/0 and inf * 0 are expected here), and NaN
+        for every row of a trial whose seed max is NaN."""
+        abs_coef, floor = self._per_trial()
+        seed, n = top[t], seed_modes[t]
+        c, a0, a1 = abs_coef[t], self._amp[seed], self._amp[s]
         n_modes, n_theta = c.shape[1], self.n_theta
         kappa = 4.0 * np.finfo(float).eps \
             * (n_modes + 8.0 * math.log2(n_theta) + 8.0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            floor = (c.sum(axis=1) + n_theta * (n_modes + n_theta)) \
-                * 2.0 ** -1070
-            n = np.argmax(c * a0, axis=1)     # the seed row's dominant mode
-            rho = a1[rows, n] / a0[rows, n]
+            rho = self._amp[s, n] / self._amp[seed, n]
             a0 *= rho[:, None]                # a0, a1 are gathered copies
             a1 -= a0
             np.abs(a1, out=a1)
@@ -398,19 +422,22 @@ class DensityRows:
             # sum_n |coef_n| (amp[s', n] + rho amp[s, n]) from the triangle
             # bounds: kappa needs it only to within a few eps
             rnd = self.bound[t, s] / self.pref[s] \
-                + rho * (self.bound[t, top[t]] / self.pref[top[t]])
+                + rho * (self.bound[t, seed] / self.pref[seed])
             return self.pref[s] * (rho * m[t] + corr + kappa * rnd
-                                   + (1.0 + rho) * floor)
+                                   + (1.0 + rho) * floor[t])
 
     def _transfer(self, t: np.ndarray, s: np.ndarray, top: np.ndarray,
                   m: np.ndarray, level: np.ndarray):
         """The (t, s) pairs whose transfer bound reaches level[t], bounded
         _ROW_BATCH rows at a time; the ~(<) form keeps NaN and inf bounds."""
+        if not t.size:
+            return t, s
+        seed_modes = self._seed_modes(top)
         keep = np.empty(t.size, dtype=bool)
         for lo in range(0, t.size, _ROW_BATCH):
             tb, sb = t[lo:lo + _ROW_BATCH], s[lo:lo + _ROW_BATCH]
-            keep[lo:lo + _ROW_BATCH] = \
-                ~(self.transfer_bound(tb, sb, top, m) < level[tb])
+            keep[lo:lo + _ROW_BATCH] = ~(self.transfer_bound(
+                tb, sb, top, m, seed_modes) < level[tb])
         return t[keep], s[keep]
 
     def argmax(self, sup: float) -> tuple[int, int]:

@@ -91,13 +91,106 @@ def interleaved_modes(n_max: int) -> np.ndarray:
     return ns
 
 
-def draw_coefficients(seed: int, li: int, di: int, trial: int,
+# NumPy's SeedSequence hash (seed_seq_fe, pool of four uint32 words) and
+# PCG64 seeding, whose streams NEP 19 keeps stable across releases
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _words(n: int) -> list:
+    """A nonnegative int as SeedSequence's little-endian uint32 words."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value, h: int, mult: int):
+    """One SeedSequence hash step on a word (an int or a uint32 array);
+    returns the hashed value and the next hash constant."""
+    h2 = h * mult & _MASK32
+    value = (value ^ h) * h2 & _MASK32
+    return value ^ value >> 16, h2
+
+
+def _mix(x, y):
+    # each product is reduced first, so an int x meets a uint32 array y
+    # inside the uint32 range
+    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _pcg64_states(seed: int, li: int, di: int, trials: int) -> list:
+    """PCG64(SeedSequence(seed, spawn_key=(li, di, t))).state for each
+    t < trials, from one hash per cell.
+
+    The hash constants step the same way whatever the words, and the
+    trial word comes last, so the pool is mixed once from the seed
+    (padded to the pool size, as a spawned SeedSequence does), li and di,
+    and only the trial word's four mixes and the eight output words run
+    on a uint32 array of trials.
+    """
+    if min(seed, li, di, trials) < 0 or trials > _MASK32 + 1:
+        raise ValidationError("seed words must be nonnegative and trial "
+                              "indices must fit one 32-bit word")
+    run = _words(seed)
+    entropy = run + [0] * (_POOL_SIZE - len(run)) + _words(li) + _words(di)
+    h = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        word, h = _hashmix(word, h, _MULT_A)
+        pool.append(word)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                word, h = _hashmix(pool[src], h, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    for word in entropy[_POOL_SIZE:] + [np.arange(trials, dtype=np.uint32)]:
+        for dst in range(_POOL_SIZE):
+            mixed, h = _hashmix(word, h, _MULT_A)
+            pool[dst] = _mix(pool[dst], mixed)
+    # generate_state(4, uint64): eight words cycled from the pool, read as
+    # little-endian pairs (s_hi, s_lo, seq_hi, seq_lo)
+    h, out = _INIT_B, []
+    for i in range(8):
+        word, h = _hashmix(pool[i % _POOL_SIZE], h, _MULT_B)
+        out.append(word.tolist())
+    states = []
+    for w0, w1, w2, w3, w4, w5, w6, w7 in zip(*out):
+        initstate = w1 << 96 | w0 << 64 | w3 << 32 | w2
+        inc = ((w5 << 96 | w4 << 64 | w7 << 32 | w6) << 1 | 1) & _MASK128
+        # pcg64 srandom: state 0, step, add initstate, step
+        state = (inc + initstate) * _PCG_MULT + inc & _MASK128
+        states.append({"bit_generator": "PCG64",
+                       "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def draw_coefficients(seed: int, li: int, di: int, trials: int,
                       count: int) -> np.ndarray:
-    """Scaled coefficient draws g_n for one cell trial (law: the raw
-    coefficient is g_n e^{-|n|X})."""
-    ss = np.random.SeedSequence(seed, spawn_key=(li, di, trial))
-    # pairs (z_2k, z_2k+1) read as z_2k + i z_2k+1, without temporaries
-    return np.random.default_rng(ss).standard_normal(2 * count).view(complex)
+    """Scaled coefficient draws g_n for the trials of one cell (law: the
+    raw coefficient is g_n e^{-|n|X}), one row per trial.
+
+    Row t holds the bits of
+    default_rng(SeedSequence(seed, spawn_key=(li, di, t)))
+    .standard_normal(2 * count), pairs (z_2k, z_2k+1) read as
+    z_2k + i z_2k+1.  One PCG64 and Generator pair per call is re-seeded
+    per trial; pool threads each make their own.
+    """
+    states = _pcg64_states(seed, li, di, trials)
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    G = np.empty((trials, 2 * count))
+    for row, state in zip(G, states):
+        bits.state = state
+        gen.standard_normal(out=row)
+    return G.view(complex)
 
 
 def _window_weights(c: CollarParams, ns: np.ndarray, windows) -> np.ndarray:
@@ -128,8 +221,7 @@ def _normalized_draws(cfg: SweepConfig, c: CollarParams, li: int, di: int,
                       ns: np.ndarray) -> np.ndarray:
     """Trial coefficient matrix with unit L^2 norm on the delta0-thick part."""
     t = _window_weights(c, ns, _thick_windows(c, cfg.delta0))
-    G = np.stack([draw_coefficients(cfg.seed, li, di, trial, ns.size)
-                  for trial in range(cfg.trials)])
+    G = draw_coefficients(cfg.seed, li, di, cfg.trials, ns.size)
     norms = np.sqrt(_row_dots(np.abs(G) ** 2, t))
     return G / norms[:, None]
 

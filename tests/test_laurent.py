@@ -333,12 +333,79 @@ def test_transfer_bound_covers_the_computed_row_max(data, n_theta, dominant):
     others = np.arange(1, s_nodes.size)
     t = np.zeros_like(others)
     row_max = rows.abs_phi(t, others).max(axis=1) * pref[others]
-    bound = rows.transfer_bound(t, others, zero, m)
+    bound = rows.transfer_bound(t, others, zero, m, rows._seed_modes(zero))
     # NaN and inf bounds keep their rows, so only a finite bound must cover
     assert not np.any(bound < row_max), (bound, row_max)
     full = np.max(rows.abs_phi(np.zeros(s_nodes.size, dtype=int),
                                np.arange(s_nodes.size)).max(axis=1) * pref)
     assert rows.sup()[0] == full
+
+
+def _per_row_transfer_bound(rows, t, s, top, m):
+    """Reference: the transfer bound with the seed row's dominant mode and
+    floor_t recomputed for every row, from the (rows, modes) product."""
+    c, a0, a1 = np.abs(rows._coef)[t], rows._amp[top[t]], rows._amp[s]
+    idx = np.arange(t.size)
+    n_modes, n_theta = c.shape[1], rows.n_theta
+    kappa = 4.0 * np.finfo(float).eps \
+        * (n_modes + 8.0 * math.log2(n_theta) + 8.0)
+    with np.errstate(all="ignore"):
+        floor = (c.sum(axis=1) + n_theta * (n_modes + n_theta)) \
+            * 2.0 ** -1070
+        n = np.argmax(c * a0, axis=1)
+        rho = a1[idx, n] / a0[idx, n]
+        a0 *= rho[:, None]
+        a1 -= a0
+        np.abs(a1, out=a1)
+        corr = np.einsum("ij,ij->i", c, a1)
+        rnd = rows.bound[t, s] / rows.pref[s] \
+            + rho * (rows.bound[t, top[t]] / rows.pref[top[t]])
+        return rows.pref[s] * (rho * m[t] + corr + kappa * rnd
+                               + (1.0 + rho) * floor)
+
+
+@given(data=st.data(), n_theta=st.sampled_from([256, 384]),
+       trials=st.integers(1, 5), poison=st.booleans())
+def test_transfer_bound_per_trial_terms_keep_the_per_row_bits(
+        data, n_theta, trials, poison):
+    # n* and floor_t are computed once per trial and indexed per row; every
+    # bound keeps the bits of the per-row formula, NaN trials included
+    half = n_theta // 2
+    ns = np.array(data.draw(st.lists(st.integers(1 - half, half), min_size=1,
+                                     max_size=12, unique=True)))
+    k = ns.size
+    seed = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    coef = 10.0 ** seed.uniform(-3.0, 3.0, (trials, k)) \
+        * np.exp(2j * math.pi * seed.uniform(size=(trials, k)))
+    if poison:
+        coef[seed.integers(trials), seed.integers(k)] = math.nan
+    # per-mode log-amplitudes at s = 0 from normal down to below subnormal
+    log_scale = seed.uniform(-900.0, 5.0, k)
+    s_nodes = np.sort(seed.uniform(-3.0, 3.0, data.draw(st.integers(2, 12))))
+    pref = 10.0 ** seed.uniform(-2.0, 3.0, s_nodes.size)
+    rows = DensityRows(coef, ns, log_scale, s_nodes, pref, n_theta)
+    with np.errstate(invalid="ignore"):
+        top = np.argmax(rows.bound, axis=1)
+    m = rows.abs_phi(np.arange(trials), top).max(axis=1)
+    t, s = np.divmod(seed.permutation(trials * s_nodes.size), s_nodes.size)
+    want = _per_row_transfer_bound(rows, t, s, top, m)
+    got = rows.transfer_bound(t, s, top, m, rows._seed_modes(top))
+    assert got.tobytes() == want.tobytes()
+
+
+@given(data=st.data(), ell=st.floats(0.05, 1.5), delta=st.floats(0.05, 0.79))
+def test_linf_thin_matches_full_grid_at_subnormal_scale(data, ell, delta):
+    # operations on subnormals round by up to 2^-1075 absolute, far above a
+    # relative margin: the triangle test's absolute floor keeps every row
+    # that can hold the grid max
+    c = CollarParams(ell)
+    seed = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    modes = data.draw(st.lists(st.integers(-4, 4), min_size=1, max_size=5,
+                               unique=True))
+    coeffs = {n: 10.0 ** seed.uniform(-320.0, -300.0)
+              * complex(*seed.standard_normal(2)) for n in modes}
+    q = LaurentQD(c, coeffs)
+    assert repr(linf_thin(q, delta)) == repr(_full_grid_linf_thin(q, delta))
 
 
 def test_sorted_unique_is_np_unique():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from collardiff.collar import (CollarParams, cos_profile_vec, thin_area,
                                thin_boundary)
@@ -52,12 +53,13 @@ def test_config_validation():
 def test_interleaved_modes_and_draw_prefix():
     assert list(interleaved_modes(3)) == [1, -1, 2, -2, 3, -3]
     assert list(interleaved_modes(8)[:6]) == list(interleaved_modes(3))
-    d4 = draw_coefficients(9, 1, 2, 3, 4)
-    d8 = draw_coefficients(9, 1, 2, 3, 8)
-    assert np.array_equal(d8[:4], d4)
+    d4 = draw_coefficients(9, 1, 2, 5, 4)
+    d8 = draw_coefficients(9, 1, 2, 5, 8)
+    assert d4.shape == (5, 4) and d8.shape == (5, 8)
+    assert np.array_equal(d8[:, :4], d4)
     # distinct cells and trials get distinct streams
-    assert not np.array_equal(draw_coefficients(9, 1, 2, 4, 4), d4)
-    assert not np.array_equal(draw_coefficients(9, 0, 2, 3, 4), d4)
+    assert not np.array_equal(d4[4], d4[3])
+    assert not np.array_equal(draw_coefficients(9, 0, 2, 5, 4)[3], d4[3])
 
 
 def test_decay_sweep_shape_and_statuses():
@@ -109,8 +111,7 @@ def test_cell_against_unscaled_laurent_oracle():
     ns = interleaved_modes(n_max)
 
     units = []
-    for trial in range(trials):
-        g = draw_coefficients(seed, 0, 0, trial, ns.size)
+    for g in draw_coefficients(seed, 0, 0, trials, ns.size):
         raw = {int(n): g[i] * math.exp(-abs(int(n)) * x)
                for i, n in enumerate(ns)}
         q = LaurentQD(c, raw)
@@ -176,6 +177,28 @@ def test_pruned_density_max_matches_full_grid_bitwise(n_max, transfer_calls):
     # (finite maxima), so the fallback transforms ran
     assert n_max == 1 or any(kept and finite
                              for kept, finite in transfer_calls)
+
+
+@given(data=st.data(), n_max=st.integers(1, 4),
+       ell=st.floats(1e-3, 1.5), delta=st.floats(0.05, 0.79))
+def test_pruned_density_max_matches_full_grid_at_subnormal_scale(
+        data, n_max, ell, delta):
+    # the sup nodes cluster within 1e-10 of the thin edges, so near-equal
+    # rows compete for the max; at subnormal scale their computed densities
+    # differ by absolute roundings that only the triangle test's absolute
+    # floor covers
+    c = CollarParams(ell)
+    win = thin_boundary(c, delta)
+    assume(not win.empty)
+    seed = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    ns = interleaved_modes(n_max)
+    Gt = (seed.standard_normal((4, ns.size))
+          + 1j * seed.standard_normal((4, ns.size))) \
+        * 10.0 ** seed.uniform(-320.0, -300.0, (4, 1))
+    s_nodes = sweeps._sup_nodes(win.x_delta)
+    want = _full_grid_density_max(Gt, ns, c, s_nodes, 256)
+    got = sweeps._density_max(Gt, ns, c, s_nodes, 256)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_decay_round_transforms_one_row_per_trial(monkeypatch):
@@ -329,10 +352,10 @@ def test_nan_trial_is_non_converged(monkeypatch):
     clean = [decay_sweep(cfg), lp_vanishing_sweep(cfg)]
     real = sweeps.draw_coefficients
 
-    def draws(seed, li, di, trial, count):
-        g = real(seed, li, di, trial, count)
-        if (li, di, trial) == (0, 1, 2):
-            g[0] = math.nan
+    def draws(seed, li, di, trials, count):
+        g = real(seed, li, di, trials, count)
+        if (li, di) == (0, 1):
+            g[2, 0] = math.nan
         return g
 
     monkeypatch.setattr(sweeps, "draw_coefficients", draws)
