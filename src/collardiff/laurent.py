@@ -264,7 +264,7 @@ def lp_norm(q: LaurentQD, p: float, win: SubCollar | None = None, *,
     return total ** (1.0 / p)
 
 
-_ROW_BATCH = 128     # (batch, s) rows per FFT call, rows per transfer block
+_ROW_BATCH = 128     # (t, s) rows per FFT call in DensityRows.batches
 
 
 class DensityRows:
@@ -295,6 +295,14 @@ class DensityRows:
     n_theta)) 2^-1070 covers operations that round at subnormal scale, each
     off by up to 2^-1075 absolute: times |coef_n| in the correction sum,
     n_theta-fold once the ifft's 1/n_theta is undone.
+
+    rho and the correction row |amp[s', .] - rho amp[s, .]| depend only on
+    (s, n*, s'), so trials that share a seed row and n* share them: the
+    correction sums are taken by group, one (rows, modes) matrix per
+    (seed row, n*) contracted with the group's |coef| rows in one einsum
+    (a sweep cell has a group per thin edge).  einsum, not matmul: it
+    reduces each sum in the order of the per-row form, so every bound keeps
+    its bits, where BLAS rounds about a third of them differently.
 
     The modes are kept in FFT-bin order and split into runs of consecutive
     bins (two for the sweeps' +-n modes), so a batch writes its products
@@ -406,19 +414,37 @@ class DensityRows:
         m[t] and whose dominant mode is seed_modes[t] (``_seed_modes``).
         NaN or inf where the seed's dominant amplitude is zero or a term
         overflows (silently: 0/0 and inf * 0 are expected here), and NaN
-        for every row of a trial whose seed max is NaN."""
+        for every row of a trial whose seed max is NaN.
+
+        The correction sums are taken per (seed row, n*) group, each
+        (trial, row) sum by einsum "tn,rn->tr" in the order of the per-row
+        "ij,ij->i" form (class docstring).  The rest of the bound is one
+        expression over all pairs in input order: evaluated group by group,
+        NaN * NaN keeps whichever operand numpy's loop issues first, so NaN
+        sign bits would depend on the grouping."""
         abs_coef, floor = self._per_trial()
-        seed, n = top[t], seed_modes[t]
-        c, a0, a1 = abs_coef[t], self._amp[seed], self._amp[s]
-        n_modes, n_theta = c.shape[1], self.n_theta
+        amp, seed, n = self._amp, top[t], seed_modes[t]
+        n_modes, n_theta = abs_coef.shape[1], self.n_theta
         kappa = 4.0 * np.finfo(float).eps \
             * (n_modes + 8.0 * math.log2(n_theta) + 8.0)
+        key = seed * n_modes + n
+        order = np.argsort(key, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(key[order])) + 1) \
+            if t.size else []
+        corr = np.empty(t.size)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            rho = self._amp[s, n] / self._amp[seed, n]
-            a0 *= rho[:, None]                # a0, a1 are gathered copies
-            a1 -= a0
-            np.abs(a1, out=a1)
-            corr = np.einsum("ij,ij->i", c, a1)
+            for g in groups:
+                r, j = seed[g[0]], n[g[0]]
+                trials, ti = _distinct(t[g], abs_coef.shape[0])
+                rows, si = _distinct(s[g], amp.shape[0])
+                # |amp[s', .] - rho amp[r, .]|, one row per s' of the group
+                rho_rows = amp[rows, j] / amp[r, j]
+                diff = np.multiply(amp[r], rho_rows[:, None])
+                np.subtract(amp[rows], diff, out=diff)
+                np.abs(diff, out=diff)
+                corr[g] = np.einsum("tn,rn->tr", abs_coef[trials],
+                                    diff)[ti, si]
+            rho = amp[s, n] / amp[seed, n]
             # sum_n |coef_n| (amp[s', n] + rho amp[s, n]) from the triangle
             # bounds: kappa needs it only to within a few eps
             rnd = self.bound[t, s] / self.pref[s] \
@@ -428,16 +454,12 @@ class DensityRows:
 
     def _transfer(self, t: np.ndarray, s: np.ndarray, top: np.ndarray,
                   m: np.ndarray, level: np.ndarray):
-        """The (t, s) pairs whose transfer bound reaches level[t], bounded
-        _ROW_BATCH rows at a time; the ~(<) form keeps NaN and inf bounds."""
+        """The (t, s) pairs whose transfer bound reaches level[t]; the ~(<)
+        form keeps NaN and inf bounds."""
         if not t.size:
             return t, s
-        seed_modes = self._seed_modes(top)
-        keep = np.empty(t.size, dtype=bool)
-        for lo in range(0, t.size, _ROW_BATCH):
-            tb, sb = t[lo:lo + _ROW_BATCH], s[lo:lo + _ROW_BATCH]
-            keep[lo:lo + _ROW_BATCH] = ~(self.transfer_bound(
-                tb, sb, top, m, seed_modes) < level[tb])
+        keep = ~(self.transfer_bound(t, s, top, m, self._seed_modes(top))
+                 < level[t])
         return t[keep], s[keep]
 
     def argmax(self, sup: float) -> tuple[int, int]:
@@ -454,6 +476,14 @@ class DensityRows:
         dens = self.abs_phi(np.zeros_like(s), s) * self.pref[s][:, None]
         i, j = divmod(int(np.argmax(dens)), self.n_theta)
         return int(s[i]), j
+
+
+def _distinct(idx: np.ndarray, size: int):
+    """The distinct values of idx (integers in [0, size)) in increasing
+    order, and the position of each entry of idx among them."""
+    hit = np.zeros(size, dtype=bool)
+    hit[idx] = True
+    return np.flatnonzero(hit), (np.cumsum(hit) - 1)[idx]
 
 
 def linf_thin(q: LaurentQD, delta: float, *, n_s: int = 257) -> ThinSup:

@@ -39,6 +39,8 @@ DEFAULT_DELTA_GRID = tuple(float(x) for x in np.linspace(0.05, 0.8, 16))
 _PANEL_FRACTIONS = (0.0, 1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.15, 0.35, 0.65, 1.0)
 _EDGE_DEPTH = 40.0   # e^{-40}: deeper contributions are below double noise
 _LP_CHUNK = 48       # s-nodes per partial sum, rows per gemv in _row_dots
+# depths of the thin-sup s-nodes below each thin edge, as fractions of the cap
+_SUP_LADDER = np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 96)])
 
 
 def _strictly_increasing(xs) -> bool:
@@ -230,7 +232,7 @@ def _sup_nodes(x_delta: float) -> np.ndarray:
     """s-grid for thin sups: clustered at both thin-boundary edges (every
     single mode peaks exactly there) with a sparse bridge across."""
     cap = min(x_delta, _EDGE_DEPTH)
-    u = cap * np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 96)])
+    u = cap * _SUP_LADDER
     right = x_delta - u
     bridge = np.linspace(-x_delta, x_delta, 19)[1:-1]
     return _sorted_unique(np.concatenate([right, -right, bridge]))

@@ -393,6 +393,35 @@ def test_transfer_bound_per_trial_terms_keep_the_per_row_bits(
     assert got.tobytes() == want.tobytes()
 
 
+def test_transfer_bound_by_group_keeps_the_per_row_bits():
+    # pairs are grouped by (seed row, n*): two groups share seed row 3 with
+    # different n*, two share n* = 2 from different seed rows; one call
+    # over the shuffled pairs of all three keeps the per-row formula's bits.
+    # n* leads its row by only ~1e3, so the correction sums are not lost
+    # against rho * M and a sum rounded in another order shows in the bound
+    n_theta, trials = 256, 9
+    ns = np.arange(-24, 25)
+    rng = np.random.default_rng(12)
+    coef = rng.standard_normal((trials, ns.size)) \
+        + 1j * rng.standard_normal((trials, ns.size))
+    plan = [(3, 2)] * 3 + [(3, -5)] * 3 + [(17, 2)] * 3
+    for t, (_, n) in enumerate(plan):
+        coef[t, n + 24] *= 1e3
+    s_nodes = np.linspace(-1.0, 1.0, 24)
+    rows = DensityRows(coef, ns, -1.5 * np.abs(ns), s_nodes,
+                       1.0 + s_nodes ** 2, n_theta)
+    top = np.array([r for r, _ in plan])
+    seed_modes = rows._seed_modes(top)
+    bin_order = ns[np.argsort(np.mod(ns, n_theta))]
+    assert [(r, int(bin_order[j])) for r, j in zip(top, seed_modes)] == plan
+    m = rows.abs_phi(np.arange(trials), top).max(axis=1)
+    t, s = np.divmod(rng.permutation(trials * s_nodes.size), s_nodes.size)
+    t, s = t[s != top[t]], s[s != top[t]]
+    want = _per_row_transfer_bound(rows, t, s, top, m)
+    got = rows.transfer_bound(t, s, top, m, seed_modes)
+    assert got.tobytes() == want.tobytes()
+
+
 @given(data=st.data(), ell=st.floats(0.05, 1.5), delta=st.floats(0.05, 0.79))
 def test_linf_thin_matches_full_grid_at_subnormal_scale(data, ell, delta):
     # operations on subnormals round by up to 2^-1075 absolute, far above a

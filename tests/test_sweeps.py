@@ -300,20 +300,36 @@ def test_theta_sums_round_rows_as_the_chunked_tile(count):
     assert got.tobytes() == want[rows].tobytes()
 
 
+def test_lp_sweep_deterministic_across_workers():
+    cfg = SweepConfig(ell_grid=(1e-4, 0.3), delta_grid=(0.1, 0.6), n_max=13,
+                      trials=5, seed=4)
+    ref = lp_vanishing_sweep(cfg, workers=1)
+    assert sum(r.status == STATUS_OK for r in ref.rows) > 3 * 4 * cfg.trials
+    for workers in (2, 8):
+        assert lp_vanishing_sweep(cfg, workers=workers).to_json() \
+            == ref.to_json(), workers
+
+
 def test_trial_values_do_not_depend_on_trial_count():
-    # the thick-part normalization and the p = 2 closed form reduce one
-    # row per trial; each trial must keep its bits as the trial count grows
-    grid = dict(ell_grid=(0.01,), delta_grid=(0.3,), n_max=32, seed=11)
+    # the thick-part normalization, the p = 2 closed form and the finite-p
+    # tile's sums reduce one row per trial; each trial of each cell must
+    # keep its bits as the trial count grows
+    grid = dict(ell_grid=(1e-4, 0.01), delta_grid=(0.3,), n_max=32, seed=11)
 
     def values(trials):
-        rep = lp_vanishing_sweep(SweepConfig(trials=trials, **grid),
-                                 ps=(2.0, math.inf))
-        return [r.value.hex() for r in rep.rows
-                if r.statistic.startswith("lp_ratio_")]
+        cells = {}
+        for r in lp_vanishing_sweep(SweepConfig(trials=trials, **grid)).rows:
+            if r.statistic.startswith("lp_ratio_"):
+                cells.setdefault((r.ell, r.delta), []).append(r.value.hex())
+        return cells
 
     ref = values(13)
+    assert len(ref) == 2
     for trials in range(1, 13):
-        assert values(trials) == ref[:2 * trials], trials
+        got = values(trials)
+        assert got.keys() == ref.keys()
+        for cell, vals in got.items():
+            assert vals == ref[cell][:4 * trials], (trials, cell)
 
 
 def test_lp_pinf_reproduces_decay_exactly():
