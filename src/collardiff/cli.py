@@ -12,7 +12,6 @@ only for its own command: the topology commands never import numpy.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -24,7 +23,7 @@ import click
 
 from .defaults import (CUSP_DISC_RADIUS, DEFAULT_DELTA0, DEFAULT_TOL_ABS,
                        DEFAULT_TOL_REL)
-from .errors import QuadratureError, ValidationError
+from .errors import QuadratureError, ValidationError, read_json
 from .report import Report, ReportRow, STATUS_EMPTY
 
 if TYPE_CHECKING:
@@ -127,14 +126,6 @@ def _sweep_config(opts, ell_grid, delta_grid, delta0, trials) -> SweepConfig:
         ell_grid=parse_grid(ell_grid), delta_grid=parse_grid(delta_grid),
         delta0=delta0, n_max=opts.n_max if opts.n_max is not None else 32,
         trials=trials, seed=opts.seed)
-
-
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
 
 # --- collar ---------------------------------------------------------------------
@@ -300,7 +291,7 @@ def space_project(opts, space_file, target_file):
     from . import spaces as sp
 
     s = sp.load_space(space_file)
-    psi = sp.multi_from_json(_load_json(target_file), s.collars)
+    psi = sp.multi_from_json(read_json(target_file), s.collars)
     w = sp.w_subspace(s)
     proj = sp.project_onto_w(s, psi)
     resid = sp.mc_combine([psi, proj], [1.0, -1.0])
@@ -401,7 +392,7 @@ def cusp_classify(opts, germ_file, radius):
     """The three equivalent finiteness conditions for a germ."""
     from . import cusps as cu
 
-    g = cu.germ_from_json(_load_json(germ_file), radius=radius)
+    g = cu.load_germ(germ_file, radius=radius)
     cl = cu.classify(g)
     order = 0 if g.is_zero else cu.pole_order(g)
     bound = cu.is_bounded(g)

@@ -16,14 +16,13 @@ a check rather than a tautology.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .collar import CUSP_DISC_RADIUS, disc_metric_density
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, read_json
 from .numerics import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, adaptive_quad
 
 DEFAULT_K_MIN = -8
@@ -397,9 +396,4 @@ def germ_to_json(g: PunctureGerm) -> list:
 
 def load_germ(path, radius: float = CUSP_DISC_RADIUS,
               k_min: int = DEFAULT_K_MIN) -> PunctureGerm:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
-    return germ_from_json(data, radius=radius, k_min=k_min)
+    return germ_from_json(read_json(path), radius=radius, k_min=k_min)

@@ -1,9 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and ``read_json``, the one
+JSON file reader, which reports a malformed file as a ValidationError.
 
 Two failure families matter to callers: bad input (DomainError and
 friends, mapped to exit code 2 by the CLI) and numerical trouble
 (QuadratureError, mapped to exit code 3).
 """
+
+import json
 
 
 class DomainError(ValueError):
@@ -12,6 +15,16 @@ class DomainError(ValueError):
 
 class ValidationError(ValueError):
     """Malformed input data: JSON files, grids, coefficient tables."""
+
+
+def read_json(path):
+    """The parsed contents of a JSON file; malformed JSON is a
+    ValidationError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
 
 class InvalidMoveError(ValueError):

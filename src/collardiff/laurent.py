@@ -20,7 +20,6 @@ deliberately independent pipelines; tests pit one against the other.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .collar import CollarParams, ThinWindow, thin_boundary, cos_profile_vec, \
     conformal_factor, DEFAULT_DELTA0
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, read_json
 from .numerics import (DEFAULT_TOL_ABS, DEFAULT_TOL_REL, adaptive_quad,
                        exp_cos2_window, exp_scale, scale_complex,
                        vec_scale_complex)
@@ -274,7 +273,9 @@ class DensityRows:
     n_theta.  pocketfft gives a row the same bits in any batch, so rows are
     transformed on demand, any subset at a time.  ``bound``, the triangle
     bound pref(s) * sum_n |coef[t, n]| amp[s, n], is at least the row's
-    largest density.
+    largest density.  ``row_max`` is the one pruned pass over the rows:
+    every thin sup (linf_thin's value and location, the sweeps' p = inf
+    column) is read off its matrix.
 
     A transformed row s of trial t, with computed grid max M_s of |phi|,
     also bounds every other row s' of t (the transfer bound).  For any
@@ -349,32 +350,37 @@ class DensityRows:
             tb, sb = t[lo:lo + _ROW_BATCH], s[lo:lo + _ROW_BATCH]
             yield tb, sb, self.abs_phi(tb, sb, spec)
 
-    def sup(self) -> np.ndarray:
-        """Per-t max of the density over every (s, theta) point.
+    def row_max(self) -> np.ndarray:
+        """The (trials, rows) matrix of scaled row maxima max_theta |phi|
+        pref(s) on the rows that the seed, triangle and transfer tests keep,
+        -inf on the rows they skip.
 
         Exact, not approximate.  Each t is seeded with its highest-bound
         row; the other rows are transformed only if both their triangle
         bound and their transfer bound from the seed reach the seed's max.
         A skipped row has every computed density strictly below that max,
         and the transformed rows get the same arithmetic as a full-grid
-        evaluation, so the result is bit-identical to transforming every
-        row.  (pref > 0 and rounding is monotone, so scaling a row's max
-        equals the max of the scaled row, bit for bit.)
+        evaluation, so each t's max over the matrix, and the first row
+        attaining it, are bit-identical to transforming every row.  (pref
+        > 0 and rounding is monotone, so scaling a row's max equals the max
+        of the scaled row, bit for bit.)
         """
         trials = np.arange(self.bound.shape[0])
         top = np.argmax(self.bound, axis=1)
         m = self.abs_phi(trials, top).max(axis=1)
-        out = m * self.pref[top]
-        keep = self._reaches(out[:, None])
+        level = m * self.pref[top]
+        keep = self._reaches(level[:, None])
         keep[trials, top] = False
-        t, s = self._transfer(*np.nonzero(keep), top, m, out)
+        t, s = self._transfer(*np.nonzero(keep), top, m, level)
+        out = np.full(self.bound.shape, -np.inf)
+        out[trials, top] = level
         for t, s, phi_abs in self.batches(t, s):
-            np.maximum.at(out, t, phi_abs.max(axis=1) * self.pref[s])
+            out[t, s] = phi_abs.max(axis=1) * self.pref[s]
         return out
 
     def _per_trial(self):
-        """|coef| and floor_t per trial (class docstring); only sup and
-        argmax need them."""
+        """|coef| and floor_t per trial (class docstring); only row_max
+        needs them."""
         if self._abs_coef is None:
             self._abs_coef = np.abs(self._coef)
             n_modes, n_theta = self._coef.shape[1], self.n_theta
@@ -401,9 +407,10 @@ class DensityRows:
                      < level * (1.0 - 1e-12))
 
     def _seed_modes(self, top: np.ndarray) -> np.ndarray:
-        """n* per trial: the mode that dominates the seed row top[i] of
-        trial i, argmax_n |coef[i, n]| amp[top[i], n]."""
-        c = self._per_trial()[0][:top.size]
+        """n* per trial: the mode that dominates the seed row top[t] of
+        trial t, argmax_n |coef[t, n]| amp[top[t], n]; top has one entry
+        per trial."""
+        c = self._per_trial()[0]
         with np.errstate(invalid="ignore", over="ignore"):
             return np.argmax(c * self._amp[top], axis=1)
 
@@ -454,28 +461,14 @@ class DensityRows:
 
     def _transfer(self, t: np.ndarray, s: np.ndarray, top: np.ndarray,
                   m: np.ndarray, level: np.ndarray):
-        """The (t, s) pairs whose transfer bound reaches level[t]; the ~(<)
-        form keeps NaN and inf bounds."""
+        """The (t, s) pairs whose transfer bound from the seed rows top
+        reaches level[t], the scaled seed max of t; the ~(<) form keeps NaN
+        and inf bounds.  It decides which rows row_max transforms."""
         if not t.size:
             return t, s
         keep = ~(self.transfer_bound(t, s, top, m, self._seed_modes(top))
                  < level[t])
         return t[keep], s[keep]
-
-    def argmax(self, sup: float) -> tuple[int, int]:
-        """(s, theta) indices of the first row-major point where the density
-        of t = 0 equals its sup; every row is searched for a NaN sup.  Only
-        the seed row and the rows whose triangle and transfer bounds reach
-        the sup are transformed: no other row holds a point equal to it."""
-        top = np.argmax(self.bound[:1], axis=1)
-        m = self.abs_phi(np.zeros(1, dtype=int), top).max(axis=1)
-        s = np.nonzero(self._reaches(sup)[0])[0]
-        s = s[s != top[0]]
-        _, s = self._transfer(np.zeros_like(s), s, top, m, np.array([sup]))
-        s = np.sort(np.append(s, top))
-        dens = self.abs_phi(np.zeros_like(s), s) * self.pref[s][:, None]
-        i, j = divmod(int(np.argmax(dens)), self.n_theta)
-        return int(s[i]), j
 
 
 def _distinct(idx: np.ndarray, size: int):
@@ -507,8 +500,13 @@ def linf_thin(q: LaurentQD, delta: float, *, n_s: int = 257) -> ThinSup:
     phase = np.array([q.coeffs[n] / abs(q.coeffs[n]) for n in modes])
     rows = DensityRows(phase[None, :], np.array(modes), logb, grid,
                        center * cos_profile_vec(c, grid) ** 2, n_theta)
-    sup = float(rows.sup()[0])
-    i, j = rows.argmax(sup)
+    row_max = rows.row_max()[0]
+    sup = float(row_max.max())
+    # the first row holding the sup (a NaN sup: the first NaN row), then
+    # the first theta in it, as a row-major argmax of the full grid finds
+    i = int(np.argmax((row_max == sup) | np.isnan(row_max)))
+    j = int(np.argmax(rows.abs_phi(np.zeros(1, dtype=int), np.array([i]))[0]
+                      * rows.pref[i]))
 
     # envelope: each mode profile e^{ns} cos^2 is monotone for n != 0
     # (max at the matching endpoint) and peaks at s = 0 for n = 0
@@ -643,9 +641,4 @@ def coeffs_to_json(coeffs) -> list:
 
 
 def load_coeffs(path) -> dict[int, complex]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
-    return coeffs_from_json(data)
+    return coeffs_from_json(read_json(path))

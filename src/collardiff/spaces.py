@@ -11,14 +11,14 @@ P(psi) = sum_j <psi, w_j> w_j over an L2-unitary basis of W.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .collar import CollarParams, thin_boundary
-from .errors import DomainError, RankDeficiencyError, ValidationError
+from .errors import (DomainError, RankDeficiencyError, ValidationError,
+                     read_json)
 from .laurent import (LaurentQD, coeffs_from_json, coeffs_to_json, l2_inner,
                       l2_norm, linf_thin, principal_part, remove_principal)
 from .report import (Report, ReportRow, STATUS_EMPTY, STATUS_FAILED,
@@ -324,9 +324,4 @@ def multi_to_json(u: MultiCollarQD) -> list:
 
 
 def load_space(path) -> QDSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
-    return space_from_json(data)
+    return space_from_json(read_json(path))

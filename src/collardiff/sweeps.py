@@ -241,18 +241,12 @@ def _sup_nodes(x_delta: float) -> np.ndarray:
 def _density_max(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
                  s_nodes: np.ndarray, n_theta: int) -> np.ndarray:
     """Per-trial sup of |phi| * 2 rho^{-2} over s_nodes x theta grid (exact,
-    see DensityRows.sup); the law factor e^{-|n|X} enters as the log-scale."""
+    see DensityRows.row_max); the law factor e^{-|n|X} enters as the
+    log-scale."""
     pref = 2.0 * (2.0 * math.pi / c.ell) ** 2 \
         * cos_profile_vec(c, s_nodes) ** 2
     return DensityRows(Gt, ns, -np.abs(ns) * c.half_length, s_nodes, pref,
-                       n_theta).sup()
-
-
-def _cell_sups(cfg: SweepConfig, c: CollarParams, li: int, di: int,
-               x_delta: float, ns: np.ndarray) -> np.ndarray:
-    Gt = _normalized_draws(cfg, c, li, di, ns)
-    n_theta = max(256, 8 * cfg.n_max)
-    return _density_max(Gt, ns, c, _sup_nodes(x_delta), n_theta)
+                       n_theta).row_max().max(axis=1)
 
 
 def _envelope(delta: float) -> float:
@@ -267,18 +261,6 @@ def _trial_row(ell: float, delta: float, statistic: str, value: float,
 
 
 # --- decay of zero-principal differentials into the thin part ------------------
-
-def _decay_cell(cfg: SweepConfig, li: int, di: int) -> list:
-    ell, delta = cfg.ell_grid[li], cfg.delta_grid[di]
-    c = CollarParams(ell)
-    win = thin_boundary(c, delta)
-    if win.empty:
-        return [ReportRow(ell, delta, "linf_ratio", 0.0, 0.0, STATUS_EMPTY)]
-    sups = _cell_sups(cfg, c, li, di, win.x_delta,
-                      interleaved_modes(cfg.n_max))
-    env = _envelope(delta)
-    return [_trial_row(ell, delta, "linf_ratio", float(s), env) for s in sups]
-
 
 def _run_cells(cfg: SweepConfig, cell_fn, workers: int) -> list:
     cells = [(li, di) for li in range(len(cfg.ell_grid))
@@ -316,11 +298,11 @@ def decay_sweep(cfg: SweepConfig, workers: int = 1) -> Report:
     ratio), and the normalized column multiplies by delta^2 e^{pi/delta}.
     The decay estimate says the normalized column is bounded by one
     constant; the final ``max_normalized`` row reports that constant's
-    empirical value and the cell attaining it.
+    empirical value and the cell attaining it.  This is the p = inf
+    column of :func:`lp_vanishing_sweep` under its own names.
     """
-    rows = _run_cells(cfg, _decay_cell, workers)
-    _append_max_row(rows, "linf_ratio", "max_normalized")
-    return Report(rows)
+    return _thin_sweep(cfg, workers,
+                       {math.inf: ("linf_ratio", "max_normalized")})
 
 
 # --- principal-mode mass concentration ------------------------------------------
@@ -415,8 +397,11 @@ def _vanishing_verdict(ells, norms) -> tuple[float, bool]:
 
 # --- L^p thin norms of the same random trials -----------------------------------
 
-_LP_STATS = {1.0: "lp_ratio_p1", 2.0: "lp_ratio_p2", 4.0: "lp_ratio_p4",
-             math.inf: "lp_ratio_pinf"}
+# p -> (trial row, summary row) statistic names
+_LP_STATS = {1.0: ("lp_ratio_p1", "max_normalized_p1"),
+             2.0: ("lp_ratio_p2", "max_normalized_p2"),
+             4.0: ("lp_ratio_p4", "max_normalized_p4"),
+             math.inf: ("lp_ratio_pinf", "max_normalized_pinf")}
 
 
 def _thin_panels(x_delta: float):
@@ -525,36 +510,44 @@ def _cell_lp(cfg: SweepConfig, c: CollarParams, li: int, di: int,
     return out
 
 
-def _lp_cell(cfg: SweepConfig, li: int, di: int, ps) -> list:
+def _lp_cell(cfg: SweepConfig, li: int, di: int, stats: dict) -> list:
     ell, delta = cfg.ell_grid[li], cfg.delta_grid[di]
     c = CollarParams(ell)
     win = thin_boundary(c, delta)
     if win.empty:
-        return [ReportRow(ell, delta, _LP_STATS[p], 0.0, 0.0, STATUS_EMPTY)
-                for p in ps]
+        return [ReportRow(ell, delta, name, 0.0, 0.0, STATUS_EMPTY)
+                for name, _ in stats.values()]
     per_p = _cell_lp(cfg, c, li, di, win.x_delta,
-                     interleaved_modes(cfg.n_max), ps)
+                     interleaved_modes(cfg.n_max), tuple(stats))
     env = _envelope(delta)
-    return [_trial_row(ell, delta, _LP_STATS[p], float(per_p[p][trial]), env)
-            for trial in range(cfg.trials) for p in ps]
+    cols = [(name, per_p[p].tolist()) for p, (name, _) in stats.items()]
+    return [_trial_row(ell, delta, name, vals[trial], env)
+            for trial in range(cfg.trials) for name, vals in cols]
+
+
+def _thin_sweep(cfg: SweepConfig, workers: int, stats: dict) -> Report:
+    """The thin-norm sweep body: trial rows for each p of ``stats`` (p
+    ascending -> (trial row, summary row) names), then one summary row
+    per p."""
+    rows = _run_cells(cfg, lambda c, li, di: _lp_cell(c, li, di, stats),
+                      workers)
+    for name, summary in stats.values():
+        _append_max_row(rows, name, summary)
+    return Report(rows)
 
 
 def lp_vanishing_sweep(cfg: SweepConfig, workers: int = 1,
                        ps=(1.0, 2.0, 4.0, math.inf)) -> Report:
     """L^p(delta-thin) norms of the decay sweep's random differentials.
 
-    The trials are seeded identically to :func:`decay_sweep`, so the
-    ``lp_ratio_pinf`` rows reproduce its ``linf_ratio`` values exactly.
-    All columns share the delta^2 e^{pi/delta} normalization; per-p
-    ``max_normalized_p*`` summary rows report the empirical envelope
-    constants.
+    :func:`decay_sweep` is this sweep's p = inf column under its own
+    names, so the ``lp_ratio_pinf`` rows equal its ``linf_ratio`` values
+    by construction.  All columns share the delta^2 e^{pi/delta}
+    normalization; per-p ``max_normalized_p*`` summary rows report the
+    empirical envelope constants.
     """
-    ps = tuple(sorted({float(p) for p in ps}))
+    ps = sorted({float(p) for p in ps})
     for p in ps:
         if p not in _LP_STATS:
             raise ValidationError(f"unsupported exponent p={p}")
-    rows = _run_cells(cfg, lambda c, li, di: _lp_cell(c, li, di, ps), workers)
-    for p in ps:
-        suffix = _LP_STATS[p].split("_")[-1]
-        _append_max_row(rows, _LP_STATS[p], f"max_normalized_{suffix}")
-    return Report(rows)
+    return _thin_sweep(cfg, workers, {p: _LP_STATS[p] for p in ps})

@@ -16,10 +16,9 @@ geodesics can be pinched on a single component.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .errors import InvalidMoveError, ValidationError
+from .errors import InvalidMoveError, ValidationError, read_json
 
 NONSEPARATING = "nonseparating"
 SEPARATING = "separating"
@@ -166,18 +165,24 @@ def enumerate_moves(t: SurfaceTopology) -> list[PinchMove]:
 
 # --- JSON ---------------------------------------------------------------------
 
+def _is_int(x) -> bool:
+    """Whether x is a JSON integer (bool is an int subclass, not one)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def topology_from_json(data) -> SurfaceTopology:
     """Parse {"components": [{"genus": g, "punctures": k}, ...]}."""
     if not isinstance(data, dict) or "components" not in data:
         raise ValidationError("topology file needs a 'components' key")
+    if not isinstance(data["components"], list):
+        raise ValidationError("topology 'components' must be a JSON array")
     comps = []
     for item in data["components"]:
         if not isinstance(item, dict) or not {"genus", "punctures"} <= set(item):
             raise ValidationError(
                 f"components need genus/punctures keys, got {item!r}")
         g, k = item["genus"], item["punctures"]
-        if not isinstance(g, int) or not isinstance(k, int) \
-                or isinstance(g, bool) or isinstance(k, bool):
+        if not (_is_int(g) and _is_int(k)):
             raise ValidationError(f"genus/punctures must be integers: {item!r}")
         comps.append((g, k))
     return SurfaceTopology(tuple(comps))
@@ -198,7 +203,7 @@ def moves_from_json(data) -> list[PinchMove]:
                 or "kind" not in item:
             raise ValidationError(f"move {i} needs component/kind keys")
         comp, kind = item["component"], item["kind"]
-        if not isinstance(comp, int) or isinstance(comp, bool):
+        if not _is_int(comp):
             raise ValidationError(f"move {i}: component must be an integer")
         split = None
         if kind == SEPARATING:
@@ -207,6 +212,9 @@ def moves_from_json(data) -> list[PinchMove]:
                     or any(not isinstance(p, list) or len(p) != 2 for p in raw)):
                 raise ValidationError(
                     f"move {i}: separating split must be [[g1,k1],[g2,k2]]")
+            if not all(_is_int(x) for p in raw for x in p):
+                raise ValidationError(
+                    f"move {i}: split entries must be integers: {raw!r}")
             split = ((raw[0][0], raw[0][1]), (raw[1][0], raw[1][1]))
         try:
             moves.append(PinchMove(comp, kind, split))
@@ -216,18 +224,8 @@ def moves_from_json(data) -> list[PinchMove]:
 
 
 def load_topology(path) -> SurfaceTopology:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
-    return topology_from_json(data)
+    return topology_from_json(read_json(path))
 
 
 def load_moves(path) -> list[PinchMove]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
-    return moves_from_json(data)
+    return moves_from_json(read_json(path))

@@ -76,6 +76,10 @@ def test_topology_dim_prints_bare_integer(capsys, tmp_path):
     assert (code, out) == (0, "2\n")
     code, out, err = invoke(capsys, "topology", "dim", "banana")
     assert code == 2 and "bad surface spec" in err
+    # a malformed surface file is an input error (exit 2), not a crash
+    surf.write_text(json.dumps({"components": 5}))
+    code, out, err = invoke(capsys, "topology", "dim", str(surf))
+    assert (code, out) == (2, "") and "must be a JSON array" in err
 
 
 def test_topology_pinch_script(capsys, tmp_path):
@@ -95,6 +99,12 @@ def test_topology_pinch_script(capsys, tmp_path):
     code, _, err = invoke(capsys, "topology", "pinch", "2,0",
                           "--moves", str(moves))
     assert code == 2 and "move 0" in err
+    # a split of non-integers is rejected, not truncated
+    moves.write_text(json.dumps([{"component": 0, "kind": "separating",
+                                  "split": [[1.5, 0], [1.5, 0]]}]))
+    code, out, err = invoke(capsys, "topology", "pinch", "2,0",
+                            "--moves", str(moves))
+    assert (code, out) == (2, "") and "split entries must be integers" in err
 
 
 def test_collar_info(capsys):

@@ -257,6 +257,42 @@ def test_linf_thin_matches_full_grid_bitwise(transfer_calls):
     assert repr(got) == repr(_full_grid_linf_thin(q, 0.3))
 
 
+def test_linf_thin_transforms_the_row_max_rows_and_one_more(monkeypatch):
+    # the sup and its s come from row_max's one pruned pass; only theta
+    # needs one more transform, of the row that holds the sup
+    real_abs_phi, real_row_max = DensityRows.abs_phi, DensityRows.row_max
+    transformed, kept = [], []
+
+    def counting(self, t, s, spec=None):
+        transformed.append(t.size)
+        return real_abs_phi(self, t, s, spec)
+
+    def recording(self):
+        out = real_row_max(self)
+        kept.append(int(np.count_nonzero(~np.isneginf(out))))
+        return out
+
+    monkeypatch.setattr(DensityRows, "abs_phi", counting)
+    monkeypatch.setattr(DensityRows, "row_max", recording)
+    rng = np.random.default_rng(13)
+    beyond_seed = 0
+    for _ in range(40):
+        # wide collars and deltas near the bound: narrow thin parts, whose
+        # rows compete for the sup (some thin parts are empty)
+        c = random_collar(rng, lo=0.3, hi=1.4)
+        n_max = int(rng.integers(1, 12))
+        coeffs = {n: complex(*rng.standard_normal(2))
+                  * math.exp(-abs(n) * c.half_length * rng.uniform(0.5, 1.0))
+                  for n in range(-n_max, n_max + 1)}
+        transformed.clear()
+        kept.clear()
+        linf_thin(LaurentQD(c, coeffs), rng.uniform(0.6, 0.79))
+        assert sum(transformed) == sum(kept) + len(kept) \
+            and len(kept) <= 1, (transformed, kept)
+        beyond_seed += sum(kept) > 1
+    assert beyond_seed > 0
+
+
 @pytest.mark.parametrize("n_theta", [256, 384])
 @pytest.mark.parametrize("modes", ["sweep", "sparse", "nyquist"])
 def test_density_rows_do_not_depend_on_the_batch(n_theta, modes):
@@ -338,7 +374,7 @@ def test_transfer_bound_covers_the_computed_row_max(data, n_theta, dominant):
     assert not np.any(bound < row_max), (bound, row_max)
     full = np.max(rows.abs_phi(np.zeros(s_nodes.size, dtype=int),
                                np.arange(s_nodes.size)).max(axis=1) * pref)
-    assert rows.sup()[0] == full
+    assert rows.row_max()[0].max() == full
 
 
 def _per_row_transfer_bound(rows, t, s, top, m):

@@ -179,6 +179,50 @@ def test_pruned_density_max_matches_full_grid_bitwise(n_max, transfer_calls):
                              for kept, finite in transfer_calls)
 
 
+def test_row_max_is_neg_inf_exactly_on_skipped_rows_full_grid(monkeypatch):
+    # row_max holds the full grid's row max, bit for bit, on every row it
+    # transforms and -inf on every row it skips; each trial's max over the
+    # matrix is the full-grid density max
+    seen = []
+    real = DensityRows.abs_phi
+
+    def recording(self, t, s, spec=None):
+        seen.append((t.copy(), s.copy()))
+        return real(self, t, s, spec)
+
+    cfg = SweepConfig(ell_grid=(1e-4, 0.3), delta_grid=(0.3, 0.79),
+                      n_max=13, trials=24, seed=5)
+    ns = interleaved_modes(cfg.n_max)
+    skipped = beyond_seed = 0
+    for li, ell in enumerate(cfg.ell_grid):
+        c = CollarParams(ell)
+        for di, delta in enumerate(cfg.delta_grid):
+            win = thin_boundary(c, delta)
+            Gt = sweeps._normalized_draws(cfg, c, li, di, ns)
+            s_nodes = sweeps._sup_nodes(win.x_delta)
+            pref = 2.0 * (2.0 * math.pi / c.ell) ** 2 \
+                * cos_profile_vec(c, s_nodes) ** 2
+            rows = DensityRows(Gt, ns, -np.abs(ns) * c.half_length, s_nodes,
+                               pref, 256)
+            seen.clear()
+            with monkeypatch.context() as m:
+                m.setattr(DensityRows, "abs_phi", recording)
+                got = rows.row_max()
+            hit = np.zeros(got.shape, dtype=bool)
+            for t, s in seen:
+                hit[t, s] = True
+            assert np.array_equal(np.isneginf(got), ~hit), (ell, delta)
+            t, s = np.divmod(np.arange(got.size), got.shape[1])
+            full = (rows.abs_phi(t, s).max(axis=1) * pref[s]) \
+                .reshape(got.shape)
+            assert got[hit].tobytes() == full[hit].tobytes()
+            want = _full_grid_density_max(Gt, ns, c, s_nodes, 256)
+            assert got.max(axis=1).tobytes() == want.tobytes()
+            skipped += np.count_nonzero(~hit)
+            beyond_seed += np.count_nonzero(hit) > cfg.trials
+    assert skipped > 0 and beyond_seed > 0
+
+
 @given(data=st.data(), n_max=st.integers(1, 4),
        ell=st.floats(1e-3, 1.5), delta=st.floats(0.05, 0.79))
 def test_pruned_density_max_matches_full_grid_at_subnormal_scale(

@@ -139,6 +139,9 @@ def test_topology_json(tmp_path):
         topology_from_json({"components": [{"genus": True, "punctures": 3}]})
     with pytest.raises(ValidationError):
         topology_from_json([[1, 2]])
+    for comps in (5, None, "1,2", {"genus": 1, "punctures": 2}):
+        with pytest.raises(ValidationError, match="JSON array"):
+            topology_from_json({"components": comps})
     bad = tmp_path / "bad.json"
     bad.write_text("]")
     with pytest.raises(ValidationError):
@@ -162,3 +165,9 @@ def test_moves_json(tmp_path):
         moves_from_json([{"component": 0, "kind": "bogus"}])
     with pytest.raises(ValidationError):
         moves_from_json({"component": 0})
+    # split entries are integers: no truncated floats, no booleans
+    for split in ([[1.5, 0], [1.5, 0]], [[1, True], [0, 1]],
+                  [[1, 0], [0, "2"]], [[1, 0], [0, None]]):
+        with pytest.raises(ValidationError, match="move 0: split entries"):
+            moves_from_json([{"component": 0, "kind": "separating",
+                              "split": split}])
