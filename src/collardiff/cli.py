@@ -119,13 +119,11 @@ def parse_grid(spec: str) -> tuple:
         raise ValidationError(f"bad grid spec {spec!r}: {exc}") from exc
 
 
-def _sweep_config(opts, ell_grid, delta_grid, delta0, trials) -> SweepConfig:
+def _sweep_config(opts, **fields) -> SweepConfig:
     from .sweeps import SweepConfig
 
-    return SweepConfig(
-        ell_grid=parse_grid(ell_grid), delta_grid=parse_grid(delta_grid),
-        delta0=delta0, n_max=opts.n_max if opts.n_max is not None else 32,
-        trials=trials, seed=opts.seed)
+    return SweepConfig(n_max=opts.n_max if opts.n_max is not None else 32,
+                       seed=opts.seed, **fields)
 
 
 # --- collar ---------------------------------------------------------------------
@@ -211,19 +209,18 @@ def qd_norms(opts, coeffs_path, ell, delta):
     _emit(opts, Report(rows))
 
 
-def _grid_options(fn):
-    fn = click.option("--delta0", type=float, default=DEFAULT_DELTA0,
-                      show_default=True,
-                      help="Thick-part threshold for normalization.")(fn)
-    fn = click.option("--delta-grid", default="lin:0.05:0.8:16",
-                      show_default=True, help="Thin threshold grid.")(fn)
-    fn = click.option("--ell-grid", default="log:1e-4:1:25",
-                      show_default=True, help="Core length grid.")(fn)
-    return fn
+_ell_grid = click.option("--ell-grid", default="log:1e-4:1:25",
+                         show_default=True, help="Core length grid.")
+_delta_grid = click.option("--delta-grid", default="lin:0.05:0.8:16",
+                           show_default=True, help="Thin threshold grid.")
 
 
 @qd.command("decay-sweep")
-@_grid_options
+@_ell_grid
+@_delta_grid
+@click.option("--delta0", type=float, default=DEFAULT_DELTA0,
+              show_default=True,
+              help="Thick-part threshold for normalization.")
 @click.option("--trials", type=int, default=64, show_default=True)
 @click.option("--workers", type=click.IntRange(min=1), default=1,
               show_default=True,
@@ -233,34 +230,38 @@ def qd_decay_sweep(opts, ell_grid, delta_grid, delta0, trials, workers):
     """Thin-part sups of random zero-principal differentials."""
     from . import sweeps as sw
 
-    cfg = _sweep_config(opts, ell_grid, delta_grid, delta0, trials)
+    cfg = _sweep_config(opts, ell_grid=parse_grid(ell_grid),
+                        delta_grid=parse_grid(delta_grid), delta0=delta0,
+                        trials=trials)
     _emit(opts, sw.decay_sweep(cfg, workers=workers))
 
 
 @qd.command("principal-mass")
-@_grid_options
-@click.option("--workers", type=click.IntRange(min=1), default=1,
-              show_default=True)
+@_ell_grid
+@_delta_grid
 @click.pass_obj
-def qd_principal_mass(opts, ell_grid, delta_grid, delta0, workers):
+def qd_principal_mass(opts, ell_grid, delta_grid):
     """ell^3-scaled thin mass of the principal differential."""
     from . import sweeps as sw
 
-    cfg = _sweep_config(opts, ell_grid, delta_grid, delta0, trials=1)
-    _emit(opts, sw.principal_mass_sweep(cfg, workers=workers))
+    cfg = _sweep_config(opts, ell_grid=parse_grid(ell_grid),
+                        delta_grid=parse_grid(delta_grid))
+    _emit(opts, sw.principal_mass_sweep(cfg))
 
 
 @qd.command("bij-check")
-@_grid_options
+@_ell_grid
+@click.option("--delta0", type=float, default=DEFAULT_DELTA0,
+              show_default=True, help="Thin-part threshold of the b0 norms.")
 @click.option("--b0", required=True,
               help="Principal coefficients along the ell grid: 'pow:K' for "
                    "b0 = ell^K, or a comma-separated list of complex values.")
 @click.pass_obj
-def qd_bij_check(opts, ell_grid, delta_grid, delta0, b0):
+def qd_bij_check(opts, ell_grid, delta0, b0):
     """Vanishing check for the ell^{-3/2}-normalized principal part."""
     from . import sweeps as sw
 
-    cfg = _sweep_config(opts, ell_grid, delta_grid, delta0, trials=1)
+    cfg = _sweep_config(opts, ell_grid=parse_grid(ell_grid), delta0=delta0)
     if b0.startswith("pow:"):
         try:
             k = float(b0[4:])
@@ -416,9 +417,6 @@ def main(argv=None) -> int:
         cli.main(args=argv, standalone_mode=False, prog_name="collardiff")
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except click.UsageError as exc:
-        exc.show()
-        return 2
     except click.ClickException as exc:
         exc.show()
         return 2

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collar import CUSP_DISC_RADIUS, disc_metric_density
-from .errors import DomainError, ValidationError, read_json
+from .errors import DomainError, ValidationError, is_int, read_json
 from .numerics import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, adaptive_quad
 
 DEFAULT_K_MIN = -8
@@ -39,14 +39,14 @@ class PunctureGerm:
 
     def __init__(self, coeffs, radius: float = CUSP_DISC_RADIUS,
                  k_min: int = DEFAULT_K_MIN):
-        if not isinstance(k_min, int):
+        if not is_int(k_min):
             raise ValidationError("k_min must be an integer")
         if not (0.0 < radius < 1.0):
             # log|z| must be negative on the whole disc
             raise DomainError(f"radius must lie in (0, 1), got {radius}")
         clean = {}
         for k, c in dict(coeffs).items():
-            if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+            if not is_int(k):
                 raise ValidationError(f"mode index {k!r} is not an integer")
             c = complex(c)
             if not (math.isfinite(c.real) and math.isfinite(c.imag)):
@@ -58,7 +58,7 @@ class PunctureGerm:
                 clean[int(k)] = c
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "radius", float(radius))
-        object.__setattr__(self, "k_min", k_min)
+        object.__setattr__(self, "k_min", int(k_min))
 
     def __setattr__(self, name, value):
         raise AttributeError("PunctureGerm is immutable")
@@ -380,12 +380,16 @@ def germ_from_json(data, radius: float = CUSP_DISC_RADIUS,
         if not isinstance(item, dict) or "k" not in item:
             raise ValidationError(f"entry {i} needs a 'k' key")
         k = item["k"]
-        if not isinstance(k, int) or isinstance(k, bool):
+        if not is_int(k):
             raise ValidationError(f"entry {i}: k must be an integer")
         if k in coeffs:
             raise ValidationError(f"duplicate mode k={k}")
-        coeffs[k] = complex(float(item.get("re", 0.0)),
-                            float(item.get("im", 0.0)))
+        try:
+            coeffs[k] = complex(float(item.get("re", 0.0)),
+                                float(item.get("im", 0.0)))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"entry {i}: bad coefficient for k={k}: {exc}") from exc
     return PunctureGerm(coeffs, radius=radius, k_min=k_min)
 
 

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and ``read_json``, the one
-JSON file reader, which reports a malformed file as a ValidationError.
+"""Exception types shared across the package, the one JSON file reader
+(``read_json``) and the one integer rule (``is_int``).
 
 Two failure families matter to callers: bad input (DomainError and
 friends, mapped to exit code 2 by the CLI) and numerical trouble
@@ -7,6 +7,7 @@ friends, mapped to exit code 2 by the CLI) and numerical trouble
 """
 
 import json
+import numbers
 
 
 class DomainError(ValueError):
@@ -25,6 +26,12 @@ def read_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
+
+
+def is_int(x) -> bool:
+    """Whether x is an integral number (numpy integers included); a bool
+    is not one."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 class InvalidMoveError(ValueError):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .collar import CollarParams, ThinWindow, thin_boundary, cos_profile_vec, \
     conformal_factor, DEFAULT_DELTA0
-from .errors import DomainError, ValidationError, read_json
+from .errors import DomainError, ValidationError, is_int, read_json
 from .numerics import (DEFAULT_TOL_ABS, DEFAULT_TOL_REL, adaptive_quad,
                        exp_cos2_window, exp_scale, scale_complex,
                        vec_scale_complex)
@@ -63,7 +63,7 @@ class LaurentQD:
     def __init__(self, collar: CollarParams, coeffs, n_max: int | None = None):
         clean: dict[int, complex] = {}
         for n, b in dict(coeffs).items():
-            if not isinstance(n, (int, np.integer)):
+            if not is_int(n):
                 raise ValidationError(f"mode index must be an integer, got {n!r}")
             b = complex(b)
             if not (math.isfinite(b.real) and math.isfinite(b.imag)):
@@ -295,7 +295,9 @@ class DensityRows:
     over n_modes terms.  floor_t = (sum_n |coef[t, n]| + n_theta (n_modes +
     n_theta)) 2^-1070 covers operations that round at subnormal scale, each
     off by up to 2^-1075 absolute: times |coef_n| in the correction sum,
-    n_theta-fold once the ifft's 1/n_theta is undone.
+    n_theta-fold once the ifft's 1/n_theta is undone.  The constructor
+    takes |coef| once, for the triangle bound too, and sums floor_t in the
+    stored (FFT-bin) column order described below.
 
     rho and the correction row |amp[s', .] - rho amp[s, .]| depend only on
     (s, n*, s'), so trials that share a seed row and n* share them: the
@@ -318,7 +320,8 @@ class DensityRows:
                  s_nodes: np.ndarray, pref: np.ndarray, n_theta: int):
         self.pref, self.n_theta = pref, n_theta
         amp = np.exp(s_nodes[:, None] * ns[None, :] + log_scale[None, :])
-        self.bound = (np.abs(coef) @ amp.T) * pref[None, :]
+        abs_coef = np.abs(coef)
+        self.bound = (abs_coef @ amp.T) * pref[None, :]
         bins = np.mod(ns, n_theta)
         order = np.argsort(bins)
         bins = bins[order]
@@ -326,8 +329,11 @@ class DensityRows:
         # (first bin, end bin, first column, end column) per run
         self._runs = [(int(bins[a]), int(bins[a]) + b - a, a, b)
                       for a, b in zip(cuts, cuts[1:])]
-        self._abs_coef = self._floor = None
         self._coef, self._amp = coef[:, order], amp[:, order]
+        self._abs_coef = abs_coef[:, order]
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._floor = (self._abs_coef.sum(axis=1)
+                           + n_theta * (ns.size + n_theta)) * 2.0 ** -1070
 
     def abs_phi(self, t: np.ndarray, s: np.ndarray,
                 spec: np.ndarray | None = None) -> np.ndarray:
@@ -378,17 +384,6 @@ class DensityRows:
             out[t, s] = phi_abs.max(axis=1) * self.pref[s]
         return out
 
-    def _per_trial(self):
-        """|coef| and floor_t per trial (class docstring); only row_max
-        needs them."""
-        if self._abs_coef is None:
-            self._abs_coef = np.abs(self._coef)
-            n_modes, n_theta = self._coef.shape[1], self.n_theta
-            with np.errstate(over="ignore", invalid="ignore"):
-                self._floor = (self._abs_coef.sum(axis=1)
-                               + n_theta * (n_modes + n_theta)) * 2.0 ** -1070
-        return self._abs_coef, self._floor
-
     def _reaches(self, level) -> np.ndarray:
         # Rounding in the bound (a sum of nonnegative terms) and in the FFT
         # is of order n_modes * eps relative to sum_n |coef_n amp_n| (~1e-14
@@ -401,7 +396,7 @@ class DensityRows:
         # So a row outside this mask has every computed density strictly
         # below the level.  The ~(<) form keeps NaN and inf bounds, whose
         # rows must be seen.
-        margin = self._per_trial()[1] * 2.0 ** 48
+        margin = self._floor * 2.0 ** 48
         with np.errstate(invalid="ignore", over="ignore"):
             return ~(self.bound + margin[:, None] * self.pref[None, :]
                      < level * (1.0 - 1e-12))
@@ -410,15 +405,14 @@ class DensityRows:
         """n* per trial: the mode that dominates the seed row top[t] of
         trial t, argmax_n |coef[t, n]| amp[top[t], n]; top has one entry
         per trial."""
-        c = self._per_trial()[0]
         with np.errstate(invalid="ignore", over="ignore"):
-            return np.argmax(c * self._amp[top], axis=1)
+            return np.argmax(self._abs_coef * self._amp[top], axis=1)
 
     def transfer_bound(self, t: np.ndarray, s: np.ndarray, top: np.ndarray,
-                       m: np.ndarray, seed_modes: np.ndarray) -> np.ndarray:
+                       m: np.ndarray) -> np.ndarray:
         """The transfer bound (class docstring) on the density of each row
         (t, s), from the seed row top[t] of t whose computed |phi| max is
-        m[t] and whose dominant mode is seed_modes[t] (``_seed_modes``).
+        m[t]; n* is the seed row's dominant mode, from ``_seed_modes(top)``.
         NaN or inf where the seed's dominant amplitude is zero or a term
         overflows (silently: 0/0 and inf * 0 are expected here), and NaN
         for every row of a trial whose seed max is NaN.
@@ -429,8 +423,8 @@ class DensityRows:
         expression over all pairs in input order: evaluated group by group,
         NaN * NaN keeps whichever operand numpy's loop issues first, so NaN
         sign bits would depend on the grouping."""
-        abs_coef, floor = self._per_trial()
-        amp, seed, n = self._amp, top[t], seed_modes[t]
+        abs_coef, floor, amp = self._abs_coef, self._floor, self._amp
+        seed, n = top[t], self._seed_modes(top)[t]
         n_modes, n_theta = abs_coef.shape[1], self.n_theta
         kappa = 4.0 * np.finfo(float).eps \
             * (n_modes + 8.0 * math.log2(n_theta) + 8.0)
@@ -466,8 +460,7 @@ class DensityRows:
         and inf bounds.  It decides which rows row_max transforms."""
         if not t.size:
             return t, s
-        keep = ~(self.transfer_bound(t, s, top, m, self._seed_modes(top))
-                 < level[t])
+        keep = ~(self.transfer_bound(t, s, top, m) < level[t])
         return t[keep], s[keep]
 
 
@@ -624,7 +617,7 @@ def coeffs_from_json(data) -> dict[int, complex]:
             raise ValidationError(
                 f"coefficient entries need keys n/re/im, got {item!r}")
         n = item["n"]
-        if not isinstance(n, int) or isinstance(n, bool):
+        if not is_int(n):
             raise ValidationError(f"mode index must be an integer, got {n!r}")
         if n in out:
             raise ValidationError(f"duplicate mode index {n} in coefficient file")

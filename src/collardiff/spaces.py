@@ -266,11 +266,12 @@ def w_decay_report(space: QDSpace, deltas, *, samples: int = 48,
         z = rng.standard_normal(w.dim) + 1j * rng.standard_normal(w.dim)
         vecs.append(z / np.linalg.norm(z))
     elems = [mc_combine(w.basis, v) for v in vecs]
+    norms = [mc_norm(elem) for elem in elems]
     for delta in deltas:
         # np.max keeps a NaN or inf sup, which Python's max may drop
         ratios = [float(np.max([linf_thin(part, delta).sup
-                                for part in elem.parts])) / mc_norm(elem)
-                  for elem in elems]
+                                for part in elem.parts])) / norm
+                  for elem, norm in zip(elems, norms)]
         best = float(np.max(ratios))
         nonempty_geom = any(not thin_boundary(c, delta).empty
                             for c in space.collars)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .collar import (CollarParams, DEFAULT_DELTA0, DELTA_MAX, ELL_MAX,
                      cos_profile_vec, thin_boundary, validate_delta0)
-from .errors import ValidationError
+from .errors import ValidationError, is_int
 from .laurent import (DensityRows, SubCollar, _norm_const, _sorted_unique,
                       full_window, mode_l2_norm_sq)
 from .numerics import exp_cos2_window
@@ -45,6 +45,11 @@ _SUP_LADDER = np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 96)])
 
 def _strictly_increasing(xs) -> bool:
     return all(a < b for a, b in zip(xs, xs[1:]))
+
+
+def _python_int(x) -> bool:
+    # the seed is hashed in Python int arithmetic; numpy integers stay out
+    return isinstance(x, int) and is_int(x)
 
 
 @dataclass(frozen=True)
@@ -71,11 +76,11 @@ class SweepConfig:
                 f"delta grid must lie in (0, {DELTA_MAX:.6g})")
         if not (_strictly_increasing(ells) and _strictly_increasing(deltas)):
             raise ValidationError("sweep grids must be strictly increasing")
-        if not isinstance(self.n_max, int) or self.n_max < 1:
+        if not _python_int(self.n_max) or self.n_max < 1:
             raise ValidationError("n_max must be a positive integer")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not _python_int(self.trials) or self.trials < 1:
             raise ValidationError("trials must be a positive integer")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+        if not _python_int(self.seed) or not 0 <= self.seed < 2 ** 64:
             raise ValidationError("seed must be an unsigned 64-bit integer")
         validate_delta0(self.delta0, ell_values=ells)
 
@@ -329,7 +334,7 @@ def _principal_cell(cfg: SweepConfig, li: int, di: int) -> list:
     ]
 
 
-def principal_mass_sweep(cfg: SweepConfig, workers: int = 1) -> Report:
+def principal_mass_sweep(cfg: SweepConfig) -> Report:
     """ell^3-scaled thin L^2 mass of the principal differential dw^2.
 
     The ``principal_thin_mass`` rows report ell^3 ||dw^2||^2 on the
@@ -337,7 +342,7 @@ def principal_mass_sweep(cfg: SweepConfig, workers: int = 1) -> Report:
     limit); ``principal_mass_fraction`` rows report the thin/full mass
     ratio, which tends to 1 as the collar pinches.
     """
-    return Report(_run_cells(cfg, _principal_cell, workers))
+    return Report(_run_cells(cfg, _principal_cell, workers=1))
 
 
 # --- the ell^{-3/2} principal-coefficient normalization --------------------------

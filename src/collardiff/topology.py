@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidMoveError, ValidationError, read_json
+from .errors import InvalidMoveError, ValidationError, is_int, read_json
 
 NONSEPARATING = "nonseparating"
 SEPARATING = "separating"
@@ -35,7 +35,11 @@ class SurfaceTopology:
     components: tuple
 
     def __post_init__(self):
-        comps = tuple((int(g), int(k)) for g, k in self.components)
+        comps = tuple(self.components)
+        if not all(is_int(g) and is_int(k) for g, k in comps):
+            raise ValidationError(
+                f"genus/punctures must be integers: {comps!r}")
+        comps = tuple((int(g), int(k)) for g, k in comps)
         object.__setattr__(self, "components", comps)
         if not comps:
             raise ValidationError("a surface needs at least one component")
@@ -69,12 +73,19 @@ class PinchMove:
     split: tuple | None = None
 
     def __post_init__(self):
+        if not is_int(self.component):
+            raise ValidationError("component must be an integer")
         if self.kind not in (NONSEPARATING, SEPARATING):
             raise ValidationError(f"unknown pinch kind {self.kind!r}")
         if self.kind == SEPARATING:
-            if self.split is None:
-                raise ValidationError("separating pinch needs a split")
-            (g1, k1), (g2, k2) = self.split
+            try:
+                (g1, k1), (g2, k2) = self.split
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(
+                    "separating split must be ((g1, k1), (g2, k2))") from exc
+            if not all(is_int(x) for x in (g1, k1, g2, k2)):
+                raise ValidationError(
+                    f"split entries must be integers: {self.split!r}")
             object.__setattr__(
                 self, "split",
                 ((int(g1), int(k1)), (int(g2), int(k2))))
@@ -165,11 +176,6 @@ def enumerate_moves(t: SurfaceTopology) -> list[PinchMove]:
 
 # --- JSON ---------------------------------------------------------------------
 
-def _is_int(x) -> bool:
-    """Whether x is a JSON integer (bool is an int subclass, not one)."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def topology_from_json(data) -> SurfaceTopology:
     """Parse {"components": [{"genus": g, "punctures": k}, ...]}."""
     if not isinstance(data, dict) or "components" not in data:
@@ -181,10 +187,7 @@ def topology_from_json(data) -> SurfaceTopology:
         if not isinstance(item, dict) or not {"genus", "punctures"} <= set(item):
             raise ValidationError(
                 f"components need genus/punctures keys, got {item!r}")
-        g, k = item["genus"], item["punctures"]
-        if not (_is_int(g) and _is_int(k)):
-            raise ValidationError(f"genus/punctures must be integers: {item!r}")
-        comps.append((g, k))
+        comps.append((item["genus"], item["punctures"]))
     return SurfaceTopology(tuple(comps))
 
 
@@ -202,22 +205,9 @@ def moves_from_json(data) -> list[PinchMove]:
         if not isinstance(item, dict) or "component" not in item \
                 or "kind" not in item:
             raise ValidationError(f"move {i} needs component/kind keys")
-        comp, kind = item["component"], item["kind"]
-        if not _is_int(comp):
-            raise ValidationError(f"move {i}: component must be an integer")
-        split = None
-        if kind == SEPARATING:
-            raw = item.get("split")
-            if (not isinstance(raw, list) or len(raw) != 2
-                    or any(not isinstance(p, list) or len(p) != 2 for p in raw)):
-                raise ValidationError(
-                    f"move {i}: separating split must be [[g1,k1],[g2,k2]]")
-            if not all(_is_int(x) for p in raw for x in p):
-                raise ValidationError(
-                    f"move {i}: split entries must be integers: {raw!r}")
-            split = ((raw[0][0], raw[0][1]), (raw[1][0], raw[1][1]))
+        split = item.get("split") if item["kind"] == SEPARATING else None
         try:
-            moves.append(PinchMove(comp, kind, split))
+            moves.append(PinchMove(item["component"], item["kind"], split))
         except ValidationError as exc:
             raise ValidationError(f"move {i}: {exc}") from exc
     return moves

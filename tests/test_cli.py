@@ -304,7 +304,7 @@ def test_commands_import_only_what_they_run(tmp_path, coeffs_file,
         "qd": [["qd", "norms", "--coeffs", coeffs_file, "--ell", "0.5"],
                ["qd", "decay-sweep", *grid, "--trials", "2"],
                ["qd", "principal-mass", *grid],
-               ["qd", "bij-check", *grid, "--b0", "pow:2"]],
+               ["qd", "bij-check", "--ell-grid", "1e-3,0.1", "--b0", "pow:2"]],
         "space": [["space", "project", space_file, str(target)],
                   ["space", "w-report", space_file, "--delta", "0.3",
                    "--samples", "2"]],
@@ -353,8 +353,8 @@ def test_thin_sup_commands_do_not_load_numpy_ma(coeffs_file, space_file,
 @pytest.mark.parametrize("args", [
     ["qd", "decay-sweep", "--workers", "0"],
     ["qd", "decay-sweep", "--workers", "-3"],
-    ["qd", "principal-mass", "--workers", "0"],
-    ["qd", "principal-mass", "--workers", "-3"],
+    ["qd", "decay-sweep", "--workers", "-1"],
+    ["space", "w-report", "SPACE", "--delta", "0.3", "--samples", "-2"],
     ["space", "w-report", "SPACE", "--delta", "0.3", "--samples", "-1"],
 ])
 def test_out_of_range_counts_are_usage_errors(capsys, tmp_path, space_file,
@@ -399,6 +399,30 @@ def test_cusp_classify_simple_pole_json(capsys, tmp_path):
     assert code == 0 and stats["pole_order"] == "0"
 
 
+@pytest.mark.parametrize("args", [
+    ["qd", "principal-mass", "--delta0", "0.3"],
+    ["qd", "principal-mass", "--workers", "2"],
+    ["qd", "bij-check", "--b0", "pow:2", "--delta-grid", "0.3"],
+])
+def test_options_a_sweep_does_not_read_are_usage_errors(capsys, args):
+    # principal-mass reads the ell and delta grids, bij-check the ell grid
+    # and delta0; an option the command never reads is not accepted
+    code, out, err = invoke(capsys, *args, "--ell-grid", "0.1")
+    assert code == 2 and out == ""
+    assert "No such option" in err and args[-2] in err
+
+
+@pytest.mark.parametrize("value", [[1], None, {"a": 1}, "x"])
+def test_cusp_classify_non_numeric_coefficient_is_exit_2(capsys, tmp_path,
+                                                         value):
+    germ = tmp_path / "germ.json"
+    germ.write_text(json.dumps([{"k": 1, "re": 0.5, "im": 0.0},
+                                {"k": -1, "re": value, "im": 0.0}]))
+    code, out, err = invoke(capsys, "cusp", "classify", str(germ))
+    assert (code, out) == (2, "")
+    assert "entry 1: bad coefficient" in err and "Traceback" not in err
+
+
 def test_decay_sweep_workers_byte_identical(capsys, tmp_path):
     args = ["--n-max", "4", "qd", "decay-sweep",
             "--ell-grid", "0.4,0.7", "--delta-grid", "0.35,0.5",
@@ -415,15 +439,14 @@ def test_decay_sweep_workers_byte_identical(capsys, tmp_path):
 
 def test_bij_check_cli(capsys):
     code, out, _ = invoke(capsys, "qd", "bij-check", "--ell-grid",
-                          "log:1e-4:0.1:6", "--delta-grid", "0.3,0.5",
-                          "--b0", "pow:2")
+                          "log:1e-4:0.1:6", "--b0", "pow:2")
     assert code == 0
     rows = csv_rows(out)
     verdict = [r for r in rows if r["statistic"] == "b0_vanishing"]
     assert len(verdict) == 1 and verdict[0]["normalized"] == "1"
     # explicit list with mismatched length
     code, _, err = invoke(capsys, "qd", "bij-check", "--ell-grid", "0.1,0.2",
-                          "--delta-grid", "0.3,0.5", "--b0", "1.0")
+                          "--b0", "1.0")
     assert code == 2 and "does not match" in err
 
 

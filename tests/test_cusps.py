@@ -194,3 +194,23 @@ def test_germ_json(tmp_path):
     bad.write_text("nope")
     with pytest.raises(ValidationError):
         load_germ(bad)
+
+
+@pytest.mark.parametrize("value", [[1], None, {"a": 1}, "x"])
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_germ_json_rejects_non_numeric_coefficients(part, value):
+    data = [{"k": 0, "re": 1.0, "im": 0.0}, {"k": -1, "re": 1.0, "im": 0.0}]
+    data[1][part] = value
+    with pytest.raises(ValidationError, match="entry 1: bad coefficient"):
+        germ_from_json(data)
+
+
+def test_germ_modes_and_floor_are_integers_not_bools():
+    with pytest.raises(ValidationError, match="k_min"):
+        PunctureGerm({1: 1.0}, k_min=True)
+    with pytest.raises(ValidationError, match="k_min"):
+        PunctureGerm({1: 1.0}, k_min=-2.0)
+    with pytest.raises(ValidationError, match="not an integer"):
+        PunctureGerm({True: 1.0})
+    g = PunctureGerm({np.int64(-1): 1.0}, k_min=np.int64(-3))
+    assert g.coeffs == {-1: 1.0} and g.k_min == -3

@@ -38,6 +38,14 @@ def test_constructor_policy():
         LaurentQD(c, {5: 1.0}, n_max=3)
 
 
+def test_mode_indices_are_integers_not_bools():
+    c = CollarParams(0.5)
+    for n in (True, False, 1.0):
+        with pytest.raises(ValidationError, match="mode index"):
+            LaurentQD(c, {n: 1.0})
+    assert LaurentQD(c, {np.int64(2): 1.0}).coeffs == {2: 1.0}
+
+
 def test_window_validation():
     c = CollarParams(0.5)
     x = c.half_length
@@ -369,7 +377,7 @@ def test_transfer_bound_covers_the_computed_row_max(data, n_theta, dominant):
     others = np.arange(1, s_nodes.size)
     t = np.zeros_like(others)
     row_max = rows.abs_phi(t, others).max(axis=1) * pref[others]
-    bound = rows.transfer_bound(t, others, zero, m, rows._seed_modes(zero))
+    bound = rows.transfer_bound(t, others, zero, m)
     # NaN and inf bounds keep their rows, so only a finite bound must cover
     assert not np.any(bound < row_max), (bound, row_max)
     full = np.max(rows.abs_phi(np.zeros(s_nodes.size, dtype=int),
@@ -425,7 +433,7 @@ def test_transfer_bound_per_trial_terms_keep_the_per_row_bits(
     m = rows.abs_phi(np.arange(trials), top).max(axis=1)
     t, s = np.divmod(seed.permutation(trials * s_nodes.size), s_nodes.size)
     want = _per_row_transfer_bound(rows, t, s, top, m)
-    got = rows.transfer_bound(t, s, top, m, rows._seed_modes(top))
+    got = rows.transfer_bound(t, s, top, m)
     assert got.tobytes() == want.tobytes()
 
 
@@ -454,7 +462,7 @@ def test_transfer_bound_by_group_keeps_the_per_row_bits():
     t, s = np.divmod(rng.permutation(trials * s_nodes.size), s_nodes.size)
     t, s = t[s != top[t]], s[s != top[t]]
     want = _per_row_transfer_bound(rows, t, s, top, m)
-    got = rows.transfer_bound(t, s, top, m, seed_modes)
+    got = rows.transfer_bound(t, s, top, m)
     assert got.tobytes() == want.tobytes()
 
 

@@ -174,6 +174,25 @@ def test_w_decay_report(rng):
     assert w_decay_report(only, deltas).rows == []
 
 
+def test_w_decay_report_takes_each_norm_once(rng, monkeypatch):
+    # the element norms do not depend on delta: a report over three
+    # thresholds takes as many mc_norm calls as one over a single threshold
+    import collardiff.spaces as sp
+
+    space = random_space(rng, dim=3)
+    deltas = [0.2, 0.35, 0.5]
+    want = w_decay_report(space, deltas, samples=4, seed=7).render("csv")
+    calls = []
+    monkeypatch.setattr(sp, "mc_norm",
+                        lambda u: calls.append(u) or mc_norm(u))
+    assert w_decay_report(space, deltas, samples=4, seed=7) \
+        .render("csv") == want
+    three = len(calls)
+    calls.clear()
+    w_decay_report(space, deltas[:1], samples=4, seed=7)
+    assert three == len(calls) > 0
+
+
 def test_w_decay_report_keeps_a_non_finite_sup():
     # the ell-0.01 part of some W element has a NaN linf_thin (its modes
     # overflow at the thin edge); the row must say so, not read "ok"

@@ -50,6 +50,14 @@ def test_config_validation():
         SweepConfig(delta0=0.75)  # thick-gap constraint fails as ell -> 0
 
 
+@pytest.mark.parametrize("field", ["n_max", "trials", "seed"])
+@pytest.mark.parametrize("value", [True, 2.0, np.int64(2)])
+def test_config_counts_are_python_ints(field, value):
+    # a bool is not a count, and the seed words are hashed as Python ints
+    with pytest.raises(ValidationError):
+        SweepConfig(**{**SMALL, field: value})
+
+
 def test_interleaved_modes_and_draw_prefix():
     assert list(interleaved_modes(3)) == [1, -1, 2, -2, 3, -3]
     assert list(interleaved_modes(8)[:6]) == list(interleaved_modes(3))

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -42,6 +43,19 @@ def test_surface_validation():
         SurfaceTopology(((-1, 5),))
     assert SurfaceTopology(((0, 3), (2, 0))).canonical() == ((0, 3), (2, 0))
     assert SurfaceTopology(((2, 0), (0, 3))).canonical() == ((0, 3), (2, 0))
+
+
+def test_counts_are_integers_not_bools_or_floats():
+    # a float is rejected, not truncated; numpy integers are integers
+    for comps in (((2.7, 1),), ((True, 3),), ((2, 1.0),)):
+        with pytest.raises(ValidationError, match="must be integers"):
+            SurfaceTopology(comps)
+    assert SurfaceTopology(((np.int64(2), 1),)).components == ((2, 1),)
+    for comp in (0.9, True, None):
+        with pytest.raises(ValidationError, match="component"):
+            PinchMove(comp, NONSEPARATING)
+    with pytest.raises(ValidationError, match="split entries"):
+        PinchMove(0, SEPARATING, ((1, 0), (1, 0.5)))
 
 
 def test_move_validation():
