@@ -27,7 +27,6 @@ from .errors import QuadratureError, ValidationError, read_json
 from .report import Report, ReportRow, STATUS_EMPTY
 
 if TYPE_CHECKING:
-    from .sweeps import SweepConfig
     from .topology import SurfaceTopology
 
 
@@ -37,7 +36,8 @@ if TYPE_CHECKING:
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write output to a file instead of stdout.")
 @click.option("--seed", type=int, default=0, show_default=True,
-              help="Base seed for randomized commands (unsigned 64-bit).")
+              help="Base seed, unsigned 64-bit (read by qd decay-sweep and "
+                   "space w-report).")
 @click.option("--tol-abs", type=float, default=DEFAULT_TOL_ABS,
               show_default=True,
               help="Absolute quadrature tolerance (read by qd norms and "
@@ -47,8 +47,8 @@ if TYPE_CHECKING:
               help="Relative quadrature tolerance (read by qd norms and "
                    "cusp classify).")
 @click.option("--n-max", type=int, default=None,
-              help="Laurent mode cutoff (default: 32 for sweeps, inferred "
-                   "from input files elsewhere).")
+              help="Laurent mode cutoff (read by qd norms, default: inferred "
+                   "from the file, and qd decay-sweep, default 32).")
 @click.pass_context
 def cli(ctx, fmt, out, seed, tol_abs, tol_rel, n_max):
     """Collar geometry, Laurent differentials, and pinching experiments."""
@@ -117,13 +117,6 @@ def parse_grid(spec: str) -> tuple:
         return tuple(float(x) for x in spec.split(","))
     except ValueError as exc:
         raise ValidationError(f"bad grid spec {spec!r}: {exc}") from exc
-
-
-def _sweep_config(opts, **fields) -> SweepConfig:
-    from .sweeps import SweepConfig
-
-    return SweepConfig(n_max=opts.n_max if opts.n_max is not None else 32,
-                       seed=opts.seed, **fields)
 
 
 # --- collar ---------------------------------------------------------------------
@@ -230,9 +223,10 @@ def qd_decay_sweep(opts, ell_grid, delta_grid, delta0, trials, workers):
     """Thin-part sups of random zero-principal differentials."""
     from . import sweeps as sw
 
-    cfg = _sweep_config(opts, ell_grid=parse_grid(ell_grid),
-                        delta_grid=parse_grid(delta_grid), delta0=delta0,
-                        trials=trials)
+    cfg = sw.SweepConfig(ell_grid=parse_grid(ell_grid),
+                         delta_grid=parse_grid(delta_grid), delta0=delta0,
+                         n_max=32 if opts.n_max is None else opts.n_max,
+                         trials=trials, seed=opts.seed)
     _emit(opts, sw.decay_sweep(cfg, workers=workers))
 
 
@@ -244,9 +238,8 @@ def qd_principal_mass(opts, ell_grid, delta_grid):
     """ell^3-scaled thin mass of the principal differential."""
     from . import sweeps as sw
 
-    cfg = _sweep_config(opts, ell_grid=parse_grid(ell_grid),
-                        delta_grid=parse_grid(delta_grid))
-    _emit(opts, sw.principal_mass_sweep(cfg))
+    _emit(opts, sw.principal_mass_sweep(parse_grid(ell_grid),
+                                        parse_grid(delta_grid)))
 
 
 @qd.command("bij-check")
@@ -261,19 +254,20 @@ def qd_bij_check(opts, ell_grid, delta0, b0):
     """Vanishing check for the ell^{-3/2}-normalized principal part."""
     from . import sweeps as sw
 
-    cfg = _sweep_config(opts, ell_grid=parse_grid(ell_grid), delta0=delta0)
+    # the grid is checked before pow:K meets it (0 ** -1 would raise)
+    ells, = sw.check_grids(parse_grid(ell_grid))
     if b0.startswith("pow:"):
         try:
             k = float(b0[4:])
         except ValueError as exc:
             raise ValidationError(f"bad --b0 spec {b0!r}: {exc}") from exc
-        seq = [ell ** k for ell in cfg.ell_grid]
+        seq = [ell ** k for ell in ells]
     else:
         try:
             seq = [complex(tok) for tok in b0.split(",")]
         except ValueError as exc:
             raise ValidationError(f"bad --b0 spec {b0!r}: {exc}") from exc
-    _emit(opts, sw.bij_normalization_check(cfg, seq))
+    _emit(opts, sw.bij_normalization_check(ells, seq, delta0))
 
 
 # --- space ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ a check rather than a tautology.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collar import CollarParams, ThinWindow, thin_boundary, cos_profile_vec, \
+from .collar import CollarParams, thin_boundary, cos_profile_vec, \
     conformal_factor, DEFAULT_DELTA0
 from .errors import DomainError, ValidationError, is_int, read_json
 from .numerics import (DEFAULT_TOL_ABS, DEFAULT_TOL_REL, adaptive_quad,

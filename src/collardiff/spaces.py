@@ -12,7 +12,6 @@ P(psi) = sum_j <psi, w_j> w_j over an L2-unitary basis of W.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 

@@ -43,17 +43,34 @@ _LP_CHUNK = 48       # s-nodes per partial sum, rows per gemv in _row_dots
 _SUP_LADDER = np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 96)])
 
 
-def _strictly_increasing(xs) -> bool:
-    return all(a < b for a, b in zip(xs, xs[1:]))
-
-
 def _python_int(x) -> bool:
     # the seed is hashed in Python int arithmetic; numpy integers stay out
     return isinstance(x, int) and is_int(x)
 
 
+def check_grids(ell_grid, delta_grid=None) -> list:
+    """``[ells]``, or ``[ells, deltas]``, as float tuples: each grid
+    nonempty and strictly increasing, ell in (0, ELL_MAX], delta in
+    (0, DELTA_MAX)."""
+    grids = [ell_grid] if delta_grid is None else [ell_grid, delta_grid]
+    ells, *deltas = grids = [tuple(float(x) for x in g) for g in grids]
+    if not all(grids):
+        raise ValidationError("sweep grids must be nonempty")
+    if not all(0.0 < x <= ELL_MAX and math.isfinite(x) for x in ells):
+        raise ValidationError(
+            f"core lengths must lie in (0, {ELL_MAX:.6g}]")
+    if not all(0.0 < d < DELTA_MAX for g in deltas for d in g):
+        raise ValidationError(
+            f"delta grid must lie in (0, {DELTA_MAX:.6g})")
+    if not all(a < b for g in grids for a, b in zip(g, g[1:])):
+        raise ValidationError("sweep grids must be strictly increasing")
+    return grids
+
+
 @dataclass(frozen=True)
 class SweepConfig:
+    """Config of the random-trial sweeps, decay and L^p."""
+
     ell_grid: tuple = DEFAULT_ELL_GRID
     delta_grid: tuple = DEFAULT_DELTA_GRID
     delta0: float = DEFAULT_DELTA0
@@ -62,20 +79,9 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        ells = tuple(float(x) for x in self.ell_grid)
-        deltas = tuple(float(x) for x in self.delta_grid)
+        ells, deltas = check_grids(self.ell_grid, self.delta_grid)
         object.__setattr__(self, "ell_grid", ells)
         object.__setattr__(self, "delta_grid", deltas)
-        if not ells or not deltas:
-            raise ValidationError("sweep grids must be nonempty")
-        if not all(0.0 < x <= ELL_MAX and math.isfinite(x) for x in ells):
-            raise ValidationError(
-                f"core lengths must lie in (0, {ELL_MAX:.6g}]")
-        if not all(0.0 < d < DELTA_MAX for d in deltas):
-            raise ValidationError(
-                f"delta grid must lie in (0, {DELTA_MAX:.6g})")
-        if not (_strictly_increasing(ells) and _strictly_increasing(deltas)):
-            raise ValidationError("sweep grids must be strictly increasing")
         if not _python_int(self.n_max) or self.n_max < 1:
             raise ValidationError("n_max must be a positive integer")
         if not _python_int(self.trials) or self.trials < 1:
@@ -267,19 +273,6 @@ def _trial_row(ell: float, delta: float, statistic: str, value: float,
 
 # --- decay of zero-principal differentials into the thin part ------------------
 
-def _run_cells(cfg: SweepConfig, cell_fn, workers: int) -> list:
-    cells = [(li, di) for li in range(len(cfg.ell_grid))
-             for di in range(len(cfg.delta_grid))]
-    if workers <= 1:
-        chunks = [cell_fn(cfg, li, di) for li, di in cells]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda cell: cell_fn(cfg, *cell), cells))
-    return [row for chunk in chunks for row in chunk]
-
-
 def _append_max_row(rows: list, statistic: str, name: str) -> None:
     best = None
     for r in rows:
@@ -312,8 +305,7 @@ def decay_sweep(cfg: SweepConfig, workers: int = 1) -> Report:
 
 # --- principal-mode mass concentration ------------------------------------------
 
-def _principal_cell(cfg: SweepConfig, li: int, di: int) -> list:
-    ell, delta = cfg.ell_grid[li], cfg.delta_grid[di]
+def _principal_cell(ell: float, delta: float) -> list:
     c = CollarParams(ell)
     win = thin_boundary(c, delta)
     if win.empty:
@@ -334,7 +326,7 @@ def _principal_cell(cfg: SweepConfig, li: int, di: int) -> list:
     ]
 
 
-def principal_mass_sweep(cfg: SweepConfig) -> Report:
+def principal_mass_sweep(ell_grid, delta_grid) -> Report:
     """ell^3-scaled thin L^2 mass of the principal differential dw^2.
 
     The ``principal_thin_mass`` rows report ell^3 ||dw^2||^2 on the
@@ -342,12 +334,15 @@ def principal_mass_sweep(cfg: SweepConfig) -> Report:
     limit); ``principal_mass_fraction`` rows report the thin/full mass
     ratio, which tends to 1 as the collar pinches.
     """
-    return Report(_run_cells(cfg, _principal_cell, workers=1))
+    ells, deltas = check_grids(ell_grid, delta_grid)
+    return Report([row for ell in ells for delta in deltas
+                   for row in _principal_cell(ell, delta)])
 
 
 # --- the ell^{-3/2} principal-coefficient normalization --------------------------
 
-def bij_normalization_check(cfg: SweepConfig, b0_sequence) -> Report:
+def bij_normalization_check(ell_grid, b0_sequence,
+                            delta0: float = DEFAULT_DELTA0) -> Report:
     """Thin L^2 norms of b0 * dw^2 along the ell grid.
 
     ``b0_thin_norm`` rows pair each ell with |b0| ||dw^2||_{L^2(delta0-thin)};
@@ -357,28 +352,29 @@ def bij_normalization_check(cfg: SweepConfig, b0_sequence) -> Report:
     the grid and passes (normalized = 1.0) iff the norm tends to zero:
     slope bounded away from zero, or the tail already at zero.
     """
+    ells, = check_grids(ell_grid)
     b0 = [complex(b) for b in b0_sequence]
-    if len(b0) != len(cfg.ell_grid):
+    if len(b0) != len(ells):
         raise ValidationError(
             f"b0 sequence length {len(b0)} does not match the ell grid "
-            f"length {len(cfg.ell_grid)}")
+            f"length {len(ells)}")
     rows = []
     norms = []
-    for ell, b in zip(cfg.ell_grid, b0):
+    for ell, b in zip(ells, b0):
         c = CollarParams(ell)
-        win = thin_boundary(c, cfg.delta0)
+        win = thin_boundary(c, delta0)
         ref = abs(b) * ell ** -1.5 * math.sqrt(PRINCIPAL_MASS_CONSTANT)
         if win.empty:
-            rows.append(ReportRow(ell, cfg.delta0, "b0_thin_norm", 0.0, ref,
+            rows.append(ReportRow(ell, delta0, "b0_thin_norm", 0.0, ref,
                                   STATUS_EMPTY))
             norms.append(0.0)
             continue
         thin = mode_l2_norm_sq(c, 0, SubCollar(-win.x_delta, win.x_delta))
         val = abs(b) * math.sqrt(thin)
-        rows.append(ReportRow(ell, cfg.delta0, "b0_thin_norm", val, ref))
+        rows.append(ReportRow(ell, delta0, "b0_thin_norm", val, ref))
         norms.append(val)
-    slope, passed = _vanishing_verdict(cfg.ell_grid, norms)
-    rows.append(ReportRow(math.nan, cfg.delta0, "b0_vanishing", slope,
+    slope, passed = _vanishing_verdict(ells, norms)
+    rows.append(ReportRow(math.nan, delta0, "b0_vanishing", slope,
                           1.0 if passed else 0.0))
     return Report(rows)
 
@@ -534,15 +530,22 @@ def _thin_sweep(cfg: SweepConfig, workers: int, stats: dict) -> Report:
     """The thin-norm sweep body: trial rows for each p of ``stats`` (p
     ascending -> (trial row, summary row) names), then one summary row
     per p."""
-    rows = _run_cells(cfg, lambda c, li, di: _lp_cell(c, li, di, stats),
-                      workers)
+    cells = [(cfg, li, di, stats) for li in range(len(cfg.ell_grid))
+             for di in range(len(cfg.delta_grid))]
+    if workers <= 1:
+        chunks = [_lp_cell(*cell) for cell in cells]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(lambda cell: _lp_cell(*cell), cells))
+    rows = [row for chunk in chunks for row in chunk]
     for name, summary in stats.values():
         _append_max_row(rows, name, summary)
     return Report(rows)
 
 
-def lp_vanishing_sweep(cfg: SweepConfig, workers: int = 1,
-                       ps=(1.0, 2.0, 4.0, math.inf)) -> Report:
+def lp_vanishing_sweep(cfg: SweepConfig, workers: int = 1) -> Report:
     """L^p(delta-thin) norms of the decay sweep's random differentials.
 
     :func:`decay_sweep` is this sweep's p = inf column under its own
@@ -551,8 +554,4 @@ def lp_vanishing_sweep(cfg: SweepConfig, workers: int = 1,
     normalization; per-p ``max_normalized_p*`` summary rows report the
     empirical envelope constants.
     """
-    ps = sorted({float(p) for p in ps})
-    for p in ps:
-        if p not in _LP_STATS:
-            raise ValidationError(f"unsupported exponent p={p}")
-    return _thin_sweep(cfg, workers, {p: _LP_STATS[p] for p in ps})
+    return _thin_sweep(cfg, workers, _LP_STATS)

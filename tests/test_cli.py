@@ -450,6 +450,42 @@ def test_bij_check_cli(capsys):
     assert code == 2 and "does not match" in err
 
 
+def test_bij_check_delta0_is_a_thin_threshold(capsys):
+    # bij-check has no thick part, so only the thin range (0, DELTA_MAX)
+    # bounds --delta0, not the decay sweep's thick-gap constraint
+    code, out, err = invoke(capsys, "qd", "bij-check", "--b0", "pow:2",
+                            "--delta0", "0.8", "--ell-grid", "0.01,0.1")
+    assert (code, err) == (0, "")
+    rows = [r for r in csv_rows(out) if r["statistic"] == "b0_thin_norm"]
+    assert [float(r["delta"]) for r in rows] == [0.8, 0.8]
+    assert float(rows[0]["value"]) == pytest.approx(9.8957714057340826,
+                                                    rel=1e-12)
+    code, out, err = invoke(capsys, "qd", "bij-check", "--b0", "pow:2",
+                            "--delta0", "0.9", "--ell-grid", "0.01,0.1")
+    assert (code, out) == (2, "")
+    assert "thin-part threshold must lie in (0, 0.88137358702), got 0.9" \
+        in err
+
+
+def test_bij_check_checks_the_grid_before_pow(capsys):
+    # pow:-1 on an unchecked ell = 0 would raise ZeroDivisionError
+    code, out, err = invoke(capsys, "qd", "bij-check", "--b0", "pow:-1",
+                            "--ell-grid", "0,0.1")
+    assert (code, out) == (2, "")
+    assert "core lengths must lie in" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["qd", "principal-mass", "--ell-grid", "0.01,0.1", "--delta-grid", "0.3"],
+    ["qd", "bij-check", "--ell-grid", "0.01,0.1", "--b0", "pow:2"],
+])
+def test_closed_form_sweeps_read_neither_seed_nor_n_max(capsys, args):
+    code, out, err = invoke(capsys, *args)
+    assert (code, err) == (0, "")
+    assert invoke(capsys, "--n-max", "4", "--seed", "9", *args) \
+        == (0, out, "")
+
+
 def test_principal_mass_cli(capsys):
     code, out, _ = invoke(capsys, "qd", "principal-mass",
                           "--ell-grid", "0.001,0.1", "--delta-grid", "0.2,0.4")

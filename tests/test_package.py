@@ -1,6 +1,9 @@
-"""The package namespace: every public name resolves on first access."""
+"""The package namespace: every public name resolves on first access, and
+every name a module imports is read."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -58,3 +61,48 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         collardiff.no_such_name
     assert not hasattr(collardiff, "_density_max")
+
+
+def _scope_imports(scope):
+    """Import statements of a module or function body, not of the
+    functions nested in it."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _unused_imports(path):
+    """(line, name) of each name a scope imports and never reads; lines
+    marked ``# noqa: F401`` (re-exports) and __future__ imports pass."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    scopes = [tree] + [n for n in ast.walk(tree) if isinstance(
+        n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    unused = []
+    for scope in scopes:
+        read = {n.id for n in ast.walk(scope)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in _scope_imports(scope):
+            span = lines[node.lineno - 1:node.end_lineno]
+            if getattr(node, "module", None) == "__future__" \
+                    or any("# noqa: F401" in line for line in span):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append((node.lineno, name))
+    return sorted(unused)
+
+
+def test_every_imported_name_is_read():
+    src = Path(collardiff.__file__).parent
+    unused = [f"{path.name}:{line} {name}"
+              for path in sorted(src.glob("*.py"))
+              for line, name in _unused_imports(path)]
+    assert unused == []

@@ -387,7 +387,7 @@ def test_trial_values_do_not_depend_on_trial_count():
 def test_lp_pinf_reproduces_decay_exactly():
     cfg = SweepConfig(**SMALL)
     decay = decay_sweep(cfg)
-    lp = lp_vanishing_sweep(cfg, ps=(2.0, math.inf))
+    lp = lp_vanishing_sweep(cfg)
     got = [(r.ell, r.delta, r.value, r.status)
            for r in lp.values("lp_ratio_pinf")]
     want = [(r.ell, r.delta, r.value, r.status)
@@ -407,11 +407,6 @@ def test_lp_rows_satisfy_holder():
         assert r1.value <= math.sqrt(area) * r2.value * (1 + 1e-9)
         assert r2.value ** 2 <= r1.value * rinf.value * 1.01
         assert r4.value ** 4 <= (rinf.value ** 2) * (r2.value ** 2) * 1.01
-
-
-def test_lp_rejects_unknown_exponent():
-    with pytest.raises(ValidationError):
-        lp_vanishing_sweep(SweepConfig(**SMALL), ps=(3.0,))
 
 
 def test_nan_trial_is_non_converged(monkeypatch):
@@ -447,8 +442,7 @@ def test_nan_trial_is_non_converged(monkeypatch):
 
 
 def test_principal_mass_frozen_values():
-    cfg = SweepConfig(ell_grid=(0.001, 0.1), delta_grid=(0.2, 0.4))
-    rep = principal_mass_sweep(cfg)
+    rep = principal_mass_sweep((0.001, 0.1), (0.2, 0.4))
     rows = {(r.ell, r.delta): r for r in rep.values("principal_thin_mass")}
     assert rows[(0.001, 0.4)].value == pytest.approx(
         M0_SCALED_THIN_0001_04, rel=1e-12)
@@ -464,20 +458,19 @@ def test_principal_mass_frozen_values():
 
 
 def test_principal_mass_empty_cells():
-    cfg = SweepConfig(ell_grid=(0.9,), delta_grid=(0.3,))
-    rep = principal_mass_sweep(cfg)
+    rep = principal_mass_sweep((0.9,), (0.3,))
     assert all(r.status == STATUS_EMPTY and r.value == 0.0 for r in rep.rows)
 
 
-def _bij_cfg(n=8):
-    return SweepConfig(ell_grid=tuple(np.geomspace(1e-4, 0.1, n)))
+def _bij_grid(n=8):
+    return tuple(float(x) for x in np.geomspace(1e-4, 0.1, n))
 
 
 def test_bij_rows_and_ref_column():
-    cfg = _bij_cfg()
-    rep = bij_normalization_check(cfg, [1.0] * len(cfg.ell_grid))
+    grid = _bij_grid()
+    rep = bij_normalization_check(grid, [1.0] * len(grid))
     rows = rep.values("b0_thin_norm")
-    assert len(rows) == len(cfg.ell_grid)
+    assert len(rows) == len(grid)
     for r in rows:
         assert r.normalized == pytest.approx(
             r.ell ** -1.5 * math.sqrt(PRINCIPAL_MASS_CONSTANT), rel=1e-12)
@@ -491,28 +484,56 @@ def test_bij_rows_and_ref_column():
     (0.0, -1.5, False),  # constant b0: norm ~ ell^{-3/2}
 ])
 def test_bij_vanishing_verdicts(power, slope, passes):
-    cfg = _bij_cfg()
-    rep = bij_normalization_check(cfg, [e ** power for e in cfg.ell_grid])
+    grid = _bij_grid()
+    rep = bij_normalization_check(grid, [e ** power for e in grid])
     verdict = rep.single("b0_vanishing")
     assert verdict.value == pytest.approx(slope, abs=0.05)
     assert verdict.normalized == (1.0 if passes else 0.0)
 
 
 def test_bij_zero_sequence_passes():
-    cfg = _bij_cfg(4)
-    rep = bij_normalization_check(cfg, [0.0] * 4)
+    rep = bij_normalization_check(_bij_grid(4), [0.0] * 4)
     verdict = rep.single("b0_vanishing")
     assert math.isnan(verdict.value) and verdict.normalized == 1.0
     assert all(r.value == 0.0 for r in rep.values("b0_thin_norm"))
 
 
 def test_bij_empty_thin_row():
-    cfg = SweepConfig(ell_grid=(0.5, 0.81))
-    rep = bij_normalization_check(cfg, [1.0, 1.0])
+    rep = bij_normalization_check((0.5, 0.81), [1.0, 1.0])
     rows = rep.values("b0_thin_norm")
     assert rows[1].status == STATUS_EMPTY and rows[1].value == 0.0
 
 
 def test_bij_length_mismatch():
     with pytest.raises(ValidationError):
-        bij_normalization_check(_bij_cfg(4), [1.0, 2.0])
+        bij_normalization_check(_bij_grid(4), [1.0, 2.0])
+
+
+def test_bij_delta0_is_only_a_thin_threshold():
+    # 0.8 fails the thick-gap constraint of the random-trial sweeps, but
+    # bij-check has no thick part: only the thin range (0, DELTA_MAX) holds
+    rep = bij_normalization_check((0.01, 0.1), [1e-4, 1e-2], delta0=0.8)
+    rows = rep.values("b0_thin_norm")
+    assert [r.delta for r in rows] == [0.8, 0.8]
+    assert all(r.status == STATUS_OK for r in rows)
+    with pytest.raises(DomainError, match="thin-part threshold"):
+        bij_normalization_check((0.01, 0.1), [1.0, 1.0], delta0=0.9)
+
+
+@pytest.mark.parametrize("ells,deltas,message", [
+    ((), (0.3,), "nonempty"),
+    ((0.5, 0.4), (0.3,), "strictly increasing"),
+    ((0.5, 3.0), (0.3,), "core lengths"),
+    ((math.nan,), (0.3,), "core lengths"),
+    ((0.5,), (0.9,), "delta grid"),
+    ((0.5,), (0.3, 0.3), "strictly increasing"),
+])
+def test_closed_form_sweeps_check_their_grids(ells, deltas, message):
+    # the closed-form sweeps share SweepConfig's grid check and messages
+    for build in (lambda: principal_mass_sweep(ells, deltas),
+                  lambda: SweepConfig(ell_grid=ells, delta_grid=deltas)):
+        with pytest.raises(ValidationError, match=message):
+            build()
+    if deltas == (0.3,):  # an ell-grid fault; bij-check has no delta grid
+        with pytest.raises(ValidationError, match=message):
+            bij_normalization_check(ells, [1.0] * len(ells))
