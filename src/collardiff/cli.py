@@ -261,7 +261,11 @@ def qd_bij_check(opts, ell_grid, delta0, b0):
             k = float(b0[4:])
         except ValueError as exc:
             raise ValidationError(f"bad --b0 spec {b0!r}: {exc}") from exc
-        seq = [ell ** k for ell in ells]
+        try:
+            seq = [ell ** k for ell in ells]
+        except OverflowError:
+            raise ValidationError(
+                f"--b0 {b0}: the b0 sequence ell^K overflows") from None
     else:
         try:
             seq = [complex(tok) for tok in b0.split(",")]

@@ -274,12 +274,18 @@ def _trial_row(ell: float, delta: float, statistic: str, value: float,
 # --- decay of zero-principal differentials into the thin part ------------------
 
 def _append_max_row(rows: list, statistic: str, name: str) -> None:
+    """The best ``ok`` row of ``statistic``; with none, ``non-converged``
+    if a trial failed and ``empty-thin`` if every cell is empty."""
     best = None
     for r in rows:
         if r.statistic == statistic and r.status == STATUS_OK \
                 and (best is None or r.normalized > best.normalized):
             best = r
-    if best is None:
+    if best is None and any(r.statistic == statistic
+                            and r.status == STATUS_FAILED for r in rows):
+        rows.append(ReportRow(math.nan, math.nan, name, math.nan, math.nan,
+                              STATUS_FAILED))
+    elif best is None:
         rows.append(ReportRow(math.nan, math.nan, name, 0.0, 0.0,
                               STATUS_EMPTY))
     else:
@@ -371,11 +377,17 @@ def bij_normalization_check(ell_grid, b0_sequence,
             continue
         thin = mode_l2_norm_sq(c, 0, SubCollar(-win.x_delta, win.x_delta))
         val = abs(b) * math.sqrt(thin)
-        rows.append(ReportRow(ell, delta0, "b0_thin_norm", val, ref))
+        rows.append(ReportRow(ell, delta0, "b0_thin_norm", val, ref,
+                              STATUS_OK if math.isfinite(val)
+                              else STATUS_FAILED))
         norms.append(val)
-    slope, passed = _vanishing_verdict(ells, norms)
+    # the verdict reads every norm: their max scales its threshold
+    finite = all(map(math.isfinite, norms))
+    slope, passed = _vanishing_verdict(ells, norms) if finite \
+        else (math.nan, math.nan)
     rows.append(ReportRow(math.nan, delta0, "b0_vanishing", slope,
-                          1.0 if passed else 0.0))
+                          float(passed),
+                          STATUS_OK if finite else STATUS_FAILED))
     return Report(rows)
 
 
@@ -437,58 +449,59 @@ def _row_dots(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _density_lp(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
-                s_nodes: np.ndarray, w_nodes: np.ndarray, n_theta: int,
-                ps) -> dict:
+                s_nodes: np.ndarray, w_nodes: np.ndarray,
+                n_theta: int) -> dict:
     """Per-trial (sum of dens^p rho^2 w dtheta over s_nodes x theta)^{1/p}
-    for each finite p, where dens = |phi| * 2 rho^{-2}.
+    for p = 1 and 4, where dens = |phi| * 2 rho^{-2}.
 
-    Exact, not approximate.  A (trial, s) row whose triangle bound
-    pref(s) * sum_n |g_n| e^{ns - |n|X} is at most 2^{-1080/p} adds exactly
-    +0 to the p-th power sum: its true dens^p is below 2^-1080, far under
-    half the smallest subnormal, so pow rounds it to +0.  At p = 1 the cut
-    2^-1080 is itself +0, which leaves the rows whose every term
-    underflowed (their F row is all zeros).  A row is raised only to the
-    p for which it is hot and transformed only if some p needs it; hot
-    rows get the arithmetic of the full tile, so the result is
-    bit-identical to evaluating every row.
+    p = 1 is the tile's sum, bit for bit; a (trial, s) row whose every term
+    underflowed has an all-zero F row, adds +0 and is not transformed.
+    p = 4 has no tile: by discrete Parseval (|k| <= 2 n_max < n_theta / 2)
+    the theta sum of |phi|^4 is 2 pi sum_k |D_k|^2 e^{2(ks - |k|X)}, where
+    D_k = sum_{n+m=k} g_n g_m e^{-(|n| + |m| - |k|)X} is the autoconvolution
+    of g_n e^{-(|n| -+ n)X} for k >= 0 (k < 0), and the s-exponent is taken
+    as 2|k| (+-s - X), with s -+ X exact near the dominant edge: every
+    exponent is <= 0, so underflow is the only rounding of a factor.
     """
     rho_sq = (c.ell / (2.0 * math.pi)) ** 2 \
         / cos_profile_vec(c, s_nodes) ** 2
     pref = 2.0 / rho_sq
-    rows = DensityRows(Gt, ns, -np.abs(ns) * c.half_length, s_nodes, pref,
-                       n_theta)
+    rw = rho_sq * w_nodes
+    X = c.half_length
+    rows = DensityRows(Gt, ns, -np.abs(ns) * X, s_nodes, pref, n_theta)
     # the ~(<=) form keeps NaN bounds, whose rows must be evaluated
-    hot = {p: ~(rows.bound <= 2.0 ** (-1080.0 / p)) for p in ps}
-    t_idx, s_idx = np.nonzero(np.logical_or.reduce(list(hot.values())))
+    t_idx, s_idx = np.nonzero(~(rows.bound <= 0.0))
     w_theta = np.full(n_theta, 2.0 * math.pi / n_theta)
-    contrib = {p: np.zeros(rows.bound.shape) for p in ps}
+    contrib = np.zeros(rows.bound.shape)
     for t, s, dens in rows.batches(t_idx, s_idx):
         dens *= pref[s][:, None]
-        for p in ps:
-            if p == 1.0:
-                # every transformed row is hot at p = 1, and dens ** 1.0
-                # is a bitwise copy of dens
-                contrib[p][t, s] = _row_dots(dens, w_theta)
-            else:
-                # only hot rows are raised; a cold row's sum stays +0
-                h = hot[p][t, s]
-                contrib[p][t[h], s[h]] = _row_dots(np.power(dens[h], p),
-                                                   w_theta)
-    rw = rho_sq * w_nodes
-    out = {}
-    for p in ps:
-        acc = np.zeros(Gt.shape[0])
-        for lo in range(0, s_nodes.size, _LP_CHUNK):
-            sl = slice(lo, lo + _LP_CHUNK)
-            acc += (contrib[p][:, sl] * rw[sl]).sum(axis=1)
-        out[p] = acc ** (1.0 / p)
-    return out
+        contrib[t, s] = _row_dots(dens, w_theta)
+    p1 = np.zeros(Gt.shape[0])
+    for lo in range(0, s_nodes.size, _LP_CHUNK):
+        sl = slice(lo, lo + _LP_CHUNK)
+        p1 += (contrib[:, sl] * rw[sl]).sum(axis=1)
+    n_max = int(np.abs(ns).max())
+    n = np.arange(-n_max, n_max + 1)
+    g = np.zeros((Gt.shape[0], n.size), dtype=complex)
+    g[:, ns + n_max] = Gt
+    # D_k for k = -2 n_max .. 2 n_max
+    D = np.empty((Gt.shape[0], 4 * n_max + 1), dtype=complex)
+    for row, a, b in zip(D, g * np.exp(-(np.abs(n) + n) * X),
+                         g * np.exp(-(np.abs(n) - n) * X)):
+        row[:2 * n_max] = np.convolve(a, a)[:2 * n_max]
+        row[2 * n_max:] = np.convolve(b, b)[2 * n_max:]
+    k = np.arange(-2 * n_max, 2 * n_max + 1)
+    V = (rw * pref ** 4) @ np.exp(
+        2.0 * np.abs(k) * (np.sign(k) * s_nodes[:, None] - X))
+    return {1.0: p1,
+            4.0: (2.0 * math.pi * _row_dots(np.abs(D) ** 2, V)) ** 0.25}
 
 
 def _cell_lp(cfg: SweepConfig, c: CollarParams, li: int, di: int,
              x_delta: float, ns: np.ndarray, ps) -> dict:
-    """Per-trial L^p(thin) norms; p=2 by anchored closed form, finite p
-    by composite Gauss-Legendre panels, p=inf by the shared sup grid."""
+    """Per-trial L^p(thin) norms; p=2 by anchored closed form, p = 1 and 4
+    on composite Gauss-Legendre panels (p = 4 by Parseval in theta), p=inf
+    by the shared sup grid."""
     Gt = _normalized_draws(cfg, c, li, di, ns)
     n_theta = max(256, 8 * cfg.n_max)
     out = {}
@@ -497,17 +510,12 @@ def _cell_lp(cfg: SweepConfig, c: CollarParams, li: int, di: int,
     if 2.0 in ps:
         t2 = _window_weights(c, ns, [(-x_delta, x_delta)])
         out[2.0] = np.sqrt(_row_dots(np.abs(Gt) ** 2, t2))
-    finite = sorted(p for p in ps if p not in (2.0, math.inf))
-    if finite:
-        panels = _thin_panels(x_delta)
+    if 1.0 in ps or 4.0 in ps:   # the two come together
+        s1, s2 = np.array(_thin_panels(x_delta)).T[:, :, None]
         gl_nodes, gl_weights = np.polynomial.legendre.leggauss(8)
-        s_nodes, w_nodes = [], []
-        for s1, s2 in panels:
-            mid, hw = 0.5 * (s1 + s2), 0.5 * (s2 - s1)
-            s_nodes.append(mid + hw * gl_nodes)
-            w_nodes.append(hw * gl_weights)
-        out.update(_density_lp(Gt, ns, c, np.concatenate(s_nodes),
-                               np.concatenate(w_nodes), n_theta, finite))
+        mid, hw = 0.5 * (s1 + s2), 0.5 * (s2 - s1)
+        out.update(_density_lp(Gt, ns, c, (mid + hw * gl_nodes).ravel(),
+                               (hw * gl_weights).ravel(), n_theta))
     return out
 
 

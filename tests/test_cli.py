@@ -475,6 +475,24 @@ def test_bij_check_checks_the_grid_before_pow(capsys):
     assert "core lengths must lie in" in err and "Traceback" not in err
 
 
+def test_bij_check_overflowing_pow_is_a_usage_error(capsys):
+    # 0.01 ** -1000 raises OverflowError, which must not reach the user
+    code, out, err = invoke(capsys, "qd", "bij-check", "--b0", "pow:-1000",
+                            "--ell-grid", "0.01,0.1")
+    assert (code, out) == (2, "")
+    assert "the b0 sequence ell^K overflows" in err and "Traceback" not in err
+
+
+def test_bij_check_nan_b0_is_non_converged(capsys):
+    code, out, err = invoke(capsys, "qd", "bij-check", "--b0", "pow:nan",
+                            "--ell-grid", "0.01,0.1")
+    assert (code, err) == (0, "")
+    assert [(r["statistic"], r["value"], r["status"])
+            for r in csv_rows(out)] \
+        == [("b0_thin_norm", "nan", "non-converged")] * 2 \
+        + [("b0_vanishing", "nan", "non-converged")]
+
+
 @pytest.mark.parametrize("args", [
     ["qd", "principal-mass", "--ell-grid", "0.01,0.1", "--delta-grid", "0.3"],
     ["qd", "bij-check", "--ell-grid", "0.01,0.1", "--b0", "pow:2"],

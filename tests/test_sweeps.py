@@ -272,9 +272,9 @@ def test_decay_round_transforms_one_row_per_trial(monkeypatch):
     assert 256 <= transformed <= 300, transformed
 
 
-def _full_tile_lp(Gt, ns, c, x_delta, n_theta, finite):
-    """Reference for the finite-p path of sweeps._cell_lp: transform every
-    (trial, s) row of the Gauss-Legendre tile, 48 s-nodes at a time."""
+def _gl_tile(c, x_delta):
+    """The Gauss-Legendre s-nodes and weights of sweeps._cell_lp, and
+    rho^2 at the nodes."""
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(8)
     s_nodes, w_nodes = [], []
     for s1, s2 in sweeps._thin_panels(x_delta):
@@ -282,10 +282,17 @@ def _full_tile_lp(Gt, ns, c, x_delta, n_theta, finite):
         s_nodes.append(mid + hw * gl_nodes)
         w_nodes.append(hw * gl_weights)
     s_nodes = np.concatenate(s_nodes)
-    w_nodes = np.concatenate(w_nodes)
-    X = c.half_length
     rho_sq = (c.ell / (2.0 * math.pi)) ** 2 \
         / cos_profile_vec(c, s_nodes) ** 2
+    return s_nodes, np.concatenate(w_nodes), rho_sq
+
+
+def _full_tile_lp(Gt, ns, c, x_delta, n_theta, finite):
+    """Reference for the finite-p path of sweeps._cell_lp: transform every
+    (trial, s) row of the Gauss-Legendre tile, 48 s-nodes at a time, and
+    sum dens ** p."""
+    s_nodes, w_nodes, rho_sq = _gl_tile(c, x_delta)
+    X = c.half_length
     pref = 2.0 / rho_sq
     bins = np.mod(ns, n_theta)
     acc = {p: np.zeros(Gt.shape[0]) for p in finite}
@@ -301,7 +308,7 @@ def _full_tile_lp(Gt, ns, c, x_delta, n_theta, finite):
             contrib = dens ** p @ np.full(n_theta, 2.0 * math.pi / n_theta)
             acc[p] += (contrib * (rho_sq[sl] * w_nodes[sl])[None, :]) \
                 .sum(axis=1)
-    # the triangle bound of every row, to show which skip branches ran
+    # the triangle bound of every row, to show that the zero-row skip ran
     bound = (np.abs(Gt) @ np.exp(s_nodes[:, None] * ns[None, :]
                                  - np.abs(ns)[None, :] * X).T) * pref
     return {p: acc[p] ** (1.0 / p) for p in finite}, bound
@@ -309,13 +316,16 @@ def _full_tile_lp(Gt, ns, c, x_delta, n_theta, finite):
 
 @pytest.mark.parametrize("n_max", [1, 13, 48])
 def test_lp_tile_matches_full_tile_bitwise(n_max):
-    # n_theta = 256 for n_max 1 and 13, 384 (not a power of two) for 48
+    # n_theta = 256 for n_max 1 and 13, 384 (not a power of two) for 48.
+    # p = 1 is the tile's, bit for bit.  p = 4 comes by Parseval, with no
+    # tile; the full tile's pow sums round s n - |n| X at |s n| ~ 5e6 and
+    # sit up to 2.1e-12 off (ell 1e-4, delta 0.79)
     cfg = SweepConfig(ell_grid=(1e-4, 1e-2, 0.3, 0.9),
                       delta_grid=(0.05, 0.3, 0.79), n_max=n_max, trials=24,
                       seed=5)
     ns = interleaved_modes(n_max)
     n_theta = max(256, 8 * n_max)
-    checked = zero_rows = underflow_rows = 0
+    checked = zero_rows = 0
     for li, ell in enumerate(cfg.ell_grid):
         c = CollarParams(ell)
         for di, delta in enumerate(cfg.delta_grid):
@@ -323,20 +333,90 @@ def test_lp_tile_matches_full_tile_bitwise(n_max):
             if win.empty:
                 continue
             Gt = sweeps._normalized_draws(cfg, c, li, di, ns)
-            for ps in ((1.0, 4.0), (4.0,)):
-                want, bound = _full_tile_lp(Gt, ns, c, win.x_delta, n_theta,
-                                            ps)
-                got = sweeps._cell_lp(cfg, c, li, di, win.x_delta, ns, ps)
-                for p in ps:
-                    assert got[p].tobytes() == want[p].tobytes(), \
-                        (ell, delta, ps, p)
+            want, bound = _full_tile_lp(Gt, ns, c, win.x_delta, n_theta,
+                                        (1.0, 4.0))
+            got = sweeps._cell_lp(cfg, c, li, di, win.x_delta, ns,
+                                  (1.0, 4.0))
+            assert got[1.0].tobytes() == want[1.0].tobytes(), (ell, delta)
+            # atol 0: an exact zero stays an exact zero
+            np.testing.assert_allclose(got[4.0], want[4.0], rtol=1e-11,
+                                       atol=0.0, err_msg=str((ell, delta)))
             zero_rows += np.count_nonzero(bound == 0.0)
-            underflow_rows += np.count_nonzero(
-                (bound > 0.0) & (bound < 2.0 ** (-1080.0 / 4.0)))
             checked += 1
     assert checked == 9
-    # both skips ran: all-zero rows, and p = 4 powers that underflow
-    assert zero_rows > 0 and underflow_rows > 0, (zero_rows, underflow_rows)
+    # the p = 1 skip ran: rows whose every term underflowed
+    assert zero_rows > 0, zero_rows
+
+
+def _p4_unanchored(Gt, ns, c, s_nodes, w_nodes, rho_sq):
+    """The p = 4 route with the s-exponent taken as 2(ks - |k|X), not
+    2|k|(+-s - X): a mutant that the 40-digit reference must catch."""
+    X, n_max = c.half_length, int(np.abs(ns).max())
+    n = np.arange(-n_max, n_max + 1)
+    g = np.zeros((Gt.shape[0], n.size), dtype=complex)
+    g[:, ns + n_max] = Gt
+    D = np.array([np.concatenate([np.convolve(a, a)[:2 * n_max],
+                                  np.convolve(b, b)[2 * n_max:]])
+                  for a, b in zip(g * np.exp(-(np.abs(n) + n) * X),
+                                  g * np.exp(-(np.abs(n) - n) * X))])
+    k = np.arange(-2 * n_max, 2 * n_max + 1)
+    V = (rho_sq * w_nodes * (2.0 / rho_sq) ** 4) @ np.exp(
+        2.0 * (k * s_nodes[:, None] - np.abs(k) * X))
+    return (2.0 * math.pi * (np.abs(D) ** 2 @ V)) ** 0.25
+
+
+@pytest.mark.parametrize("ell, delta", [(1e-4, 0.79), (0.01, 0.3)])
+def test_lp_p4_matches_40_digit_theta_grid_sum(ell, delta):
+    # The sweep's Gauss-Legendre x theta-grid sum of dens^4 rho^2, in
+    # 40-digit arithmetic from the same double inputs (draws, nodes,
+    # weights, rho^2, X).  On the theta grid phi(s)^2 has the coefficients
+    # c_k(s) = sum_{n+m=k} g_n g_m e^{(n+m)s - (|n|+|m|)X}, |k| <= 26 <
+    # n_theta / 2, so the grid sum of |phi(s)|^4 is 2 pi sum_k |c_k(s)|^2;
+    # that identity is checked term by term at the node nearest the edge.
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    cfg = SweepConfig(ell_grid=(ell,), delta_grid=(delta,), n_max=13,
+                      trials=3, seed=5)
+    c = CollarParams(ell)
+    ns = interleaved_modes(cfg.n_max)
+    n_theta = 256
+    x_delta = thin_boundary(c, delta).x_delta
+    Gt = sweeps._normalized_draws(cfg, c, 0, 0, ns)
+    s_nodes, w_nodes, rho_sq = _gl_tile(c, x_delta)
+    got = sweeps._cell_lp(cfg, c, 0, 0, x_delta, ns, (4.0,))[4.0]
+    mutant = _p4_unanchored(Gt, ns, c, s_nodes, w_nodes, rho_sq)
+    with mpmath.workdps(40):
+        X = mp.mpf(c.half_length)
+        modes = [int(n) for n in ns]
+        ks = range(-2 * cfg.n_max, 2 * cfg.n_max + 1)
+        roots = [mp.expjpi(2 * mp.mpf(j) / n_theta) for j in range(n_theta)]
+        S = [mp.mpf(s) for s in s_nodes]
+        # w rho^2 (2 / rho^2)^4 and |e^{ks - |k|X}|^2 at each node
+        Q = [mp.mpf(w) * mp.mpf(r) * (2 / mp.mpf(r)) ** 4
+             for w, r in zip(w_nodes, rho_sq)]
+        E = [{k: mp.exp(2 * (k * s - abs(k) * X)) for k in ks} for s in S]
+        for trial, g in enumerate(Gt):
+            g = [mp.mpc(complex(b)) for b in g]
+            # c_k(s) = e^{ks - |k|X} D_k
+            D = dict.fromkeys(ks, 0)
+            for n, gn in zip(modes, g):
+                for m, gm in zip(modes, g):
+                    D[n + m] += gn * gm * mp.exp(
+                        -(abs(n) + abs(m) - abs(n + m)) * X)
+            coef_sq = [2 * mp.pi * mp.fsum(abs(D[k]) ** 2 * e[k] for k in ks)
+                       for e in E]
+            a = [gn * mp.exp(n * S[-1] - abs(n) * X)
+                 for n, gn in zip(modes, g)]
+            grid = mp.fsum(
+                abs(mp.fsum(an * roots[n * j % n_theta]
+                            for n, an in zip(modes, a))) ** 4
+                for j in range(n_theta)) * 2 * mp.pi / n_theta
+            assert abs(grid / coef_sq[-1] - 1) < mp.mpf(10) ** -30
+            ref = mp.fsum(q * v for q, v in zip(Q, coef_sq)) ** mp.mpf(0.25)
+            assert abs(got[trial] / ref - 1) < 1e-14, (trial, got[trial])
+            if ell == 1e-4:
+                # the unanchored exponent is off by 5e-13 to 1.6e-12 here
+                assert abs(mutant[trial] / ref - 1) > 1e-13, trial
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 47, 49, 101])
@@ -441,6 +521,29 @@ def test_nan_trial_is_non_converged(monkeypatch):
             assert best.normalized == max(r.normalized for r in ok)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("sweep", [decay_sweep, lp_vanishing_sweep])
+def test_summary_rows_tell_failed_trials_from_empty_cells(sweep):
+    # at ell 1e-8 every thick weight underflows to 0, so every trial is
+    # non-converged; at (1.5, 0.3) the thin part is empty
+    def summaries(ells):
+        rep = sweep(SweepConfig(ell_grid=ells, delta_grid=(0.3,), n_max=4,
+                                trials=2, seed=3))
+        rows = [r for r in rep.rows
+                if r.statistic.startswith("max_normalized")]
+        assert len(rows) in (1, 4)
+        return {r.status for r in rows}, rows
+
+    for ells, want in (((1e-8,), STATUS_FAILED), ((1.5,), STATUS_EMPTY),
+                       ((1e-8, 1.5), STATUS_FAILED)):
+        statuses, rows = summaries(ells)
+        assert statuses == {want}, ells
+        if want == STATUS_EMPTY:
+            assert all(r.value == 0.0 for r in rows)
+        else:
+            assert all(math.isnan(r.value) for r in rows)
+
+
 def test_principal_mass_frozen_values():
     rep = principal_mass_sweep((0.001, 0.1), (0.2, 0.4))
     rows = {(r.ell, r.delta): r for r in rep.values("principal_thin_mass")}
@@ -496,6 +599,18 @@ def test_bij_zero_sequence_passes():
     verdict = rep.single("b0_vanishing")
     assert math.isnan(verdict.value) and verdict.normalized == 1.0
     assert all(r.value == 0.0 for r in rep.values("b0_thin_norm"))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bij_non_finite_norms_are_non_converged(bad):
+    # the bad b0 sits at the large-ell end, outside the fitted half: the
+    # verdict still reads it, as the scale of its vanishing threshold
+    rep = bij_normalization_check(_bij_grid(4), [1.0, 1.0, 1.0, bad])
+    assert [r.status for r in rep.values("b0_thin_norm")] \
+        == [STATUS_OK] * 3 + [STATUS_FAILED]
+    verdict = rep.single("b0_vanishing")
+    assert verdict.status == STATUS_FAILED
+    assert math.isnan(verdict.value) and math.isnan(verdict.normalized)
 
 
 def test_bij_empty_thin_row():
