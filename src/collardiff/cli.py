@@ -256,21 +256,17 @@ def qd_bij_check(opts, ell_grid, delta0, b0):
 
     # the grid is checked before pow:K meets it (0 ** -1 would raise)
     ells, = sw.check_grids(parse_grid(ell_grid))
-    if b0.startswith("pow:"):
-        try:
+    try:
+        if b0.startswith("pow:"):
             k = float(b0[4:])
-        except ValueError as exc:
-            raise ValidationError(f"bad --b0 spec {b0!r}: {exc}") from exc
-        try:
             seq = [ell ** k for ell in ells]
-        except OverflowError:
-            raise ValidationError(
-                f"--b0 {b0}: the b0 sequence ell^K overflows") from None
-    else:
-        try:
+        else:
             seq = [complex(tok) for tok in b0.split(",")]
-        except ValueError as exc:
-            raise ValidationError(f"bad --b0 spec {b0!r}: {exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"bad --b0 spec {b0!r}: {exc}") from exc
+    except OverflowError:
+        raise ValidationError(
+            f"--b0 {b0}: the b0 sequence ell^K overflows") from None
     _emit(opts, sw.bij_normalization_check(ells, seq, delta0))
 
 
@@ -394,7 +390,6 @@ def cusp_classify(opts, germ_file, radius):
     g = cu.load_germ(germ_file, radius=radius)
     cl = cu.classify(g)
     order = 0 if g.is_zero else cu.pole_order(g)
-    bound = cu.is_bounded(g)
     rows = [
         ReportRow(None, None, "pole_order", float(order)),
         ReportRow(None, None, "integrable", float(cl.integrable)),
@@ -403,8 +398,7 @@ def cusp_classify(opts, germ_file, radius):
                   float(cl.simple_pole_or_better)),
         ReportRow(None, None, "l1_norm",
                   cu.l1_norm(g, tol_abs=opts.tol_abs, tol_rel=opts.tol_rel)),
-        ReportRow(None, None, "density_sup",
-                  bound.sup if bound.bounded else math.nan),
+        ReportRow(None, None, "density_sup", cu.is_bounded(g).sup),
     ]
     _emit(opts, Report(rows))
 

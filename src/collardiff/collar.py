@@ -45,10 +45,13 @@ class CollarParams:
     ell: float
 
     def __post_init__(self):
-        if not (0.0 < self.ell <= ELL_MAX) or not math.isfinite(self.ell):
+        # X ~ pi^2/ell overflows below ell ~ 5.5e-308 (at 5e-324,
+        # sinh(ell/2) underflows to 0 first)
+        if not (0.0 < self.ell <= ELL_MAX) or math.sinh(0.5 * self.ell) == 0 \
+                or not math.isfinite(self.half_length):
             raise DomainError(
-                f"collar core length must lie in (0, {ELL_MAX:.12g}], "
-                f"got {self.ell!r}")
+                f"collar core length must lie in (0, {ELL_MAX:.12g}] with a "
+                f"finite half-length, got {self.ell!r}")
 
     @cached_property
     def half_length(self) -> float:
@@ -166,7 +169,10 @@ def validate_delta0(delta0: float, ell_values=None) -> float:
         probe.extend(e for e in ell_values if 0.0 < e <= ELL_MAX)
     worst = math.inf
     for ell in probe:
-        c = CollarParams(ell)
+        try:
+            c = CollarParams(ell)
+        except DomainError:   # below the collars with a finite half-length
+            continue
         gap = c.half_length - thin_boundary(c, delta0).x_delta
         if gap < worst:
             worst = gap

@@ -261,7 +261,7 @@ def _annulus_mass(g: PunctureGerm, lo: float, hi: float, n_theta: int) -> float:
 @dataclass(frozen=True)
 class GermBound:
     bounded: bool
-    sup: float | None = None
+    sup: float
     r_at: float | None = None
 
 
@@ -275,18 +275,18 @@ def hyperbolic_density(g: PunctureGerm, r, n_theta: int = 256) -> np.ndarray:
 
 
 def is_bounded(g: PunctureGerm, n_theta: int = 256) -> GermBound:
-    """Boundedness of the metric density, with the sup when finite.
+    """Boundedness of the metric density, with its sup (inf if unbounded).
 
     The boolean comes from the pole order (the density behaves like
-    r^{k_min+2} (log r)^2 at the puncture); the sup is then computed by
+    r^{k_min+2} (log r)^2 at the puncture); a finite sup is computed by
     grid search plus local refinement.  For a single mode the density is
     monotone increasing on (0, R] whenever R < e^{-2/(k+2)} -- true for
     the default radius -- so the sup sits exactly at the rim.
     """
     if g.is_zero:
-        return GermBound(True, 0.0, None)
+        return GermBound(True, 0.0)
     if pole_order(g) >= 2:
-        return GermBound(False)
+        return GermBound(False, math.inf)
     R = g.radius
     if len(g.coeffs) == 1 and R < math.exp(-2.0 / (min(g.coeffs) + 2)):
         (k, c), = g.coeffs.items()

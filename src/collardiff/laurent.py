@@ -29,7 +29,7 @@ from .collar import CollarParams, thin_boundary, cos_profile_vec, \
     conformal_factor, DEFAULT_DELTA0
 from .errors import DomainError, ValidationError, is_int, read_json
 from .numerics import (DEFAULT_TOL_ABS, DEFAULT_TOL_REL, adaptive_quad,
-                       exp_cos2_window, exp_scale, scale_complex,
+                       exp_cos2_window, exp_scale, scale_complex, square,
                        vec_scale_complex)
 
 
@@ -149,8 +149,9 @@ def eval_density(q: LaurentQD, s: float, theta: float) -> float:
 
 
 def _norm_const(c: CollarParams) -> float:
-    # 8*pi*(2*pi/ell)^2 = 32*pi^3/ell^2
-    return 32.0 * math.pi ** 3 / (c.ell * c.ell)
+    # 8*pi*(2*pi/ell)^2 = 32*pi^3/ell^2, inf where ell*ell underflows to 0
+    sq = c.ell * c.ell
+    return 32.0 * math.pi ** 3 / sq if sq else math.inf
 
 
 def _mode_sum(c: CollarParams, weights: dict, windows) -> complex:
@@ -196,7 +197,7 @@ def l2_norm(q: LaurentQD, win: SubCollar | None = None) -> float:
     if win is None:
         win = full_window(q.collar)
     win = _check_window(q.collar, win)
-    weights = {n: abs(b) ** 2 for n, b in q.coeffs.items()}
+    weights = {n: square(abs(b)) for n, b in q.coeffs.items()}
     return math.sqrt(_mode_sum(q.collar, weights, [(win.s1, win.s2)]).real)
 
 
@@ -246,7 +247,7 @@ def lp_norm(q: LaurentQD, p: float, win: SubCollar | None = None, *,
         n_theta = max(64, 8 * q.n_max)
     c = q.collar
     two_pi = 2.0 * math.pi
-    base = (two_pi / c.ell) ** 2  # rho(s)^-2 = base * cos^2
+    base = square(two_pi / c.ell)  # rho(s)^-2 = base * cos^2
 
     def integrand(s: np.ndarray) -> np.ndarray:
         cs = cos_profile_vec(c, s)
@@ -484,7 +485,7 @@ def linf_thin(q: LaurentQD, delta: float, *, n_s: int = 257) -> ThinSup:
     n_theta = max(256, 8 * q.n_max)
     c = q.collar
     xd = tw.x_delta
-    center = 2.0 * (2.0 * math.pi / c.ell) ** 2  # 2 rho^-2 = center * cos^2
+    center = 2.0 * square(2.0 * math.pi / c.ell)  # 2 rho^-2 = center * cos^2
 
     grid = _sup_grid(xd, n_s)
     modes = sorted(q.coeffs)
@@ -548,7 +549,7 @@ def coefficient_bound_check(q: LaurentQD, delta0: float = DEFAULT_DELTA0
     c = q.collar
     x = c.half_length
     xd = thin_boundary(c, delta0).x_delta
-    weights = {n: abs(b) ** 2 for n, b in q.coeffs.items()}
+    weights = {n: square(abs(b)) for n, b in q.coeffs.items()}
     tn = math.sqrt(_mode_sum(c, weights, [(xd, x), (-x, -xd)]).real)
     per = {}
     for n, b in q.coeffs.items():

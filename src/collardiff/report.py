@@ -21,11 +21,17 @@ _COLUMNS = ("ell", "delta", "statistic", "value", "normalized", "status")
 _JSON_ROW = " {\n" + ",\n".join(f"  {_json_str(c)}: %s" for c in _COLUMNS) \
     + "\n }"
 
-# Row status vocabulary; anything else is a bug.
+# Row statuses: a row derives ok / non-converged (see ReportRow), and a
+# producer names only empty-thin.
 STATUS_OK = "ok"
 STATUS_EMPTY = "empty-thin"
 STATUS_FAILED = "non-converged"
-_STATUSES = {STATUS_OK, STATUS_EMPTY, STATUS_FAILED}
+# the non-finite values that are answers: a non-integrable germ's L^1 norm
+# and an unbounded density's sup are inf, and b0_vanishing's slope is NaN
+# when the tail is already zero, with a finite verdict
+_ANSWERS = {"l1_norm": lambda row: row.value == math.inf,
+            "density_sup": lambda row: row.value == math.inf,
+            "b0_vanishing": lambda row: math.isfinite(row.normalized)}
 
 
 def _fmt(x: float | None) -> str:
@@ -67,11 +73,18 @@ class ReportRow:
     statistic: str
     value: float
     normalized: float | None = None
-    status: str = STATUS_OK
+    status: str | None = None
 
     def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise ValueError(f"unknown row status {self.status!r}")
+        """The one status rule: ``ok`` if the value is finite or is its
+        statistic's answer, ``non-converged`` otherwise."""
+        if self.status is None:
+            ok = math.isfinite(self.value) \
+                or _ANSWERS.get(self.statistic, lambda row: False)(self)
+            object.__setattr__(self, "status",
+                               STATUS_OK if ok else STATUS_FAILED)
+        elif self.status != STATUS_EMPTY:
+            raise ValueError(f"a row derives its status, got {self.status!r}")
 
 
 @dataclass

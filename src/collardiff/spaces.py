@@ -20,8 +20,8 @@ from .errors import (DomainError, RankDeficiencyError, ValidationError,
                      read_json)
 from .laurent import (LaurentQD, coeffs_from_json, coeffs_to_json, l2_inner,
                       l2_norm, linf_thin, principal_part, remove_principal)
-from .report import (Report, ReportRow, STATUS_EMPTY, STATUS_FAILED,
-                     STATUS_OK)
+from .numerics import exp_scale, square
+from .report import Report, ReportRow, STATUS_EMPTY
 
 # Relative spectral floor below which a Gram matrix counts as singular.
 RANK_TOL = 1e-12
@@ -67,7 +67,7 @@ def mc_inner(u: MultiCollarQD, v: MultiCollarQD) -> complex:
 
 
 def mc_norm(u: MultiCollarQD) -> float:
-    return math.sqrt(sum(l2_norm(p) ** 2 for p in u.parts))
+    return math.sqrt(sum(square(l2_norm(p)) for p in u.parts))
 
 
 def mc_combine(elems, weights) -> MultiCollarQD:
@@ -252,7 +252,7 @@ def w_decay_report(space: QDSpace, deltas, *, samples: int = 48,
     Samples the unit sphere of W (plus the basis directions), measures
     max over collars of the thin-part density sup against the unit L2
     norm, and reports the e^{pi/delta} delta^-2 normalization alongside.
-    A NaN or inf ratio is reported as computed, with status non-converged.
+    A NaN or inf ratio is reported as computed (so non-converged).
     Empty table when W is trivial.
     """
     w = w_subspace(space)
@@ -272,15 +272,10 @@ def w_decay_report(space: QDSpace, deltas, *, samples: int = 48,
                                 for part in elem.parts])) / norm
                   for elem, norm in zip(elems, norms)]
         best = float(np.max(ratios))
-        nonempty_geom = any(not thin_boundary(c, delta).empty
-                            for c in space.collars)
-        if not nonempty_geom:
-            status = STATUS_EMPTY
-        else:
-            status = STATUS_OK if math.isfinite(best) else STATUS_FAILED
-        normalized = best * delta * delta * math.exp(math.pi / delta)
-        rows.append(ReportRow(None, float(delta), "w_linf_ratio_max",
-                              best, normalized, status))
+        empty = all(thin_boundary(c, delta).empty for c in space.collars)
+        rows.append(ReportRow(None, float(delta), "w_linf_ratio_max", best,
+                              exp_scale(best * delta * delta, math.pi / delta),
+                              STATUS_EMPTY if empty else None))
     return Report(rows)
 
 

@@ -25,9 +25,8 @@ from .collar import (CollarParams, DEFAULT_DELTA0, DELTA_MAX, ELL_MAX,
 from .errors import ValidationError, is_int
 from .laurent import (DensityRows, SubCollar, _norm_const, _sorted_unique,
                       full_window, mode_l2_norm_sq)
-from .numerics import exp_cos2_window
-from .report import (Report, ReportRow, STATUS_EMPTY, STATUS_FAILED,
-                     STATUS_OK)
+from .numerics import exp_cos2_window, exp_scale, square
+from .report import Report, ReportRow, STATUS_EMPTY, STATUS_OK
 
 #: C0 = 32 pi^5: thin L^2 mass of the principal differential is C0/ell^3 + O(delta^-3)
 PRINCIPAL_MASS_CONSTANT = 32.0 * math.pi ** 5
@@ -254,43 +253,27 @@ def _density_max(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
     """Per-trial sup of |phi| * 2 rho^{-2} over s_nodes x theta grid (exact,
     see DensityRows.row_max); the law factor e^{-|n|X} enters as the
     log-scale."""
-    pref = 2.0 * (2.0 * math.pi / c.ell) ** 2 \
+    pref = 2.0 * square(2.0 * math.pi / c.ell) \
         * cos_profile_vec(c, s_nodes) ** 2
     return DensityRows(Gt, ns, -np.abs(ns) * c.half_length, s_nodes, pref,
                        n_theta).row_max().max(axis=1)
 
 
-def _envelope(delta: float) -> float:
-    return delta * delta * math.exp(math.pi / delta)
-
-
-def _trial_row(ell: float, delta: float, statistic: str, value: float,
-               env: float) -> ReportRow:
-    """One trial's row; a non-finite value is reported as non-converged."""
-    status = STATUS_OK if math.isfinite(value) else STATUS_FAILED
-    return ReportRow(ell, delta, statistic, value, value * env, status)
-
-
 # --- decay of zero-principal differentials into the thin part ------------------
 
 def _append_max_row(rows: list, statistic: str, name: str) -> None:
-    """The best ``ok`` row of ``statistic``; with none, ``non-converged``
-    if a trial failed and ``empty-thin`` if every cell is empty."""
-    best = None
-    for r in rows:
-        if r.statistic == statistic and r.status == STATUS_OK \
-                and (best is None or r.normalized > best.normalized):
-            best = r
-    if best is None and any(r.statistic == statistic
-                            and r.status == STATUS_FAILED for r in rows):
-        rows.append(ReportRow(math.nan, math.nan, name, math.nan, math.nan,
-                              STATUS_FAILED))
-    elif best is None:
-        rows.append(ReportRow(math.nan, math.nan, name, 0.0, 0.0,
-                              STATUS_EMPTY))
-    else:
+    """The best ``ok`` row of ``statistic``; with none, ``empty-thin`` if
+    every cell is empty and NaN (so ``non-converged``) if a trial failed."""
+    mine = [r for r in rows if r.statistic == statistic]
+    best = max((r for r in mine if r.status == STATUS_OK),
+               key=lambda r: r.normalized, default=None)
+    if best is not None:
         rows.append(ReportRow(best.ell, best.delta, name, best.value,
                               best.normalized))
+    elif all(r.status == STATUS_EMPTY for r in mine):
+        rows.append(ReportRow(math.nan, math.nan, name, 0.0, 0.0, STATUS_EMPTY))
+    else:
+        rows.append(ReportRow(math.nan, math.nan, name, math.nan, math.nan))
 
 
 def decay_sweep(cfg: SweepConfig, workers: int = 1) -> Report:
@@ -315,12 +298,8 @@ def _principal_cell(ell: float, delta: float) -> list:
     c = CollarParams(ell)
     win = thin_boundary(c, delta)
     if win.empty:
-        return [
-            ReportRow(ell, delta, "principal_thin_mass", 0.0, 0.0,
-                      STATUS_EMPTY),
-            ReportRow(ell, delta, "principal_mass_fraction", 0.0, 0.0,
-                      STATUS_EMPTY),
-        ]
+        return [ReportRow(ell, delta, name, 0.0, 0.0, STATUS_EMPTY)
+                for name in ("principal_thin_mass", "principal_mass_fraction")]
     thin = mode_l2_norm_sq(c, 0, SubCollar(-win.x_delta, win.x_delta))
     full = mode_l2_norm_sq(c, 0, full_window(c))
     scaled = ell ** 3 * thin
@@ -369,29 +348,30 @@ def bij_normalization_check(ell_grid, b0_sequence,
     for ell, b in zip(ells, b0):
         c = CollarParams(ell)
         win = thin_boundary(c, delta0)
-        ref = abs(b) * ell ** -1.5 * math.sqrt(PRINCIPAL_MASS_CONSTANT)
+        size = abs(b)   # before the try: abs(nan) raises after an overflow
+        try:
+            ref = size * ell ** -1.5 * math.sqrt(PRINCIPAL_MASS_CONSTANT)
+        except OverflowError:   # ell^-1.5 alone overflows; the product may not
+            ref = exp_scale(size * math.sqrt(PRINCIPAL_MASS_CONSTANT),
+                            -1.5 * math.log(ell))
         if win.empty:
             rows.append(ReportRow(ell, delta0, "b0_thin_norm", 0.0, ref,
                                   STATUS_EMPTY))
             norms.append(0.0)
             continue
         thin = mode_l2_norm_sq(c, 0, SubCollar(-win.x_delta, win.x_delta))
-        val = abs(b) * math.sqrt(thin)
-        rows.append(ReportRow(ell, delta0, "b0_thin_norm", val, ref,
-                              STATUS_OK if math.isfinite(val)
-                              else STATUS_FAILED))
+        val = size * math.sqrt(thin)
+        rows.append(ReportRow(ell, delta0, "b0_thin_norm", val, ref))
         norms.append(val)
-    # the verdict reads every norm: their max scales its threshold
-    finite = all(map(math.isfinite, norms))
-    slope, passed = _vanishing_verdict(ells, norms) if finite \
-        else (math.nan, math.nan)
+    slope, passed = _vanishing_verdict(ells, norms)
     rows.append(ReportRow(math.nan, delta0, "b0_vanishing", slope,
-                          float(passed),
-                          STATUS_OK if finite else STATUS_FAILED))
+                          float(passed)))
     return Report(rows)
 
 
-def _vanishing_verdict(ells, norms) -> tuple[float, bool]:
+def _vanishing_verdict(ells, norms) -> tuple[float, float]:
+    if not all(map(math.isfinite, norms)):   # their max scales the threshold
+        return math.nan, math.nan
     # the grid is ascending; vanishing concerns the ell -> 0 end
     half = max(2, len(norms) // 2)
     tail = norms[:half]
@@ -528,9 +508,9 @@ def _lp_cell(cfg: SweepConfig, li: int, di: int, stats: dict) -> list:
                 for name, _ in stats.values()]
     per_p = _cell_lp(cfg, c, li, di, win.x_delta,
                      interleaved_modes(cfg.n_max), tuple(stats))
-    env = _envelope(delta)
+    env = exp_scale(delta * delta, math.pi / delta)   # delta^2 e^{pi/delta}
     cols = [(name, per_p[p].tolist()) for p, (name, _) in stats.items()]
-    return [_trial_row(ell, delta, name, vals[trial], env)
+    return [ReportRow(ell, delta, name, vals[trial], vals[trial] * env)
             for trial in range(cfg.trials) for name, vals in cols]
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI checks: exit codes, output contracts, determinism."""
 
+import csv
 import json
 import math
 import os
@@ -9,11 +10,12 @@ import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import collardiff
 from collardiff.cli import _write, main, parse_grid
 from collardiff.errors import ValidationError
-from collardiff.report import CSV_SCHEMA
+from collardiff.report import CSV_SCHEMA, STATUS_EMPTY
 
 
 def invoke(capsys, *args):
@@ -380,7 +382,7 @@ def test_cusp_classify_pole(capsys, tmp_path):
     assert stats["bounded"] == "0"
     assert stats["simple_pole_or_better"] == "0"
     assert stats["l1_norm"] == "inf"
-    assert stats["density_sup"] == "nan"
+    assert stats["density_sup"] == "inf"
 
 
 def test_cusp_classify_simple_pole_json(capsys, tmp_path):
@@ -538,3 +540,200 @@ def test_space_w_report_cli(capsys, space_file):
     assert [r["statistic"] for r in rows] == ["w_linf_ratio_max"] * 2
     assert all(r["ell"] == "" for r in rows)  # no single collar applies
     assert float(rows[0]["value"]) > 0.0
+
+
+# --- the exit-code and row-status contract, fuzzed -----------------------------
+
+# float arguments as the shell passes them: each draw is in-domain or odd
+# (extreme, non-finite or garbage) about half the time
+_SANE_ARGS = ("1e-4", "0.001", "0.01", "0.1", "0.3", "0.5", "0.79")
+_ODD_ARGS = ("1e-300", "5e-324", "1e-200", "1e308", "nan", "inf", "-inf",
+             "0", "-0.0", "-1", "1.7", "2.5", "x", "")
+# numbers inside JSON files (json writes NaN/Infinity and reads them back)
+_JSON_FLOATS = (0.0, -1.5, 0.5, 1.0, 1e-300, 5e-324, 1e200, 1e308,
+                math.nan, math.inf, -math.inf)
+
+_float_arg = st.one_of(st.sampled_from(_SANE_ARGS),
+                       st.sampled_from(_ODD_ARGS))
+# every size is bounded: never a large --n-max, --trials or grid
+_grid = st.one_of(
+    st.lists(st.sampled_from(_SANE_ARGS), min_size=1, max_size=3,
+             unique=True).map(lambda xs: ",".join(sorted(xs, key=float))),
+    st.lists(_float_arg, max_size=3).map(",".join),
+    st.tuples(st.sampled_from(("log", "lin")), _float_arg, _float_arg,
+              st.sampled_from(("-1", "0", "1", "3", "x"))).map(":".join))
+_count = st.sampled_from(("1", "2", "4", "-1", "0", "x"))
+_bad_json = st.sampled_from((
+    "{", "", "null", "5", '"x"', "{}", "[1]", "[null]", '[{"a": 1}]', "[[]]",
+    '{"x": []}', '[{"n": 1.5, "re": 1, "im": 0}]',
+    '[{"k": true, "re": 1, "im": 0}]', '[{"n": 1, "re": [1], "im": 0}]',
+    '[{"k": -1, "re": "x", "im": 0}]', '[{"component": "0", "kind": "x"}]',
+    '{"collars": [0.3], "basis": [[[{"n": 0, "re": 1, "im": 0}], []]]}'))
+
+
+def _json(strategy):
+    """File text: JSON of the strategy's values, or a malformed file."""
+    return st.one_of(strategy.map(json.dumps), _bad_json)
+
+
+_json_num = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(_JSON_FLOATS))
+_coeffs = st.lists(st.fixed_dictionaries(
+    {"n": st.integers(-8, 8), "re": _json_num, "im": _json_num}),
+    max_size=3, unique_by=lambda c: c["n"])
+_germ = st.lists(st.fixed_dictionaries(
+    {"k": st.integers(-4, 4), "re": _json_num, "im": _json_num}),
+    max_size=3, unique_by=lambda c: c["k"])
+_collars = st.lists(st.sampled_from((0.3, 0.8, 0.05, 1e-4, 1e-300, 5e-324,
+                                      2.0, math.nan)), min_size=1, max_size=2)
+_space = _collars.flatmap(lambda cs: st.fixed_dictionaries({
+    "collars": st.just(cs),
+    "basis": st.lists(st.lists(_coeffs, min_size=len(cs),
+                               max_size=len(cs)), max_size=3)}))
+_target = st.lists(_coeffs, min_size=1, max_size=2)
+_surface = st.one_of(
+    st.lists(st.tuples(st.integers(-1, 3), st.integers(-1, 3)), min_size=1,
+             max_size=2).map(lambda cs: ";".join(f"{g},{k}" for g, k in cs)),
+    st.sampled_from(("banana", "", "1", "1,2,3")))
+_surface_file = _json(st.fixed_dictionaries({"components": st.lists(
+    st.fixed_dictionaries({"genus": st.integers(-1, 3),
+                           "punctures": st.one_of(st.integers(-1, 3),
+                                                  st.just(1.5))}),
+    max_size=2)}))
+_moves = st.lists(st.fixed_dictionaries(
+    {"component": st.integers(-1, 2),
+     "kind": st.sampled_from(("nonseparating", "separating", "x")),
+     "split": st.lists(st.lists(st.integers(-1, 3), min_size=2, max_size=2),
+                       max_size=2)}), max_size=2)
+
+
+def _one(values):
+    return values.map(lambda v: [v])
+
+
+def _opt(name, values):
+    """An optional ``name value`` pair."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+def _cmd(*parts):
+    """Concatenated argv pieces: strings stay, lists of strings splice."""
+    return st.tuples(*[st.just([p]) if isinstance(p, str) else p
+                       for p in parts]).map(lambda xs: sum(xs, []))
+
+
+def _repeat(name, min_size=0):
+    return st.lists(_float_arg, min_size=min_size, max_size=3).map(
+        lambda ds: [a for d in ds for a in (name, d)])
+
+
+_FILE = "FILE"   # a placeholder; the test writes the file and puts its path
+
+
+def _file(text):
+    return st.tuples(st.just(_FILE), text).map(list)
+
+
+_COMMANDS = st.one_of(
+    _cmd("collar", "info", _one(_float_arg), _repeat("--delta")),
+    _cmd(_opt("--n-max", st.sampled_from(("1", "2", "8"))), "qd", "norms",
+         "--coeffs", _file(_json(_coeffs)), "--ell", _one(_float_arg),
+         _opt("--delta", _float_arg)),
+    _cmd(_opt("--n-max", st.sampled_from(("1", "8"))),
+         _opt("--seed", st.sampled_from(("0", "7", str(2 ** 64 - 1), "-1",
+                                         str(2 ** 64)))),
+         "qd", "decay-sweep", "--ell-grid", _one(_grid), "--delta-grid",
+         _one(_grid), _opt("--delta0", _float_arg), "--trials", _one(_count),
+         _opt("--workers", st.sampled_from(("0", "1", "2")))),
+    _cmd("qd", "principal-mass", "--ell-grid", _one(_grid), "--delta-grid",
+         _one(_grid)),
+    _cmd("qd", "bij-check", "--ell-grid", _one(_grid),
+         _opt("--delta0", _float_arg), "--b0", _one(st.one_of(
+             st.sampled_from(("1e308", "-1e308", "1e20", "-1e20", "-1000",
+                              "400", "nan", "inf", "-inf", "0", "1.5", "x"))
+             .map(lambda k: "pow:" + k),
+             st.lists(st.sampled_from(("1", "0", "1e308", "nan", "inf",
+                                       "1+2j", "x")), max_size=3)
+             .map(",".join)))),
+    _cmd("space", "project", _file(_json(_space)), _file(_json(_target))),
+    _cmd(_opt("--seed", st.sampled_from(("0", "3"))), "space", "w-report",
+         _file(_json(_space)), _repeat("--delta", 1), "--samples",
+         _one(_count)),
+    _cmd("topology", "dim", st.one_of(_one(_surface), _file(_surface_file))),
+    _cmd("topology", "pinch", _one(_surface), "--moves",
+         _file(_json(_moves))),
+    _cmd("cusp", "classify", _file(_json(_germ)),
+         _opt("--radius", _float_arg)),
+)
+
+
+def _by_rule(statistic, value, normalized):
+    """The row-status rule: ok iff the value is finite or its statistic's
+    answer (an inf L^1 norm or density sup, a b0_vanishing row with a
+    finite verdict)."""
+    answer = {"l1_norm": value == math.inf, "density_sup": value == math.inf,
+              "b0_vanishing": normalized is not None
+              and math.isfinite(normalized)}.get(statistic, False)
+    return "ok" if math.isfinite(value) or answer else "non-converged"
+
+
+def _emitted_rows(text, fmt):
+    """(statistic, value, normalized, status) of each emitted row."""
+    num = lambda x: None if x in (None, "") else float(x)  # noqa: E731
+    if fmt == "json":
+        return [(r["statistic"], num(r["value"]), num(r["normalized"]),
+                 r["status"]) for r in json.loads(text)]
+    lines = text.splitlines()
+    assert lines[0] == CSV_SCHEMA
+    return [(r["statistic"], num(r["value"]), num(r["normalized"]),
+             r["status"]) for r in csv.DictReader(lines[1:])]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(argv=_COMMANDS, fmt=st.sampled_from(("csv", "json")),
+       to_file=st.booleans())
+@example(argv=["qd", "bij-check", "--b0", "pow:0", "--ell-grid",
+               "1e-300,0.1"], fmt="csv", to_file=True)
+@example(argv=["qd", "bij-check", "--b0", "pow:0", "--ell-grid",
+               "1e-200,0.1"], fmt="csv", to_file=False)
+@example(argv=["qd", "principal-mass", "--ell-grid", "1e-200,0.1",
+               "--delta-grid", "0.3"], fmt="json", to_file=False)
+@example(argv=["qd", "norms", "--coeffs", _FILE,
+               '[{"n": 1, "re": 1.0, "im": 0.0}]', "--ell", "1e-300"],
+         fmt="csv", to_file=True)
+@example(argv=["collar", "info", "5e-324"], fmt="csv", to_file=True)
+@example(argv=["qd", "bij-check", "--ell-grid", "1e-300", "--delta0",
+               "1e-300", "--b0", "nan"], fmt="csv", to_file=False)
+@example(argv=["qd", "decay-sweep", "--ell-grid", "1e-4", "--delta-grid",
+               "0.001", "--delta0", "5e-324", "--trials", "1"], fmt="csv",
+         to_file=False)
+@example(argv=["cusp", "classify", _FILE, '[{"k": -2, "re": 1, "im": 0}]'],
+         fmt="json", to_file=False)
+def test_cli_contract_fuzz(capsys, tmp_path, argv, fmt, to_file):
+    # each command holds the exit-code contract (0, 2 usage or input, 3
+    # numerical; never an escaping exception), leaves --out untouched when
+    # it fails, and every row it emits carries the status the rule derives
+    argv, files = list(argv), 0
+    while _FILE in argv:
+        i = argv.index(_FILE)
+        path = tmp_path / f"input{files}.json"
+        path.write_text(argv.pop(i + 1))
+        argv[i], files = str(path), files + 1
+    out_path = tmp_path / "out.txt"
+    out_path.write_text("untouched\n")
+    head = ["--format", fmt] + (["--out", str(out_path)] if to_file else [])
+    code, out, err = invoke(capsys, *head, *argv)
+    assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in err
+    text = out_path.read_text() if to_file else out
+    if code != 0:
+        assert text == ("untouched\n" if to_file else "")
+        return
+    if argv[:2] == ["topology", "dim"]:
+        assert text.strip().isdigit()
+        return
+    for statistic, value, normalized, status in _emitted_rows(text, fmt):
+        assert status == STATUS_EMPTY \
+            or status == _by_rule(statistic, value, normalized), \
+            (statistic, value, normalized, status)

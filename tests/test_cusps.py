@@ -145,7 +145,7 @@ def test_sup_multimode_matches_dense_scan():
 def test_sup_unbounded_and_zero():
     assert not is_bounded(PunctureGerm({-2: 1.0})).bounded
     out = is_bounded(PunctureGerm({-2: 1.0, 0: 1.0}))
-    assert not out.bounded and out.sup is None
+    assert not out.bounded and out.sup == math.inf
     z = is_bounded(PunctureGerm({}))
     assert z.bounded and z.sup == 0.0
 
