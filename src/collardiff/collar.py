@@ -154,33 +154,24 @@ def disc_metric_density(r):
     return 1.0 / (r * (-np.log(r)))
 
 
-def validate_delta0(delta0: float, ell_values=None) -> float:
-    """Check the working constraint X(ell) - X_delta0(ell) >= 1.
+def validate_delta0(delta0: float) -> float:
+    """Check the working constraint X(ell) - X_delta0(ell) >= 1 for every
+    core length and return the gap's infimum; a DomainError otherwise,
+    since the decay estimates downstream rest on it.
 
-    Probes a built-in logarithmic grid over (0, min(2*delta0, ELL_MAX)]
-    plus any caller-supplied core lengths; returns the smallest margin
-    found.  Raises DomainError if the constraint fails anywhere, which
-    would invalidate the decay estimates downstream.
+    While the thin part is nonempty (r = sinh(ell/2)/sinh(delta0) < 1) the
+    gap (2*pi/ell) * (asin(r) - atan(sinh(ell/2))) rises with ell from its
+    ell -> 0 limit pi * (1/sinh(delta0) - 1); beyond, it is X(ell) >=
+    X(ELL_MAX) ~ 2.80.  So delta0 must be at most asinh(pi/(pi+1)) ~ 0.69997.
     """
     _check_delta(delta0)
-    top = min(2.0 * delta0, ELL_MAX)
-    probe = list(np.geomspace(1e-8, top * (1.0 - 1e-9), 200))
-    if ell_values is not None:
-        probe.extend(e for e in ell_values if 0.0 < e <= ELL_MAX)
-    worst = math.inf
-    for ell in probe:
-        try:
-            c = CollarParams(ell)
-        except DomainError:   # below the collars with a finite half-length
-            continue
-        gap = c.half_length - thin_boundary(c, delta0).x_delta
-        if gap < worst:
-            worst = gap
-    if worst < 1.0:
+    gap = min(math.pi * (1.0 / math.sinh(delta0) - 1.0),
+              CollarParams(ELL_MAX).half_length)
+    if gap < 1.0:
         raise DomainError(
             f"delta0 = {delta0!r} violates the thick-gap constraint: "
-            f"X - X_delta0 = {worst:.6g} < 1 somewhere on the working range")
-    return worst
+            f"X - X_delta0 -> {gap:.6g} < 1 as ell -> 0")
+    return gap
 
 
 def _check_delta(delta: float) -> None:

@@ -26,6 +26,11 @@ from .numerics import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, adaptive_quad
 
 DEFAULT_K_MIN = -8
 
+# theta rules of the L^1 routes and the density sup, and of classify's two
+# detectors, whose ladder of annuli ends at eps_j = R / 4^j, j = 1..17
+_N_THETA, _N_THETA_DETECT = 256, 128
+_STEPS, _SHRINK = 17, 4.0
+
 
 class PunctureGerm:
     """Laurent window sum c_k z^k on the punctured disc of ``radius``.
@@ -92,8 +97,11 @@ def _abs_phi_at(g: PunctureGerm, r, n_theta: int) -> np.ndarray:
     return np.abs((rad * cs) @ ang)
 
 
-def _abs_phi_mean(g: PunctureGerm, r, n_theta: int):
-    return _abs_phi_at(g, r, n_theta).mean(axis=1)
+def _l1_integrand(g: PunctureGerm, n_theta: int):
+    """The polar integrand 4 pi r mean_theta |phi| of the L^1 mass."""
+    def integrand(r: np.ndarray) -> np.ndarray:
+        return 4.0 * math.pi * r * _abs_phi_at(g, r, n_theta).mean(axis=1)
+    return integrand
 
 
 def pole_order(g: PunctureGerm) -> int:
@@ -106,8 +114,7 @@ def pole_order(g: PunctureGerm) -> int:
 
 # --- L^1 mass -----------------------------------------------------------------
 
-def l1_norm(g: PunctureGerm, n_theta: int = 256,
-            tol_abs: float = DEFAULT_TOL_ABS,
+def l1_norm(g: PunctureGerm, tol_abs: float = DEFAULT_TOL_ABS,
             tol_rel: float = DEFAULT_TOL_REL) -> float:
     """2 * integral of |phi| over the punctured disc; +inf for pole >= 2.
 
@@ -121,34 +128,25 @@ def l1_norm(g: PunctureGerm, n_theta: int = 256,
     if len(g.coeffs) == 1:
         (k, c), = g.coeffs.items()
         return 4.0 * math.pi * abs(c) * g.radius ** (k + 2) / (k + 2)
-    return l1_norm_quadrature(g, n_theta=n_theta, tol_abs=tol_abs,
-                              tol_rel=tol_rel)
+    return l1_norm_quadrature(g, tol_abs=tol_abs, tol_rel=tol_rel)
 
 
-def l1_norm_quadrature(g: PunctureGerm, n_theta: int = 256,
-                       tol_abs: float = DEFAULT_TOL_ABS,
-                       tol_rel: float = DEFAULT_TOL_REL,
-                       r_lo: float = 0.0) -> float:
+def l1_norm_quadrature(g: PunctureGerm, tol_abs: float = DEFAULT_TOL_ABS,
+                       tol_rel: float = DEFAULT_TOL_REL) -> float:
     """Polar quadrature of 2|phi| dx dy; the route that never sees the
-    closed form.  Diverges (so refuses to run) for pole order >= 2 unless
-    an inner truncation radius is supplied."""
+    closed form.  Diverges (so refuses to run) for pole order >= 2;
+    truncated masses come from ``truncation_profile``."""
     if g.is_zero:
         return 0.0
-    if r_lo == 0.0 and pole_order(g) >= 2:
-        raise DomainError("integral diverges; pass r_lo > 0 to truncate")
-
-    def integrand(r: np.ndarray) -> np.ndarray:
-        return 4.0 * math.pi * r * _abs_phi_mean(g, r, n_theta)
-
+    if pole_order(g) >= 2:
+        raise DomainError("integral diverges for pole order >= 2")
     R = g.radius
-    pts = [R * f for f in (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5) if R * f > r_lo]
-    return adaptive_quad(integrand, r_lo, R, tol_abs=tol_abs, tol_rel=tol_rel,
-                         points=pts)
+    pts = [R * f for f in (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5)]
+    return adaptive_quad(_l1_integrand(g, _N_THETA), 0.0, R, tol_abs=tol_abs,
+                         tol_rel=tol_rel, points=pts)
 
 
-def l1_norm_hyperbolic(g: PunctureGerm, n_theta: int = 256,
-                       tol_abs: float = DEFAULT_TOL_ABS,
-                       tol_rel: float = DEFAULT_TOL_REL) -> float:
+def l1_norm_hyperbolic(g: PunctureGerm) -> float:
     """L^1 mass via the cusp metric: integral of |Phi| d(mu_hyp).
 
     Computes the metric density and the area element separately and lets
@@ -161,18 +159,16 @@ def l1_norm_hyperbolic(g: PunctureGerm, n_theta: int = 256,
         return math.inf
 
     def integrand(r: np.ndarray) -> np.ndarray:
-        dens = 2.0 * _abs_phi_mean(g, r, n_theta) * r * r * np.log(r) ** 2
+        dens = 2.0 * _abs_phi_at(g, r, _N_THETA).mean(axis=1) \
+            * r * r * np.log(r) ** 2
         return 2.0 * math.pi * dens * disc_metric_density(r) ** 2 * r
 
     R = g.radius
     pts = [R * f for f in (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5)]
-    return adaptive_quad(integrand, 0.0, R, tol_abs=tol_abs, tol_rel=tol_rel,
-                         points=pts)
+    return adaptive_quad(integrand, 0.0, R, points=pts)
 
 
-def l1_norm_cylinder(g: PunctureGerm, n_theta: int = 256,
-                     tol_abs: float = DEFAULT_TOL_ABS,
-                     tol_rel: float = DEFAULT_TOL_REL) -> float:
+def l1_norm_cylinder(g: PunctureGerm) -> float:
     """L^1 mass in cusp coordinates z = e^{-s+i theta}, s >= -log R.
 
     The area element becomes e^{-2s} ds dtheta; the s-cutoff is chosen so
@@ -188,11 +184,11 @@ def l1_norm_cylinder(g: PunctureGerm, n_theta: int = 256,
 
     def integrand(s: np.ndarray) -> np.ndarray:
         r = np.exp(-s)
-        return 4.0 * math.pi * np.exp(-2.0 * s) * _abs_phi_mean(g, r, n_theta)
+        return 4.0 * math.pi * np.exp(-2.0 * s) \
+            * _abs_phi_at(g, r, _N_THETA).mean(axis=1)
 
     pts = [s0 + d for d in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)]
-    return adaptive_quad(integrand, s0, s1, tol_abs=tol_abs, tol_rel=tol_rel,
-                         points=pts)
+    return adaptive_quad(integrand, s0, s1, points=pts)
 
 
 # --- truncation ladder (divergence probe) -------------------------------------
@@ -220,18 +216,16 @@ class TruncationProfile:
         return self.tail_ratio < 0.7
 
 
-def truncation_profile(g: PunctureGerm, steps: int = 17, shrink: float = 4.0,
-                       n_theta: int = 256) -> TruncationProfile:
-    if g.is_zero:
-        eps = tuple(g.radius / shrink ** (j + 1) for j in range(steps))
-        zeros = (0.0,) * steps
-        return TruncationProfile(eps, zeros, zeros, 0.0, 0.0)
+def truncation_profile(g: PunctureGerm) -> TruncationProfile:
     R = g.radius
-    eps = [R / shrink ** (j + 1) for j in range(steps)]
-    incs = []
-    for j in range(steps):
-        hi = R if j == 0 else eps[j - 1]
-        incs.append(_annulus_mass(g, eps[j], hi, n_theta))
+    eps = [R / _SHRINK ** (j + 1) for j in range(_STEPS)]
+    if g.is_zero:
+        zeros = (0.0,) * _STEPS
+        return TruncationProfile(tuple(eps), zeros, zeros, 0.0, 0.0)
+    integrand = _l1_integrand(g, _N_THETA_DETECT)
+    incs = [adaptive_quad(integrand, lo, hi, tol_abs=1e-300, tol_rel=1e-10,
+                          points=[math.sqrt(lo * hi)])
+            for lo, hi in zip(eps, [R] + eps[:-1])]
     values = list(np.cumsum(incs))
     tail = [x for x in incs[-4:] if x > 0]
     if len(tail) >= 2:
@@ -246,14 +240,6 @@ def truncation_profile(g: PunctureGerm, steps: int = 17, shrink: float = 4.0,
     log_slope = float(np.polyfit(xs, ys, 1)[0])
     return TruncationProfile(tuple(eps), tuple(values), tuple(incs),
                              tail_ratio, log_slope)
-
-
-def _annulus_mass(g: PunctureGerm, lo: float, hi: float, n_theta: int) -> float:
-    def integrand(r: np.ndarray) -> np.ndarray:
-        return 4.0 * math.pi * r * _abs_phi_mean(g, r, n_theta)
-    mid = math.sqrt(lo * hi)
-    return adaptive_quad(integrand, lo, hi, tol_abs=1e-300, tol_rel=1e-10,
-                         points=[mid])
 
 
 # --- boundedness of the metric density -----------------------------------------
@@ -274,7 +260,7 @@ def hyperbolic_density(g: PunctureGerm, r, n_theta: int = 256) -> np.ndarray:
         * (r * r * np.log(r) ** 2)[:, None]
 
 
-def is_bounded(g: PunctureGerm, n_theta: int = 256) -> GermBound:
+def is_bounded(g: PunctureGerm) -> GermBound:
     """Boundedness of the metric density, with its sup (inf if unbounded).
 
     The boolean comes from the pole order (the density behaves like
@@ -294,7 +280,7 @@ def is_bounded(g: PunctureGerm, n_theta: int = 256) -> GermBound:
         return GermBound(True, sup, R)
     lo = R * math.exp(-60.0)    # density of a pole<=1 germ is negligible here
     r = np.geomspace(lo, R, 1025)
-    dens = hyperbolic_density(g, r, n_theta)
+    dens = hyperbolic_density(g, r, _N_THETA)
     i, j = np.unravel_index(np.argmax(dens), dens.shape)
     r_lo = r[max(i - 1, 0)]
     r_hi = r[min(i + 1, r.size - 1)]
@@ -302,7 +288,7 @@ def is_bounded(g: PunctureGerm, n_theta: int = 256) -> GermBound:
     best_r = float(r[i])
     for _ in range(40):
         rr = np.linspace(r_lo, r_hi, 33)
-        d = hyperbolic_density(g, rr, n_theta)
+        d = hyperbolic_density(g, rr, _N_THETA)
         i, j = np.unravel_index(np.argmax(d), d.shape)
         if float(d[i, j]) > best:
             best, best_r = float(d[i, j]), float(rr[i])
@@ -314,15 +300,14 @@ def is_bounded(g: PunctureGerm, n_theta: int = 256) -> GermBound:
     return GermBound(True, best, best_r)
 
 
-def _annulus_sups(g: PunctureGerm, steps: int = 17, shrink: float = 4.0,
-                  n_theta: int = 64) -> np.ndarray:
+def _annulus_sups(g: PunctureGerm) -> np.ndarray:
     """Per-annulus density sups marching toward the puncture."""
     sups = []
     hi = g.radius
-    for _ in range(steps):
-        lo = hi / shrink
+    for _ in range(_STEPS):
+        lo = hi / _SHRINK
         r = np.geomspace(lo, hi, 33)
-        sups.append(float(hyperbolic_density(g, r, n_theta).max()))
+        sups.append(float(hyperbolic_density(g, r, _N_THETA_DETECT).max()))
         hi = lo
     return np.array(sups)
 
@@ -340,7 +325,7 @@ class Classification:
         return self.integrable == self.bounded == self.simple_pole_or_better
 
 
-def classify(g: PunctureGerm, n_theta: int = 128) -> Classification:
+def classify(g: PunctureGerm) -> Classification:
     """Three equivalent finiteness conditions, each decided on its own.
 
     * integrable: truncation ladder of the polar quadrature converges
@@ -357,9 +342,8 @@ def classify(g: PunctureGerm, n_theta: int = 128) -> Classification:
     """
     if g.is_zero:
         return Classification(True, True, True)
-    profile = truncation_profile(g, n_theta=n_theta)
-    integrable = profile.converged
-    sups = _annulus_sups(g, n_theta=n_theta)
+    integrable = truncation_profile(g).converged
+    sups = _annulus_sups(g)
     # a bounded density decays into the cusp; any pole >= 2 forces the
     # tail back up (at least like (log r)^2)
     bounded = not (sups[-1] > sups[-4] * (1.0 + 1e-9))

@@ -227,13 +227,13 @@ def _endpoint_cascade(win: SubCollar) -> list[float]:
 
 
 def lp_norm(q: LaurentQD, p: float, win: SubCollar | None = None, *,
-            tol_abs: float = DEFAULT_TOL_ABS, tol_rel: float = DEFAULT_TOL_REL,
-            n_theta: int | None = None) -> float:
+            tol_abs: float = DEFAULT_TOL_ABS,
+            tol_rel: float = DEFAULT_TOL_REL) -> float:
     """L^p norm by quadrature: adaptive in s, uniform periodic rule in theta.
 
-    Exact in theta for even integer p up to 8 with the default rule
-    size; spectrally accurate otherwise.  Raises QuadratureError when
-    the s-integration cannot reach tolerance.  p = infinity is not
+    The theta rule has max(64, 8 n_max) points, exact for even integer p
+    up to 8 and spectrally accurate otherwise.  Raises QuadratureError
+    when the s-integration cannot reach tolerance.  p = infinity is not
     handled here (use linf_thin for suprema).
     """
     if not (1.0 <= p < math.inf):
@@ -243,8 +243,7 @@ def lp_norm(q: LaurentQD, p: float, win: SubCollar | None = None, *,
     win = _check_window(q.collar, win)
     if q.is_zero or win.width == 0.0:
         return 0.0
-    if n_theta is None:
-        n_theta = max(64, 8 * q.n_max)
+    n_theta = max(64, 8 * q.n_max)
     c = q.collar
     two_pi = 2.0 * math.pi
     base = square(two_pi / c.ell)  # rho(s)^-2 = base * cos^2
@@ -473,7 +472,7 @@ def _distinct(idx: np.ndarray, size: int):
     return np.flatnonzero(hit), (np.cumsum(hit) - 1)[idx]
 
 
-def linf_thin(q: LaurentQD, delta: float, *, n_s: int = 257) -> ThinSup:
+def linf_thin(q: LaurentQD, delta: float) -> ThinSup:
     """Supremum of the density over the delta-thin sub-collar.
 
     Returns the grid supremum together with the analytic mode-wise
@@ -487,7 +486,7 @@ def linf_thin(q: LaurentQD, delta: float, *, n_s: int = 257) -> ThinSup:
     xd = tw.x_delta
     center = 2.0 * square(2.0 * math.pi / c.ell)  # 2 rho^-2 = center * cos^2
 
-    grid = _sup_grid(xd, n_s)
+    grid = _sup_grid(xd, 257)
     modes = sorted(q.coeffs)
     # |b_n| e^{n s} as e^{n s + log|b_n|}; sane inputs keep every exponent <= 0
     logb = np.array([math.log(abs(q.coeffs[n])) for n in modes])
@@ -557,10 +556,8 @@ def coefficient_bound_check(q: LaurentQD, delta0: float = DEFAULT_DELTA0
     return CoefficientBoundReport(max(per.values()), per, tn)
 
 
-def mode_inner_quadrature_ratios(c: CollarParams, modes, win: SubCollar, *,
-                                 n_theta: int = 256,
-                                 tol_abs: float = 1e-14,
-                                 tol_rel: float = 1e-11) -> np.ndarray:
+def mode_inner_quadrature_ratios(c: CollarParams, modes, win: SubCollar
+                                 ) -> np.ndarray:
     """Normalized mode inner products |<n, m>| / (||n|| ||m||) by quadrature.
 
     Built entirely from numerical integration (adaptive in s, uniform
@@ -585,17 +582,17 @@ def mode_inner_quadrature_ratios(c: CollarParams, modes, win: SubCollar, *,
         def f(s, _k=ktot, _a=anchor):
             return np.exp(_k * (s - _a)) * cos_profile_vec(c, s) ** 2
 
-        val = adaptive_quad(f, win.s1, win.s2, tol_abs=tol_abs,
-                            tol_rel=tol_rel, points=_endpoint_cascade(win))
+        val = adaptive_quad(f, win.s1, win.s2, tol_abs=1e-14, tol_rel=1e-11,
+                            points=_endpoint_cascade(win))
         log_i[ktot] = math.log(val) + ktot * anchor
 
-    theta = _theta_points(n_theta)
+    theta = _theta_points(256)
     tsum: dict[int, float] = {}
     for i, n in enumerate(modes):
         for m in modes[i:]:
             d = n - m
             if d not in tsum:
-                tsum[d] = abs(np.exp(1j * d * theta).sum()) / n_theta
+                tsum[d] = abs(np.exp(1j * d * theta).sum()) / 256
 
     out = np.zeros((len(modes), len(modes)))
     for i, n in enumerate(modes):

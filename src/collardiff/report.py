@@ -77,10 +77,12 @@ class ReportRow:
 
     def __post_init__(self):
         """The one status rule: ``ok`` if the value is finite or is its
-        statistic's answer, ``non-converged`` otherwise."""
+        statistic's answer and the normalized column is not NaN,
+        ``non-converged`` otherwise."""
         if self.status is None:
-            ok = math.isfinite(self.value) \
-                or _ANSWERS.get(self.statistic, lambda row: False)(self)
+            ok = (math.isfinite(self.value)
+                  or _ANSWERS.get(self.statistic, lambda row: False)(self)) \
+                and not math.isnan(self.normalized or 0.0)
             object.__setattr__(self, "status",
                                STATUS_OK if ok else STATUS_FAILED)
         elif self.status != STATUS_EMPTY:

@@ -87,7 +87,7 @@ class SweepConfig:
             raise ValidationError("trials must be a positive integer")
         if not _python_int(self.seed) or not 0 <= self.seed < 2 ** 64:
             raise ValidationError("seed must be an unsigned 64-bit integer")
-        validate_delta0(self.delta0, ell_values=ells)
+        validate_delta0(self.delta0)
 
 
 def interleaved_modes(n_max: int) -> np.ndarray:

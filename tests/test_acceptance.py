@@ -107,7 +107,7 @@ def test_criterion_3_norms_dual_route(announce):
         c = CollarParams(ell)
         q = random_qd(rng, c, n_max=int(rng.integers(1, 9)))
         closed = l2_norm(q)
-        quad = lp_norm(q, 2.0, full_window(c), n_theta=64)
+        quad = lp_norm(q, 2.0, full_window(c))
         if abs(closed - quad) > 1e-8 * closed:
             failures.append((ell, sorted(q.coeffs), closed, quad))
     _verdict(announce, 3, "closed-form vs quadrature L2 norms", failures)
@@ -138,7 +138,7 @@ def test_criterion_5_principal_mass_concentration(announce):
     sub = SubCollar(-win.x_delta, win.x_delta)
     q = LaurentQD(c, {0: 1.0})
     scaled_closed = ell ** 3 * l2_norm(q, sub) ** 2
-    scaled_quad = ell ** 3 * lp_norm(q, 2.0, sub, n_theta=64) ** 2
+    scaled_quad = ell ** 3 * lp_norm(q, 2.0, sub) ** 2
     limit = 32.0 * math.pi ** 5
     failures = []
     if abs(scaled_closed - scaled_quad) > 0.01 * scaled_quad:

@@ -669,11 +669,13 @@ _COMMANDS = st.one_of(
 def _by_rule(statistic, value, normalized):
     """The row-status rule: ok iff the value is finite or its statistic's
     answer (an inf L^1 norm or density sup, a b0_vanishing row with a
-    finite verdict)."""
+    finite verdict), and the normalized column is not NaN."""
     answer = {"l1_norm": value == math.inf, "density_sup": value == math.inf,
               "b0_vanishing": normalized is not None
               and math.isfinite(normalized)}.get(statistic, False)
-    return "ok" if math.isfinite(value) or answer else "non-converged"
+    ok = (math.isfinite(value) or answer) \
+        and not (normalized is not None and math.isnan(normalized))
+    return "ok" if ok else "non-converged"
 
 
 def _emitted_rows(text, fmt):

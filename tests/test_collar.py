@@ -131,7 +131,38 @@ def test_domain_errors():
 
 def test_validate_delta0():
     assert validate_delta0(DEFAULT_DELTA0) >= 1.0
-    assert validate_delta0(0.4, ell_values=[1e-4, 0.3, ELL_MAX]) >= 1.0
+    assert validate_delta0(0.4) >= 1.0
     # gap degenerates to pi*(1/sinh(d)-1) < 1 as ell -> 0 for d = 0.75
     with pytest.raises(DomainError):
         validate_delta0(0.75)
+    # the threshold is asinh(pi/(pi+1)) = 0.6999707536...
+    assert validate_delta0(0.69997075) == pytest.approx(1.0, abs=1e-7)
+    with pytest.raises(DomainError):
+        validate_delta0(0.69998)
+
+
+def test_validate_delta0_is_the_infimum_of_the_gap():
+    # X - X_delta0 in 40 digits from the float ell and delta0, on a log
+    # grid of ells from 1e-12 to ELL_MAX: never below the returned value
+    # (up to its rounding), and within 1e-9 of it at an end of the grid,
+    # the smallest ell, or ELL_MAX where the ell -> 0 limit exceeds X
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    ell_grid = [float(e) for e in np.geomspace(1e-12, ELL_MAX, 60)]
+    for delta0 in np.linspace(0.01, DELTA_MAX, 12, endpoint=False)[1:]:
+        delta0 = float(delta0)
+        with mpmath.workdps(40):
+            gaps = []
+            for ell in ell_grid:
+                h = mp.sinh(mp.mpf(ell) / 2)
+                r = h / mp.sinh(mp.mpf(delta0))
+                x = 2 * mp.pi / ell * (mp.pi / 2 - mp.atan(h))
+                x_delta = 2 * mp.pi / ell * mp.acos(r) if r < 1 else 0
+                gaps.append(x - x_delta)
+        if gaps[0] < 1:
+            with pytest.raises(DomainError):
+                validate_delta0(delta0)
+            continue
+        got = validate_delta0(delta0)
+        assert min(gaps) >= got * (1.0 - 1e-14), delta0
+        assert abs(min(gaps[0], gaps[-1]) - got) <= 1e-9, delta0

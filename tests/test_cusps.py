@@ -89,9 +89,6 @@ def test_l1_divergence_handling():
     assert l1_norm_cylinder(g) == math.inf
     with pytest.raises(DomainError):
         l1_norm_quadrature(g)
-    # truncated masses grow as the cutoff shrinks (log divergence)
-    vals = [l1_norm_quadrature(g, r_lo=g.radius * 4.0 ** -j) for j in (2, 4, 6)]
-    assert vals[0] < vals[1] < vals[2]
 
 
 def test_l1_zero_germ():
@@ -134,9 +131,9 @@ def test_sup_interior_maximum():
 
 def test_sup_multimode_matches_dense_scan():
     g = PunctureGerm({-1: 0.8, 0: -0.4j, 1: 0.3})
-    out = is_bounded(g, n_theta=128)
+    out = is_bounded(g)
     r = np.geomspace(g.radius * 1e-6, g.radius, 20001)
-    ref = float(hyperbolic_density(g, r, 128).max())
+    ref = float(hyperbolic_density(g, r).max())
     assert out.bounded
     assert out.sup == pytest.approx(ref, rel=1e-6)
     assert out.sup >= ref * (1.0 - 1e-12)

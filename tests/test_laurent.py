@@ -188,8 +188,8 @@ def test_linf_envelope_dominates(rng):
 def test_linf_grid_refinement_stable(rng):
     c = random_collar(rng, lo=0.1, hi=0.5)
     q = random_qd(rng, c, n_max=6)
-    coarse = linf_thin(q, 0.35, n_s=257).sup
-    fine = linf_thin(q, 0.35, n_s=4097).sup
+    coarse = linf_thin(q, 0.35).sup
+    fine = _full_grid_linf_thin(q, 0.35, n_s=4097).sup
     assert coarse <= fine * (1.0 + 1e-12)
     assert fine <= coarse * 1.005
 

@@ -164,7 +164,7 @@ def _integrand_families():
         "l1_norm_quadrature": lambda: l1_norm_quadrature(germ),
         "l1_norm_hyperbolic": lambda: l1_norm_hyperbolic(germ),
         "l1_norm_cylinder": lambda: l1_norm_cylinder(germ),
-        "annulus_mass": lambda: truncation_profile(pole2, steps=6),
+        "annulus_mass": lambda: truncation_profile(pole2),
         "mode_inner_quadrature_ratios": lambda: mode_inner_quadrature_ratios(
             c, range(-8, 9), SubCollar(-30.0, 10.0)),
         "thin_area": lambda: collardiff.numerics.adaptive_quad(

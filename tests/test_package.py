@@ -106,3 +106,26 @@ def test_every_imported_name_is_read():
               for path in sorted(src.glob("*.py"))
               for line, name in _unused_imports(path)]
     assert unused == []
+
+
+_FIXED_SIZES = {
+    "cusps": {"l1_norm": "n_theta", "l1_norm_quadrature": "n_theta r_lo",
+              "l1_norm_hyperbolic": "n_theta tol_abs tol_rel",
+              "l1_norm_cylinder": "n_theta tol_abs tol_rel",
+              "is_bounded": "n_theta", "classify": "n_theta",
+              "truncation_profile": "steps shrink n_theta"},
+    "laurent": {"lp_norm": "n_theta", "linf_thin": "n_s",
+                "mode_inner_quadrature_ratios": "n_theta tol_abs tol_rel"},
+    "collar": {"validate_delta0": "ell_values"},
+}
+
+
+@pytest.mark.parametrize("module, func, name", [
+    (module, func, name) for module, funcs in _FIXED_SIZES.items()
+    for func, names in funcs.items() for name in names.split()])
+def test_fixed_rule_sizes_are_not_parameters(module, func, name):
+    # theta rules, ladders and oracle tolerances that no caller set are
+    # constants of their module; passing one is an error, not ignored
+    fn = getattr(importlib.import_module(f"collardiff.{module}"), func)
+    with pytest.raises(TypeError, match=f"unexpected keyword .*'{name}'"):
+        fn(None, **{name: 1})

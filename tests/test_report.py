@@ -82,6 +82,8 @@ def test_statuses_case_keeps_its_bytes():
     ("lp_ratio_p4", math.nan, math.nan, STATUS_FAILED),
     ("linf_ratio", math.inf, math.inf, STATUS_FAILED),
     ("linf_ratio", 5e-324, None, STATUS_OK),
+    ("linf_ratio", 0.0, math.nan, STATUS_FAILED),
+    ("max_normalized", 0.0, math.nan, STATUS_FAILED),
     ("l1_norm", math.inf, None, STATUS_OK),
     ("l1_norm", math.nan, None, STATUS_FAILED),
     ("l1_norm", -math.inf, None, STATUS_FAILED),
@@ -93,7 +95,8 @@ def test_statuses_case_keeps_its_bytes():
     ("b0_vanishing", 0.5, 1.0, STATUS_OK),
 ])
 def test_row_derives_its_status(statistic, value, normalized, want):
-    # ok iff the value is finite or is that statistic's answer
+    # ok iff the value is finite or is that statistic's answer, and the
+    # normalized column is not NaN
     assert ReportRow(0.1, 0.3, statistic, value, normalized).status == want
 
 

@@ -38,6 +38,8 @@ def test_config_validation():
         SweepConfig(ell_grid=(0.5, 3.0))
     with pytest.raises(ValidationError):
         SweepConfig(delta_grid=(0.9,))
+    # X and X_delta0 are ~1e17 here; their gap is ~4.5, not cancelled to 0
+    SweepConfig(ell_grid=(1e-16,), delta_grid=(0.3,), n_max=2, trials=1)
     with pytest.raises(ValidationError):
         SweepConfig(n_max=0)
     with pytest.raises(ValidationError):
@@ -86,6 +88,23 @@ def test_decay_sweep_shape_and_statuses():
     summary = rep.single("max_normalized")
     assert summary.normalized == max(r.normalized for r in ok)
     assert (summary.ell, summary.delta) in {(r.ell, r.delta) for r in ok}
+
+
+def test_decay_summary_skips_nan_normalized_rows():
+    # at delta 0.001 the sup underflows to 0 and delta^2 e^{pi/delta} is
+    # inf: 0 * inf is NaN, so those rows are non-converged, and the
+    # summary is the best of the delta 0.1 rows
+    rep = decay_sweep(SweepConfig(ell_grid=(1e-3,), delta_grid=(1e-3, 0.1),
+                                  n_max=8, trials=2))
+    rows = rep.values("linf_ratio")
+    tiny = [r for r in rows if r.delta == 1e-3]
+    assert len(tiny) == 2
+    assert all(math.isnan(r.normalized) and r.status == STATUS_FAILED
+               for r in tiny)
+    summary = rep.single("max_normalized")
+    assert summary.status == STATUS_OK and summary.delta == 0.1
+    assert summary.normalized == max(r.normalized for r in rows
+                                     if r.delta == 0.1)
 
 
 def test_decay_sweep_deterministic_across_workers():
