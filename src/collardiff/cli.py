@@ -30,32 +30,36 @@ if TYPE_CHECKING:
     from .topology import SurfaceTopology
 
 
+def _tolerance(ctx, param, value: float) -> float:
+    if not 0.0 <= value < math.inf:   # NaN would pass click.FloatRange
+        raise click.BadParameter(
+            f"quadrature tolerances must be finite and >= 0, got {value!r}")
+    return value
+
+
 @click.group(name="collardiff")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True, help="Report output format.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write output to a file instead of stdout.")
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=click.IntRange(0, 2 ** 64 - 1), default=0,
+              show_default=True,
               help="Base seed, unsigned 64-bit (read by qd decay-sweep and "
                    "space w-report).")
 @click.option("--tol-abs", type=float, default=DEFAULT_TOL_ABS,
-              show_default=True,
+              show_default=True, callback=_tolerance,
               help="Absolute quadrature tolerance (read by qd norms and "
                    "cusp classify).")
 @click.option("--tol-rel", type=float, default=DEFAULT_TOL_REL,
-              show_default=True,
+              show_default=True, callback=_tolerance,
               help="Relative quadrature tolerance (read by qd norms and "
                    "cusp classify).")
-@click.option("--n-max", type=int, default=None,
+@click.option("--n-max", type=click.IntRange(min=1), default=None,
               help="Laurent mode cutoff (read by qd norms, default: inferred "
                    "from the file, and qd decay-sweep, default 32).")
 @click.pass_context
 def cli(ctx, fmt, out, seed, tol_abs, tol_rel, n_max):
     """Collar geometry, Laurent differentials, and pinching experiments."""
-    if not 0 <= seed < 2 ** 64:
-        raise click.UsageError("--seed must be an unsigned 64-bit integer")
-    if n_max is not None and n_max < 1:
-        raise click.UsageError("--n-max must be positive")
     ctx.obj = SimpleNamespace(fmt=fmt, out=out, seed=seed, tol_abs=tol_abs,
                               tol_rel=tol_rel, n_max=n_max)
 

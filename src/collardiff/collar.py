@@ -73,7 +73,6 @@ class CollarParams:
 class ThinWindow:
     """The delta-thin sub-collar (-x_delta, x_delta) x S^1; empty if 0."""
 
-    delta: float
     x_delta: float
 
     @property
@@ -114,8 +113,8 @@ def thin_boundary(c: CollarParams, delta: float) -> ThinWindow:
     _check_delta(delta)
     r = math.sinh(0.5 * c.ell) / math.sinh(delta)
     if r >= 1.0:
-        return ThinWindow(delta, 0.0)
-    return ThinWindow(delta, (2.0 * math.pi / c.ell) * math.acos(r))
+        return ThinWindow(0.0)
+    return ThinWindow((2.0 * math.pi / c.ell) * math.acos(r))
 
 
 def injectivity_radius(c: CollarParams, s: float) -> float:

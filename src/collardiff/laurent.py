@@ -118,7 +118,10 @@ def full_window(c: CollarParams) -> SubCollar:
     return SubCollar(-x, x)
 
 
-def _check_window(c: CollarParams, win: SubCollar) -> SubCollar:
+def _check_window(c: CollarParams, win: SubCollar | None) -> SubCollar:
+    """``win`` clipped to the collar; the full collar for None."""
+    if win is None:
+        return full_window(c)
     x = c.half_length
     slack = 1e-9 * max(1.0, x)
     if win.s1 < -x - slack or win.s2 > x + slack:
@@ -154,6 +157,13 @@ def _norm_const(c: CollarParams) -> float:
     return 32.0 * math.pi ** 3 / sq if sq else math.inf
 
 
+def _thick_windows(c: CollarParams, delta0: float) -> list:
+    """The (s1, s2) windows of the delta0-thick part: the collar outside
+    its delta0-thin window, or the whole collar where that is empty."""
+    X, xd = c.half_length, thin_boundary(c, delta0).x_delta
+    return [(xd, X), (-X, -xd)] if xd else [(-X, X)]
+
+
 def _mode_sum(c: CollarParams, weights: dict, windows) -> complex:
     """sum_n weights[n] * ||e^{nw} dw^2||^2 over the union of the windows.
 
@@ -184,8 +194,6 @@ def l2_inner(q: LaurentQD, r: LaurentQD, win: SubCollar | None = None) -> comple
     """Closed-form L2 inner product <q, r> over a window (default: full)."""
     if q.collar != r.collar:
         raise DomainError("inner product requires matching collars")
-    if win is None:
-        win = full_window(q.collar)
     win = _check_window(q.collar, win)
     weights = {n: b * r.coeffs[n].conjugate()
                for n, b in q.coeffs.items() if n in r.coeffs}
@@ -194,15 +202,9 @@ def l2_inner(q: LaurentQD, r: LaurentQD, win: SubCollar | None = None) -> comple
 
 def l2_norm(q: LaurentQD, win: SubCollar | None = None) -> float:
     """Closed-form L2 norm over a window (default: the full collar)."""
-    if win is None:
-        win = full_window(q.collar)
     win = _check_window(q.collar, win)
     weights = {n: square(abs(b)) for n, b in q.coeffs.items()}
     return math.sqrt(_mode_sum(q.collar, weights, [(win.s1, win.s2)]).real)
-
-
-def _theta_points(n_theta: int) -> np.ndarray:
-    return np.arange(n_theta) * (2.0 * math.pi / n_theta)
 
 
 def _phi_on_circle(q: LaurentQD, s: np.ndarray, n_theta: int) -> np.ndarray:
@@ -211,7 +213,7 @@ def _phi_on_circle(q: LaurentQD, s: np.ndarray, n_theta: int) -> np.ndarray:
     spec = np.zeros((s.size, n_theta), dtype=complex)
     for n, b in q.coeffs.items():
         spec[:, n % n_theta] += vec_scale_complex(b, n * s)
-    return np.fft.ifft(spec, axis=1) * n_theta
+    return np.fft.ifft(spec, axis=1, norm="forward")
 
 
 def _endpoint_cascade(win: SubCollar) -> list[float]:
@@ -238,8 +240,6 @@ def lp_norm(q: LaurentQD, p: float, win: SubCollar | None = None, *,
     """
     if not (1.0 <= p < math.inf):
         raise DomainError(f"p must lie in [1, inf), got {p!r}")
-    if win is None:
-        win = full_window(q.collar)
     win = _check_window(q.collar, win)
     if q.is_zero or win.width == 0.0:
         return 0.0
@@ -295,7 +295,7 @@ class DensityRows:
     over n_modes terms.  floor_t = (sum_n |coef[t, n]| + n_theta (n_modes +
     n_theta)) 2^-1070 covers operations that round at subnormal scale, each
     off by up to 2^-1075 absolute: times |coef_n| in the correction sum,
-    n_theta-fold once the ifft's 1/n_theta is undone.  The constructor
+    at most n_theta-fold in the transform.  The constructor
     takes |coef| once, for the triangle bound too, and sums floor_t in the
     stored (FFT-bin) column order described below.
 
@@ -311,9 +311,8 @@ class DensityRows:
     bins (two for the sweeps' +-n modes), so a batch writes its products
     coef[t, n] amp[s, n] straight into the columns of one spectrum buffer
     that ``batches`` reuses; the columns outside the runs stay zero.  The
-    transform is ifft times n_theta, not a forward-norm ifft: the full-grid
-    bitwise tests pin those bits, and at n_theta that are not powers of two
-    the two forms round differently.
+    transform is a forward-normalized inverse FFT: it never scales by
+    1/n_theta, so a row at subnormal scale is not flushed toward zero.
     """
 
     def __init__(self, coef: np.ndarray, ns: np.ndarray, log_scale: np.ndarray,
@@ -345,9 +344,7 @@ class DensityRows:
         coef, amp = self._coef[t], self._amp[s]
         for lo, hi, a, b in self._runs:
             np.multiply(coef[:, a:b], amp[:, a:b], out=F[:, lo:hi])
-        phi = np.fft.ifft(F, axis=1)
-        phi *= self.n_theta
-        return np.abs(phi)
+        return np.abs(np.fft.ifft(F, axis=1, norm="forward"))
 
     def batches(self, t: np.ndarray, s: np.ndarray):
         """(t, s, |phi| rows) for the index pairs, _ROW_BATCH rows at a time."""
@@ -547,9 +544,8 @@ def coefficient_bound_check(q: LaurentQD, delta0: float = DEFAULT_DELTA0
         return CoefficientBoundReport(0.0, {}, 0.0)
     c = q.collar
     x = c.half_length
-    xd = thin_boundary(c, delta0).x_delta
     weights = {n: square(abs(b)) for n, b in q.coeffs.items()}
-    tn = math.sqrt(_mode_sum(c, weights, [(xd, x), (-x, -xd)]).real)
+    tn = math.sqrt(_mode_sum(c, weights, _thick_windows(c, delta0)).real)
     per = {}
     for n, b in q.coeffs.items():
         per[n] = exp_scale(abs(b) / (math.sqrt(abs(n)) * tn), abs(n) * x)
@@ -586,7 +582,7 @@ def mode_inner_quadrature_ratios(c: CollarParams, modes, win: SubCollar
                             points=_endpoint_cascade(win))
         log_i[ktot] = math.log(val) + ktot * anchor
 
-    theta = _theta_points(256)
+    theta = np.arange(256) * (2.0 * math.pi / 256)
     tsum: dict[int, float] = {}
     for i, n in enumerate(modes):
         for m in modes[i:]:

@@ -200,8 +200,9 @@ def adaptive_quad(f, lo: float, hi: float, *,
                   points=None, limit: int = 200) -> float:
     """Global adaptive Gauss-Kronrod (G10/K21) quadrature over [lo, hi].
 
-    ``lo`` and ``hi`` must be finite.  ``f`` takes a 1-D array of
-    abscissae and returns the integrand there, an array of the same size.
+    ``lo``, ``hi`` and the tolerances must be finite, the tolerances >= 0
+    (a NaN one would drop out of the max below).  ``f`` takes a 1-D array
+    of abscissae and returns the integrand there, an array of the same size.
     The break ``points`` inside (lo, hi) seed the first intervals.  Each
     round bisects the intervals with the largest error estimates, worst
     first, until the rest hold at most half the tolerance
@@ -216,6 +217,9 @@ def adaptive_quad(f, lo: float, hi: float, *,
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"integration limits must be finite: [{lo}, {hi}]")
+    if not (0.0 <= tol_abs < math.inf and 0.0 <= tol_rel < math.inf):
+        raise ValueError(f"quadrature tolerances must be finite and >= 0, "
+                         f"got tol_abs={tol_abs!r}, tol_rel={tol_rel!r}")
     inner = sorted({float(p) for p in points or ()
                     if min(lo, hi) < p < max(lo, hi)}, reverse=hi < lo)
     edges = np.array([lo, *inner, hi], dtype=float)

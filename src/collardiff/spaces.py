@@ -55,14 +55,10 @@ class MultiCollarQD:
         return f"MultiCollarQD(ells=[{ells}])"
 
 
-def _check_same_collars(u: MultiCollarQD, v: MultiCollarQD) -> None:
-    if u.collars != v.collars:
-        raise DomainError("operands live over different collar tuples")
-
-
 def mc_inner(u: MultiCollarQD, v: MultiCollarQD) -> complex:
     """<u, v>: sum of full-collar L2 pairings."""
-    _check_same_collars(u, v)
+    if u.collars != v.collars:
+        raise DomainError("operands live over different collar tuples")
     return sum((l2_inner(a, b) for a, b in zip(u.parts, v.parts)), 0j)
 
 
@@ -204,8 +200,8 @@ def w_subspace(space: QDSpace) -> QDSpace:
 def _kernel_columns(p: np.ndarray) -> np.ndarray:
     """Null-space basis of p (k x d) by partial-pivot elimination."""
     k, d = p.shape
-    r = p.astype(complex).copy()
-    scale = np.max(np.abs(r)) if r.size else 0.0
+    r = p.astype(complex)
+    scale = np.max(np.abs(r))
     tol = _PIVOT_TOL * scale
     pivots: list[tuple[int, int]] = []
     row = 0

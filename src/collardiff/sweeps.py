@@ -24,7 +24,7 @@ from .collar import (CollarParams, DEFAULT_DELTA0, DELTA_MAX, ELL_MAX,
                      cos_profile_vec, thin_boundary, validate_delta0)
 from .errors import ValidationError, is_int
 from .laurent import (DensityRows, SubCollar, _norm_const, _sorted_unique,
-                      full_window, mode_l2_norm_sq)
+                      _thick_windows, full_window, mode_l2_norm_sq)
 from .numerics import exp_cos2_window, exp_scale, square
 from .report import Report, ReportRow, STATUS_EMPTY, STATUS_OK
 
@@ -221,21 +221,15 @@ def _window_weights(c: CollarParams, ns: np.ndarray, windows) -> np.ndarray:
     return _norm_const(c) * t
 
 
-def _thick_windows(c: CollarParams, delta0: float):
-    w0 = thin_boundary(c, delta0)
-    X = c.half_length
-    if w0.empty:
-        return [(-X, X)]
-    return [(w0.x_delta, X), (-X, -w0.x_delta)]
-
-
 def _normalized_draws(cfg: SweepConfig, c: CollarParams, li: int, di: int,
                       ns: np.ndarray) -> np.ndarray:
-    """Trial coefficient matrix with unit L^2 norm on the delta0-thick part."""
+    """Trial coefficient matrix with unit L^2 norm on the delta0-thick part;
+    NaN rows, undivided, where that norm is 0 (every weight underflows)."""
     t = _window_weights(c, ns, _thick_windows(c, cfg.delta0))
     G = draw_coefficients(cfg.seed, li, di, cfg.trials, ns.size)
     norms = np.sqrt(_row_dots(np.abs(G) ** 2, t))
-    return G / norms[:, None]
+    return np.divide(G, norms[:, None], where=norms[:, None] > 0.0,
+                     out=np.full(G.shape, math.nan, dtype=complex))
 
 
 def _sup_nodes(x_delta: float) -> np.ndarray:
@@ -375,7 +369,7 @@ def _vanishing_verdict(ells, norms) -> tuple[float, float]:
     # the grid is ascending; vanishing concerns the ell -> 0 end
     half = max(2, len(norms) // 2)
     tail = norms[:half]
-    scale = max(norms) if norms else 0.0
+    scale = max(norms)
     if scale == 0.0 or max(tail) <= 1e-12 * max(1.0, scale):
         return math.nan, True
     pts = [(l, v) for l, v in zip(ells[:half], tail) if v > 0.0]

@@ -115,11 +115,8 @@ def pinch(t: SurfaceTopology, move: PinchMove) -> SurfaceTopology:
         if g < 1:
             raise InvalidMoveError(
                 f"nonseparating pinch needs genus >= 1, component has {g}")
-        child = (g - 1, k + 2)
-        if not _general_type(*child):
-            raise InvalidMoveError(
-                f"pinch result {child} is not of general type")
-        comps[move.component] = child
+        # of general type, as its parent: 2(g - 1) + (k + 2) = 2g + k > 2
+        comps[move.component] = (g - 1, k + 2)
     else:
         (g1, k1), (g2, k2) = move.split
         if min(g1, k1, g2, k2) < 0 or g1 + g2 != g or k1 + k2 != k:

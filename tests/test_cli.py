@@ -170,6 +170,31 @@ def test_quadrature_failure_exit_code(capsys, tmp_path, coeffs_file,
     assert out == ""
 
 
+@pytest.mark.parametrize("tol, args", [
+    (["--tol-abs", "nan"], ["qd", "norms", "COEFFS", "--ell", "0.5"]),
+    (["--tol-rel", "-1"], ["cusp", "classify", 2]),
+    # an empty thin part and a one-mode germ (closed-form L^1) run no
+    # quadrature: the flags are checked all the same
+    (["--tol-abs", "nan"], ["qd", "norms", "COEFFS", "--ell", "1.0"]),
+    (["--tol-abs", "nan"], ["cusp", "classify", 1])])
+def test_bad_tolerance_is_an_input_error(capsys, tmp_path, coeffs_file, tol,
+                                         args):
+    if args[0] == "qd":
+        args = ["qd", "norms", "--coeffs", coeffs_file, *args[3:],
+                "--delta", "0.4"]
+    else:
+        germ = tmp_path / "germ.json"
+        germ.write_text(json.dumps([{"k": -1, "re": 1.0, "im": 0.0},
+                                    {"k": 1, "re": 0.5, "im": 0.25}][:args[2]]))
+        args = ["cusp", "classify", str(germ)]
+    out_path = tmp_path / "out.csv"
+    out_path.write_text("untouched\n")
+    code, out, err = invoke(capsys, "--out", str(out_path), *tol, *args)
+    assert code == 2
+    assert "tolerances must be finite and >= 0" in err
+    assert out_path.read_text() == "untouched\n"
+
+
 def test_usage_errors(capsys):
     assert invoke(capsys, "no-such-command")[0] == 2
     assert invoke(capsys, "topology", "dim")[0] == 2  # missing argument

@@ -174,6 +174,13 @@ def test_linf_thin_empty_and_zero():
     assert linf_thin(LaurentQD(CollarParams(0.1), {}), 0.3).envelope == 0.0
 
 
+def test_linf_thin_keeps_a_subnormal_sup():
+    # a lone principal mode peaks at s = 0, where its density equals the
+    # envelope, here subnormal: no 1/n_theta scaling may flush it to 0
+    out = linf_thin(LaurentQD(CollarParams(0.7), {0: 3e-322}), 0.5)
+    assert out.sup == out.envelope == 4.856e-320
+
+
 def test_linf_envelope_dominates(rng):
     for _ in range(15):
         c = random_collar(rng, lo=0.05, hi=0.6)
@@ -211,7 +218,7 @@ def _full_grid_linf_thin(q, delta, n_s=257):
     spec = np.zeros((grid.size, n_theta), dtype=complex)
     for j, col in enumerate(ns.astype(int) % n_theta):
         spec[:, col] += amp[:, j] * phase[j]
-    phi = np.fft.ifft(spec, axis=1) * n_theta
+    phi = np.fft.ifft(spec, axis=1, norm="forward")
     weight = 2.0 * (2.0 * math.pi / c.ell) ** 2 * cos_profile_vec(c, grid) ** 2
     dens = np.abs(phi) * weight[:, None]
     i, j = divmod(int(np.argmax(dens)), n_theta)
@@ -323,8 +330,7 @@ def test_density_rows_do_not_depend_on_the_batch(n_theta, modes):
     amp = np.exp(s_nodes[:, None] * ns[None, :] + log_scale[None, :])
     spec = np.zeros((t.size, n_theta), dtype=complex)
     spec[:, ns % n_theta] = coef[t] * amp[s]
-    want = np.fft.ifft(spec, axis=1)
-    want *= n_theta
+    want = np.fft.ifft(spec, axis=1, norm="forward")
     want = np.abs(want)
     assert np.array_equal(rows.abs_phi(t, s), want)
     assert np.array_equal(np.concatenate(

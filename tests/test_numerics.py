@@ -147,6 +147,15 @@ def test_adaptive_quad_failure_raises():
     assert exc.value.estimate == pytest.approx(math.sqrt(math.pi), rel=1e-14)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("which", ["tol_abs", "tol_rel"])
+def test_adaptive_quad_rejects_bad_tolerances(which, bad):
+    # max(tol_abs, NaN) would drop the NaN, and an inf tolerance accepts
+    # any estimate: neither may pass for a converged value
+    with pytest.raises(ValueError, match="tolerances must be finite"):
+        adaptive_quad(lambda x: np.exp(-x * x), -8.0, 8.0, **{which: bad})
+
+
 def _integrand_families():
     """One call per integrand family that reaches adaptive_quad."""
     rng = np.random.default_rng(6)

@@ -172,7 +172,7 @@ def _full_grid_density_max(Gt, ns, c, s_nodes, n_theta):
                      - np.abs(ns)[None, :] * X)          # (chunk, modes)
         F = np.zeros((Gt.shape[0], amp.shape[0], n_theta), dtype=complex)
         F[:, :, bins] = Gt[:, None, :] * amp[None, :, :]
-        phi = np.fft.ifft(F, axis=2) * n_theta
+        phi = np.fft.ifft(F, axis=2, norm="forward")
         dens = np.abs(phi) * pref[sl][None, :, None]
         np.maximum(out, dens.max(axis=(1, 2)), out=out)
     return out
@@ -321,7 +321,7 @@ def _full_tile_lp(Gt, ns, c, x_delta, n_theta, finite):
                      - np.abs(ns)[None, :] * X)
         F = np.zeros((Gt.shape[0], amp.shape[0], n_theta), dtype=complex)
         F[:, :, bins] = Gt[:, None, :] * amp[None, :, :]
-        dens = np.abs(np.fft.ifft(F, axis=2) * n_theta) \
+        dens = np.abs(np.fft.ifft(F, axis=2, norm="forward")) \
             * pref[sl][None, :, None]
         for p in finite:
             contrib = dens ** p @ np.full(n_theta, 2.0 * math.pi / n_theta)
@@ -540,25 +540,30 @@ def test_nan_trial_is_non_converged(monkeypatch):
             assert best.normalized == max(r.normalized for r in ok)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("sweep", [decay_sweep, lp_vanishing_sweep])
 def test_summary_rows_tell_failed_trials_from_empty_cells(sweep):
-    # at ell 1e-8 every thick weight underflows to 0, so every trial is
-    # non-converged; at (1.5, 0.3) the thin part is empty
+    # at ell 1e-16, 1e-12 and 1e-8 every thick weight underflows to 0, so
+    # every trial is non-converged, without a floating-point warning; at
+    # (1.5, 0.3) the thin part is empty
     def summaries(ells):
         rep = sweep(SweepConfig(ell_grid=ells, delta_grid=(0.3,), n_max=4,
                                 trials=2, seed=3))
         rows = [r for r in rep.rows
                 if r.statistic.startswith("max_normalized")]
         assert len(rows) in (1, 4)
-        return {r.status for r in rows}, rows
+        return {r.status for r in rows}, rows, rep.rows
 
-    for ells, want in (((1e-8,), STATUS_FAILED), ((1.5,), STATUS_EMPTY),
+    for ells, want in (((1e-16,), STATUS_FAILED), ((1e-12,), STATUS_FAILED),
+                       ((1e-8,), STATUS_FAILED), ((1.5,), STATUS_EMPTY),
                        ((1e-8, 1.5), STATUS_FAILED)):
-        statuses, rows = summaries(ells)
+        statuses, rows, every = summaries(ells)
         assert statuses == {want}, ells
         if want == STATUS_EMPTY:
             assert all(r.value == 0.0 for r in rows)
+        elif len(ells) == 1:
+            assert all(math.isnan(r.value) and math.isnan(r.normalized)
+                       and r.status == STATUS_FAILED for r in every)
         else:
             assert all(math.isnan(r.value) for r in rows)
 
