@@ -54,9 +54,9 @@ def _tolerance(ctx, param, value: float) -> float:
               show_default=True, callback=_tolerance,
               help="Relative quadrature tolerance (read by qd norms and "
                    "cusp classify).")
-@click.option("--n-max", type=click.IntRange(min=1), default=None,
-              help="Laurent mode cutoff (read by qd norms, default: inferred "
-                   "from the file, and qd decay-sweep, default 32).")
+@click.option("--n-max", type=click.IntRange(min=1), default=32,
+              show_default=True,
+              help="Drawn Laurent modes n = +-1..N (read by qd decay-sweep).")
 @click.pass_context
 def cli(ctx, fmt, out, seed, tol_abs, tol_rel, n_max):
     """Collar geometry, Laurent differentials, and pinching experiments."""
@@ -184,7 +184,7 @@ def qd_norms(opts, coeffs_path, ell, delta):
     from . import laurent as lq
 
     c = cg.CollarParams(ell)
-    q = lq.LaurentQD(c, lq.load_coeffs(coeffs_path), n_max=opts.n_max)
+    q = lq.LaurentQD(c, lq.load_coeffs(coeffs_path))
     tols = {"tol_abs": opts.tol_abs, "tol_rel": opts.tol_rel}
     win = cg.thin_boundary(c, delta)
     rows = [ReportRow(ell, None, "l2_full", lq.l2_norm(q))]
@@ -229,7 +229,7 @@ def qd_decay_sweep(opts, ell_grid, delta_grid, delta0, trials, workers):
 
     cfg = sw.SweepConfig(ell_grid=parse_grid(ell_grid),
                          delta_grid=parse_grid(delta_grid), delta0=delta0,
-                         n_max=32 if opts.n_max is None else opts.n_max,
+                         n_max=opts.n_max,
                          trials=trials, seed=opts.seed)
     _emit(opts, sw.decay_sweep(cfg, workers=workers))
 

@@ -21,15 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collar import CUSP_DISC_RADIUS, disc_metric_density
-from .errors import DomainError, ValidationError, is_int, read_json
+from .errors import (DomainError, ValidationError, is_int, mode_table,
+                     read_json)
 from .numerics import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, adaptive_quad
 
-DEFAULT_K_MIN = -8
+_K_MIN = -8     # lowest germ mode: r^k stays finite down to R / 4^17
 
 # theta rules of the L^1 routes and the density sup, and of classify's two
 # detectors, whose ladder of annuli ends at eps_j = R / 4^j, j = 1..17
 _N_THETA, _N_THETA_DETECT = 256, 128
 _STEPS, _SHRINK = 17, 4.0
+# break points of the polar L^1 quadratures, as fractions of the radius
+_L1_BREAKS = (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5)
 
 
 class PunctureGerm:
@@ -39,30 +42,18 @@ class PunctureGerm:
     (a stored 1e-30 at k = -2 really is a double pole).
     """
 
-    __slots__ = ("coeffs", "radius", "k_min")
+    __slots__ = ("coeffs", "radius")
 
-    def __init__(self, coeffs, radius: float = CUSP_DISC_RADIUS,
-                 k_min: int = DEFAULT_K_MIN):
-        if not is_int(k_min):
-            raise ValidationError("k_min must be an integer")
+    def __init__(self, coeffs, radius: float = CUSP_DISC_RADIUS):
         if not (0.0 < radius < 1.0):
             # log|z| must be negative on the whole disc
             raise DomainError(f"radius must lie in (0, 1), got {radius}")
-        clean = {}
-        for k, c in dict(coeffs).items():
-            if not is_int(k):
-                raise ValidationError(f"mode index {k!r} is not an integer")
-            c = complex(c)
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValidationError(f"coefficient at k={k} is not finite")
-            if int(k) < k_min:
-                raise ValidationError(
-                    f"mode {int(k)} below the window floor k_min={k_min}")
-            if c != 0:
-                clean[int(k)] = c
+        clean = mode_table(coeffs)
+        if min(clean, default=0) < _K_MIN:
+            raise ValidationError(
+                f"mode {min(clean)} below the window floor {_K_MIN}")
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "radius", float(radius))
-        object.__setattr__(self, "k_min", int(k_min))
 
     def __setattr__(self, name, value):
         raise AttributeError("PunctureGerm is immutable")
@@ -87,8 +78,6 @@ class PunctureGerm:
 def _abs_phi_at(g: PunctureGerm, r, n_theta: int) -> np.ndarray:
     """|phi| on circles: rows = radii, columns = a uniform theta grid."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    if g.is_zero:
-        return np.zeros((r.size, n_theta))
     ks = np.array(g.modes())
     cs = np.array([g.coeffs[k] for k in ks])
     theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
@@ -141,9 +130,8 @@ def l1_norm_quadrature(g: PunctureGerm, tol_abs: float = DEFAULT_TOL_ABS,
     if pole_order(g) >= 2:
         raise DomainError("integral diverges for pole order >= 2")
     R = g.radius
-    pts = [R * f for f in (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5)]
     return adaptive_quad(_l1_integrand(g, _N_THETA), 0.0, R, tol_abs=tol_abs,
-                         tol_rel=tol_rel, points=pts)
+                         tol_rel=tol_rel, points=[R * f for f in _L1_BREAKS])
 
 
 def l1_norm_hyperbolic(g: PunctureGerm) -> float:
@@ -164,8 +152,7 @@ def l1_norm_hyperbolic(g: PunctureGerm) -> float:
         return 2.0 * math.pi * dens * disc_metric_density(r) ** 2 * r
 
     R = g.radius
-    pts = [R * f for f in (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5)]
-    return adaptive_quad(integrand, 0.0, R, points=pts)
+    return adaptive_quad(integrand, 0.0, R, points=[R * f for f in _L1_BREAKS])
 
 
 def l1_norm_cylinder(g: PunctureGerm) -> float:
@@ -264,7 +251,7 @@ def is_bounded(g: PunctureGerm) -> GermBound:
     """Boundedness of the metric density, with its sup (inf if unbounded).
 
     The boolean comes from the pole order (the density behaves like
-    r^{k_min+2} (log r)^2 at the puncture); a finite sup is computed by
+    r^{2-p} (log r)^2 at a pole of order p); a finite sup is computed by
     grid search plus local refinement.  For a single mode the density is
     monotone increasing on (0, R] whenever R < e^{-2/(k+2)} -- true for
     the default radius -- so the sup sits exactly at the rim.
@@ -353,8 +340,7 @@ def classify(g: PunctureGerm) -> Classification:
 
 # --- JSON ----------------------------------------------------------------------
 
-def germ_from_json(data, radius: float = CUSP_DISC_RADIUS,
-                   k_min: int = DEFAULT_K_MIN) -> PunctureGerm:
+def germ_from_json(data, radius: float = CUSP_DISC_RADIUS) -> PunctureGerm:
     """Parse a germ file: JSON array of {k, re, im}."""
     if not isinstance(data, list):
         raise ValidationError("germ file must be a JSON array of {k, re, im}")
@@ -373,7 +359,7 @@ def germ_from_json(data, radius: float = CUSP_DISC_RADIUS,
         except (TypeError, ValueError) as exc:
             raise ValidationError(
                 f"entry {i}: bad coefficient for k={k}: {exc}") from exc
-    return PunctureGerm(coeffs, radius=radius, k_min=k_min)
+    return PunctureGerm(coeffs, radius=radius)
 
 
 def germ_to_json(g: PunctureGerm) -> list:
@@ -381,6 +367,5 @@ def germ_to_json(g: PunctureGerm) -> list:
             for k, c in sorted(g.coeffs.items())]
 
 
-def load_germ(path, radius: float = CUSP_DISC_RADIUS,
-              k_min: int = DEFAULT_K_MIN) -> PunctureGerm:
-    return germ_from_json(read_json(path), radius=radius, k_min=k_min)
+def load_germ(path, radius: float = CUSP_DISC_RADIUS) -> PunctureGerm:
+    return germ_from_json(read_json(path), radius=radius)

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the one JSON file reader
-(``read_json``) and the one integer rule (``is_int``).
+"""Exception types shared across the package, and its one JSON file reader,
+integer rule and Laurent table rule (``read_json``, ``is_int``, ``mode_table``).
 
 Two failure families matter to callers: bad input (DomainError and
 friends, mapped to exit code 2 by the CLI) and numerical trouble
@@ -7,6 +7,7 @@ friends, mapped to exit code 2 by the CLI) and numerical trouble
 """
 
 import json
+import math
 import numbers
 
 
@@ -32,6 +33,21 @@ def is_int(x) -> bool:
     """Whether x is an integral number (numpy integers included); a bool
     is not one."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def mode_table(coeffs) -> dict[int, complex]:
+    """{mode: coefficient} with integer modes and finite complex
+    coefficients, exact zeros dropped so that an absent mode means 0."""
+    table = {}
+    for n, b in dict(coeffs).items():
+        if not is_int(n):
+            raise ValidationError(f"mode index {n!r} is not an integer")
+        b = complex(b)
+        if not (math.isfinite(b.real) and math.isfinite(b.imag)):
+            raise ValidationError(f"coefficient of mode {n} is not finite: {b!r}")
+        if b != 0:
+            table[int(n)] = b
+    return table
 
 
 class InvalidMoveError(ValueError):

@@ -27,7 +27,8 @@ import numpy as np
 
 from .collar import CollarParams, thin_boundary, cos_profile_vec, \
     conformal_factor, DEFAULT_DELTA0
-from .errors import DomainError, ValidationError, is_int, read_json
+from .errors import (DomainError, ValidationError, is_int, mode_table,
+                     read_json)
 from .numerics import (DEFAULT_TOL_ABS, DEFAULT_TOL_REL, adaptive_quad,
                        exp_cos2_window, exp_scale, scale_complex, square,
                        vec_scale_complex)
@@ -56,29 +57,15 @@ class LaurentQD:
 
     Coefficients are stored raw (exactly as given); entries equal to
     zero are dropped so that an absent index always means b_n = 0.
+    ``n_max`` is the largest |n| stored (0 for the zero differential).
     """
 
     __slots__ = ("collar", "coeffs", "n_max")
 
-    def __init__(self, collar: CollarParams, coeffs, n_max: int | None = None):
-        clean: dict[int, complex] = {}
-        for n, b in dict(coeffs).items():
-            if not is_int(n):
-                raise ValidationError(f"mode index must be an integer, got {n!r}")
-            b = complex(b)
-            if not (math.isfinite(b.real) and math.isfinite(b.imag)):
-                raise ValidationError(f"coefficient for mode {n} is not finite: {b!r}")
-            if b != 0:
-                clean[int(n)] = b
-        inferred = max((abs(n) for n in clean), default=0)
-        if n_max is None:
-            n_max = inferred
-        if n_max < inferred:
-            raise ValidationError(
-                f"coefficients use mode {inferred}, beyond n_max = {n_max}")
+    def __init__(self, collar: CollarParams, coeffs):
         self.collar = collar
-        self.coeffs = clean
-        self.n_max = int(n_max)
+        self.coeffs = mode_table(coeffs)
+        self.n_max = max(map(abs, self.coeffs), default=0)
 
     def __repr__(self):
         return (f"LaurentQD(ell={self.collar.ell:.6g}, "
@@ -138,7 +125,7 @@ def principal_part(q: LaurentQD) -> complex:
 def remove_principal(q: LaurentQD) -> LaurentQD:
     """The same differential with its n = 0 mode deleted."""
     rest = {n: b for n, b in q.coeffs.items() if n != 0}
-    return LaurentQD(q.collar, rest, q.n_max)
+    return LaurentQD(q.collar, rest)
 
 
 def eval_density(q: LaurentQD, s: float, theta: float) -> float:
@@ -530,13 +517,12 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
     return x[keep]
 
 
-def coefficient_bound_check(q: LaurentQD, delta0: float = DEFAULT_DELTA0
-                            ) -> CoefficientBoundReport:
+def coefficient_bound_check(q: LaurentQD) -> CoefficientBoundReport:
     """Empirical constants in |b_n| <= C sqrt(|n|) e^{-|n| X}.
 
     Requires a vanishing principal part.  The reported numbers are
-    normalized by the L2 norm over the delta0-thick part of the collar,
-    so they equal the raw constants for unit-normalized input.
+    normalized by the L2 norm over the DEFAULT_DELTA0-thick part of the
+    collar, so they equal the raw constants for unit-normalized input.
     """
     if principal_part(q) != 0:
         raise DomainError("coefficient bound check requires b_0 = 0")
@@ -545,7 +531,8 @@ def coefficient_bound_check(q: LaurentQD, delta0: float = DEFAULT_DELTA0
     c = q.collar
     x = c.half_length
     weights = {n: square(abs(b)) for n, b in q.coeffs.items()}
-    tn = math.sqrt(_mode_sum(c, weights, _thick_windows(c, delta0)).real)
+    tn = math.sqrt(
+        _mode_sum(c, weights, _thick_windows(c, DEFAULT_DELTA0)).real)
     per = {}
     for n, b in q.coeffs.items():
         per[n] = exp_scale(abs(b) / (math.sqrt(abs(n)) * tn), abs(n) * x)

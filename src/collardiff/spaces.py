@@ -83,8 +83,7 @@ def mc_combine(elems, weights) -> MultiCollarQD:
                 continue
             for n, b in e.parts[j].coeffs.items():
                 acc[n] = acc.get(n, 0j) + complex(w) * b
-        n_max = max(e.parts[j].n_max for e in elems)
-        parts.append(LaurentQD(collar, acc, n_max))
+        parts.append(LaurentQD(collar, acc))
     return MultiCollarQD(parts)
 
 
@@ -287,17 +286,14 @@ def space_from_json(data) -> QDSpace:
         raise ValidationError(f"bad collar list: {exc}") from exc
     if not collars:
         raise ValidationError("space file lists no collars")
-    basis = []
     if not isinstance(data["basis"], list):
         raise ValidationError("'basis' must be an array")
+    basis = []
     for bi, elem in enumerate(data["basis"]):
-        if not isinstance(elem, list) or len(elem) != len(collars):
-            raise ValidationError(
-                f"basis element {bi} must list coefficients for each of "
-                f"{len(collars)} collars")
-        parts = [LaurentQD(c, coeffs_from_json(cl))
-                 for c, cl in zip(collars, elem)]
-        basis.append(MultiCollarQD(parts))
+        try:
+            basis.append(multi_from_json(elem, collars))
+        except ValidationError as exc:
+            raise ValidationError(f"basis element {bi}: {exc}") from exc
     return QDSpace(basis, collars=collars)
 
 

@@ -218,7 +218,8 @@ def _window_weights(c: CollarParams, ns: np.ndarray, windows) -> np.ndarray:
     for s1, s2 in windows:
         vals, anchors = exp_cos2_window(2.0 * ns, c.freq, s1, s2)
         t += vals * np.exp(2.0 * (ns * anchors - np.abs(ns) * X))
-    return _norm_const(c) * t
+    with np.errstate(invalid="ignore"):   # inf * 0 once ell * ell underflows
+        return _norm_const(c) * t
 
 
 def _normalized_draws(cfg: SweepConfig, c: CollarParams, li: int, di: int,
@@ -247,8 +248,9 @@ def _density_max(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
     """Per-trial sup of |phi| * 2 rho^{-2} over s_nodes x theta grid (exact,
     see DensityRows.row_max); the law factor e^{-|n|X} enters as the
     log-scale."""
-    pref = 2.0 * square(2.0 * math.pi / c.ell) \
-        * cos_profile_vec(c, s_nodes) ** 2
+    with np.errstate(invalid="ignore"):   # inf * 0 at a vanishing ell
+        pref = 2.0 * square(2.0 * math.pi / c.ell) \
+            * cos_profile_vec(c, s_nodes) ** 2
     return DensityRows(Gt, ns, -np.abs(ns) * c.half_length, s_nodes, pref,
                        n_theta).row_max().max(axis=1)
 
@@ -437,9 +439,10 @@ def _density_lp(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
     as 2|k| (+-s - X), with s -+ X exact near the dominant edge: every
     exponent is <= 0, so underflow is the only rounding of a factor.
     """
-    rho_sq = (c.ell / (2.0 * math.pi)) ** 2 \
-        / cos_profile_vec(c, s_nodes) ** 2
-    pref = 2.0 / rho_sq
+    with np.errstate(all="ignore"):   # 0 / 0 and 2 / 0 at a vanishing ell
+        rho_sq = (c.ell / (2.0 * math.pi)) ** 2 \
+            / cos_profile_vec(c, s_nodes) ** 2
+        pref = 2.0 / rho_sq
     rw = rho_sq * w_nodes
     X = c.half_length
     rows = DensityRows(Gt, ns, -np.abs(ns) * X, s_nodes, pref, n_theta)
@@ -465,8 +468,9 @@ def _density_lp(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
         row[:2 * n_max] = np.convolve(a, a)[:2 * n_max]
         row[2 * n_max:] = np.convolve(b, b)[2 * n_max:]
     k = np.arange(-2 * n_max, 2 * n_max + 1)
-    V = (rw * pref ** 4) @ np.exp(
-        2.0 * np.abs(k) * (np.sign(k) * s_nodes[:, None] - X))
+    with np.errstate(invalid="ignore", over="ignore"):   # pref ** 4 = inf
+        V = (rw * pref ** 4) @ np.exp(
+            2.0 * np.abs(k) * (np.sign(k) * s_nodes[:, None] - X))
     return {1.0: p1,
             4.0: (2.0 * math.pi * _row_dots(np.abs(D) ** 2, V)) ** 0.25}
 

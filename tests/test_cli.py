@@ -140,6 +140,16 @@ def test_qd_norms_dual_route(capsys, coeffs_file):
     assert stats["linf_thin"] > 0
 
 
+def test_qd_norms_reads_its_mode_range_off_the_file(capsys, coeffs_file):
+    # --n-max is decay-sweep's number of drawn modes; qd norms ignores it
+    args = ("qd", "norms", "--coeffs", coeffs_file, "--ell", "0.5",
+            "--delta", "0.4")
+    code, out, err = invoke(capsys, *args)
+    assert code == 0 and err == ""
+    for n_max in ("1", "40"):
+        assert invoke(capsys, "--n-max", n_max, *args) == (0, out, "")
+
+
 def test_qd_norms_empty_thin(capsys, coeffs_file):
     code, out, _ = invoke(capsys, "qd", "norms", "--coeffs", coeffs_file,
                           "--ell", "1.0", "--delta", "0.3")
@@ -196,6 +206,8 @@ def test_bad_tolerance_is_an_input_error(capsys, tmp_path, coeffs_file, tol,
 
 
 def test_usage_errors(capsys):
+    code, out, _ = invoke(capsys, "--help")
+    assert code == 0 and out.startswith("Usage: collardiff")
     assert invoke(capsys, "no-such-command")[0] == 2
     assert invoke(capsys, "topology", "dim")[0] == 2  # missing argument
     assert invoke(capsys, "--seed", "-1", "topology", "dim", "2,0")[0] == 2

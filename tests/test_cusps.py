@@ -34,10 +34,7 @@ def test_germ_construction():
     with pytest.raises(AttributeError):
         g.coeffs = {}
     with pytest.raises(ValidationError):
-        PunctureGerm({-9: 1.0})  # below default k_min
-    PunctureGerm({-9: 1.0}, k_min=-12)
-    with pytest.raises(ValidationError):
-        PunctureGerm({0: 1.0}, k_min=1.5)
+        PunctureGerm({-9: 1.0})  # below the mode floor -8
     with pytest.raises(ValidationError):
         PunctureGerm({True: 1.0})
     with pytest.raises(ValidationError):
@@ -87,6 +84,7 @@ def test_l1_divergence_handling():
     g = PunctureGerm({-2: 1.0, 1: 1.0})
     assert l1_norm(g) == math.inf
     assert l1_norm_cylinder(g) == math.inf
+    assert l1_norm_hyperbolic(g) == math.inf
     with pytest.raises(DomainError):
         l1_norm_quadrature(g)
 
@@ -96,6 +94,9 @@ def test_l1_zero_germ():
     assert l1_norm(g) == 0.0
     assert l1_norm_quadrature(g) == 0.0
     assert l1_norm_cylinder(g) == 0.0
+    assert l1_norm_hyperbolic(g) == 0.0
+    dens = hyperbolic_density(g, [1e-9, 1e-3, g.radius])
+    assert dens.shape == (3, 256) and not dens.any()
 
 
 def test_truncation_profile_regimes():
@@ -203,11 +204,6 @@ def test_germ_json_rejects_non_numeric_coefficients(part, value):
 
 
 def test_germ_modes_and_floor_are_integers_not_bools():
-    with pytest.raises(ValidationError, match="k_min"):
-        PunctureGerm({1: 1.0}, k_min=True)
-    with pytest.raises(ValidationError, match="k_min"):
-        PunctureGerm({1: 1.0}, k_min=-2.0)
     with pytest.raises(ValidationError, match="not an integer"):
         PunctureGerm({True: 1.0})
-    g = PunctureGerm({np.int64(-1): 1.0}, k_min=np.int64(-3))
-    assert g.coeffs == {-1: 1.0} and g.k_min == -3
+    assert PunctureGerm({np.int64(-1): 1.0}).coeffs == {-1: 1.0}

@@ -34,8 +34,6 @@ def test_constructor_policy():
         LaurentQD(c, {1.5: 1.0})
     with pytest.raises(ValidationError):
         LaurentQD(c, {1: complex(math.nan, 0)})
-    with pytest.raises(ValidationError):
-        LaurentQD(c, {5: 1.0}, n_max=3)
 
 
 def test_mode_indices_are_integers_not_bools():
@@ -51,8 +49,15 @@ def test_window_validation():
     x = c.half_length
     with pytest.raises(DomainError):
         SubCollar(2.0, 1.0)
+    with pytest.raises(DomainError, match="finite"):
+        SubCollar(math.nan, 1.0)
     with pytest.raises(DomainError):
         l2_norm(LaurentQD(c, {1: 1.0}), SubCollar(-x, x + 1.0))
+    with pytest.raises(DomainError, match="degenerate window"):
+        mode_inner_quadrature_ratios(c, [1, 2], SubCollar(1.0, 1.0))
+    for p in (0.5, math.inf):
+        with pytest.raises(DomainError, match="p must lie"):
+            lp_norm(LaurentQD(c, {1: 1.0}), p)
 
 
 @given(st.integers(-6, 6), st.floats(0.05, 1.3))
@@ -255,7 +260,7 @@ def test_linf_thin_matches_full_grid_bitwise(transfer_calls):
                       for n in range(-n_max, n_max + 1)}
                      for n_max in (1, 5, 32)]
             for coeffs in sets:
-                q = LaurentQD(c, coeffs, max(abs(n) for n in coeffs))
+                q = LaurentQD(c, coeffs)
                 got = linf_thin(q, delta)
                 assert repr(got) == repr(_full_grid_linf_thin(q, delta)), \
                     (ell, delta, coeffs)
@@ -541,6 +546,8 @@ def test_coeffs_json_rejects_bad_input(tmp_path):
         coeffs_from_json([{"n": True, "re": 0.0, "im": 0.0}])
     with pytest.raises(ValidationError):
         coeffs_from_json([{"n": 1, "re": "x", "im": 0.0}])
+    with pytest.raises(ValidationError, match="keys n/re/im"):
+        coeffs_from_json([{"n": 1, "re": 0.0}])
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     with pytest.raises(ValidationError):

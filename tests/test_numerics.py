@@ -139,6 +139,8 @@ def test_adaptive_quad_failure_raises():
         adaptive_quad(lambda x: 1.0 / x, 0.0, 1.0, limit=10)
     with pytest.raises(QuadratureError, match="non-finite"):
         adaptive_quad(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0)
+    with pytest.raises(ValueError, match="limits must be finite"):
+        adaptive_quad(lambda x: np.exp(-x), 0.0, math.inf)
     # every interval's error estimate reaches its roundoff floor, 50 eps
     # times the integral of |f|, far above 1e-20 of the value
     with pytest.raises(QuadratureError, match="exceeds the requested") as exc:

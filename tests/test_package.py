@@ -113,9 +113,12 @@ _FIXED_SIZES = {
               "l1_norm_hyperbolic": "n_theta tol_abs tol_rel",
               "l1_norm_cylinder": "n_theta tol_abs tol_rel",
               "is_bounded": "n_theta", "classify": "n_theta",
-              "truncation_profile": "steps shrink n_theta"},
+              "truncation_profile": "steps shrink n_theta",
+              "PunctureGerm": "k_min", "germ_from_json": "k_min",
+              "load_germ": "k_min"},
     "laurent": {"lp_norm": "n_theta", "linf_thin": "n_s",
-                "mode_inner_quadrature_ratios": "n_theta tol_abs tol_rel"},
+                "mode_inner_quadrature_ratios": "n_theta tol_abs tol_rel",
+                "LaurentQD": "n_max", "coefficient_bound_check": "delta0"},
     "collar": {"validate_delta0": "ell_values"},
 }
 
@@ -124,8 +127,9 @@ _FIXED_SIZES = {
     (module, func, name) for module, funcs in _FIXED_SIZES.items()
     for func, names in funcs.items() for name in names.split()])
 def test_fixed_rule_sizes_are_not_parameters(module, func, name):
-    # theta rules, ladders and oracle tolerances that no caller set are
-    # constants of their module; passing one is an error, not ignored
+    # theta rules, ladders, oracle tolerances and the germ mode floor that
+    # no caller set are constants of their module, and a differential's
+    # n_max is read off its modes; passing one is an error, not ignored
     fn = getattr(importlib.import_module(f"collardiff.{module}"), func)
     with pytest.raises(TypeError, match=f"unexpected keyword .*'{name}'"):
         fn(None, **{name: 1})

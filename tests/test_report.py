@@ -75,7 +75,12 @@ _STATUSES_CSV = (CSV_SCHEMA + "\n"
 
 
 def test_statuses_case_keeps_its_bytes():
-    assert _REPORTS["statuses"].to_csv() == _STATUSES_CSV
+    rep = _REPORTS["statuses"]
+    assert rep.to_csv() == _STATUSES_CSV
+    with pytest.raises(ValueError, match="unknown output format"):
+        rep.render("xml")
+    with pytest.raises(KeyError, match="found 0"):
+        rep.single("l1_norm")
 
 
 @pytest.mark.parametrize("statistic, value, normalized, want", [

@@ -51,6 +51,10 @@ def test_mc_basics(rng):
         mc_inner(u, other)
     with pytest.raises(DomainError):
         mc_combine([u, other], [1.0, 1.0])
+    with pytest.raises(ValidationError, match=">= 1 collar"):
+        MultiCollarQD([])
+    with pytest.raises(DomainError, match="different collars"):
+        QDSpace([u, other])
 
 
 def test_gram_closed_form_vs_quadrature(rng):
@@ -74,6 +78,7 @@ def test_unitary_basis_is_orthonormal(rng):
     ortho = unitary_basis(space)
     g = np.array([[mc_inner(a, b) for b in ortho] for a in ortho])
     assert np.max(np.abs(g - np.eye(4))) < 1e-12
+    assert unitary_basis(QDSpace([], collars=space.collars)) == []
 
 
 def test_unitary_basis_rank_deficiency(rng):
@@ -234,6 +239,10 @@ def test_space_json_errors(tmp_path):
         multi_from_json([[]], collars=(CollarParams(0.5), CollarParams(0.6)))
     with pytest.raises(ValidationError):
         QDSpace([])  # no way to infer the collars
+    with pytest.raises(ValidationError, match="'basis' must be an array"):
+        space_from_json({"collars": [0.5], "basis": {"0": []}})
+    with pytest.raises(ValidationError, match="basis element 1: "):
+        space_from_json({"collars": [0.5], "basis": [[[]], [[{"n": 1.5}]]]})
     bad = tmp_path / "space.json"
     bad.write_text("[")
     with pytest.raises(ValidationError):

@@ -543,9 +543,10 @@ def test_nan_trial_is_non_converged(monkeypatch):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("sweep", [decay_sweep, lp_vanishing_sweep])
 def test_summary_rows_tell_failed_trials_from_empty_cells(sweep):
-    # at ell 1e-16, 1e-12 and 1e-8 every thick weight underflows to 0, so
-    # every trial is non-converged, without a floating-point warning; at
-    # (1.5, 0.3) the thin part is empty
+    # from ell 1e-8 down every thick weight underflows to 0, so every trial
+    # is non-converged, without a floating-point warning, also where
+    # (2 pi / ell)^2 overflows (ell 1e-160 and below); at (1.5, 0.3) the
+    # thin part is empty
     def summaries(ells):
         rep = sweep(SweepConfig(ell_grid=ells, delta_grid=(0.3,), n_max=4,
                                 trials=2, seed=3))
@@ -555,7 +556,9 @@ def test_summary_rows_tell_failed_trials_from_empty_cells(sweep):
         return {r.status for r in rows}, rows, rep.rows
 
     for ells, want in (((1e-16,), STATUS_FAILED), ((1e-12,), STATUS_FAILED),
-                       ((1e-8,), STATUS_FAILED), ((1.5,), STATUS_EMPTY),
+                       ((1e-8,), STATUS_FAILED), ((1e-100,), STATUS_FAILED),
+                       ((1e-160,), STATUS_FAILED), ((1e-200,), STATUS_FAILED),
+                       ((1e-300,), STATUS_FAILED), ((1.5,), STATUS_EMPTY),
                        ((1e-8, 1.5), STATUS_FAILED)):
         statuses, rows, every = summaries(ells)
         assert statuses == {want}, ells

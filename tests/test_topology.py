@@ -153,6 +153,8 @@ def test_topology_json(tmp_path):
         topology_from_json({"components": [{"genus": True, "punctures": 3}]})
     with pytest.raises(ValidationError):
         topology_from_json([[1, 2]])
+    with pytest.raises(ValidationError, match="genus/punctures keys"):
+        topology_from_json({"components": [{"genus": 2}]})
     for comps in (5, None, "1,2", {"genus": 1, "punctures": 2}):
         with pytest.raises(ValidationError, match="JSON array"):
             topology_from_json({"components": comps})
