@@ -410,9 +410,8 @@ def cusp_classify(opts, germ_file, radius):
 def main(argv=None) -> int:
     """Console entry point with the documented exit-code contract."""
     try:
-        cli.main(args=argv, standalone_mode=False, prog_name="collardiff")
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
+        return cli.main(args=argv, standalone_mode=False,
+                        prog_name="collardiff") or 0
     except click.ClickException as exc:
         exc.show()
         return 2
@@ -422,7 +421,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

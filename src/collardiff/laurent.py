@@ -20,6 +20,7 @@ deliberately independent pipelines; tests pit one against the other.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -151,30 +152,44 @@ def _thick_windows(c: CollarParams, delta0: float) -> list:
     return [(xd, X), (-X, -xd)] if xd else [(-X, X)]
 
 
-def _mode_sum(c: CollarParams, weights: dict, windows) -> complex:
-    """sum_n weights[n] * ||e^{nw} dw^2||^2 over the union of the windows.
+def mode_weights(c: CollarParams, ns: np.ndarray, windows):
+    """(t, e) with ||e^{nw} dw^2||^2 over the union of the windows equal to
+    _norm_const(c) t_n e^{2 e_n}, e_n the largest n * anchor, so every
+    exponent 2(n * anchor - e_n) is <= 0; one kernel call per window."""
+    kernel = [exp_cos2_window(2.0 * ns, c.freq, s1, s2) for s1, s2 in windows]
+    na = [ns * anchors for _, anchors in kernel]
+    e = functools.reduce(np.maximum, na)
+    return sum(v * np.exp(2.0 * (x - e)) for (v, _), x in zip(kernel, na)), e
 
-    One kernel call per window covers every mode; each term is re-scaled
-    through the overflow guard and the terms are summed in mode order,
-    windows innermost.  Real weights give a real sum (imaginary part 0).
-    """
-    ns = list(weights)
-    a = 2.0 * np.array(ns, dtype=float)
+
+def _coords(c: CollarParams, tables, windows) -> list:
+    """Mode coordinates b_n ||e^{nw} dw^2||, one list per coefficient table
+    and one entry per mode of their union (sorted; 0 where a table lacks
+    the mode).  Distinct modes are orthogonal, so L^2 over the windows is
+    the Euclidean geometry of the rows, and no b_n is squared."""
+    ns = sorted(set().union(*tables))
+    t, e = mode_weights(c, np.array(ns, dtype=int), windows)
     k = _norm_const(c)
-    kernel = [[part.tolist() for part in exp_cos2_window(a, c.freq, s1, s2)]
-              for s1, s2 in windows]
-    total = 0j
-    for i, n in enumerate(ns):
-        for vals, anchors in kernel:
-            total += scale_complex(weights[n] * k * vals[i],
-                                   2.0 * n * anchors[i])
-    return total
+    cols = [(n, math.sqrt(k * tn), en)
+            for n, tn, en in zip(ns, t.tolist(), e.tolist())]
+    return [[_coord(table[n], w, en) if n in table else 0j
+             for n, w, en in cols] for table in tables]
+
+
+def _coord(b: complex, w: float, e: float) -> complex:
+    # b w e^e; a subnormal b w would keep few digits, so b is lifted by an
+    # exact 2^600 first and the lift taken back in the exponent
+    z = b * w
+    if abs(z) < 2.0 ** -1022:
+        return scale_complex(b * 2.0 ** 600 * w, e - 600 * math.log(2.0))
+    return scale_complex(z, e)
 
 
 def mode_l2_norm_sq(c: CollarParams, n: int, win: SubCollar) -> float:
     """Closed-form ||e^{nw} dw^2||^2 over the window (unit coefficient)."""
     win = _check_window(c, win)
-    return _mode_sum(c, {n: 1.0}, [(win.s1, win.s2)]).real
+    t, e = mode_weights(c, np.array([n]), [(win.s1, win.s2)])
+    return exp_scale(_norm_const(c) * float(t[0]), 2.0 * float(e[0]))
 
 
 def l2_inner(q: LaurentQD, r: LaurentQD, win: SubCollar | None = None) -> complex:
@@ -182,16 +197,20 @@ def l2_inner(q: LaurentQD, r: LaurentQD, win: SubCollar | None = None) -> comple
     if q.collar != r.collar:
         raise DomainError("inner product requires matching collars")
     win = _check_window(q.collar, win)
-    weights = {n: b * r.coeffs[n].conjugate()
-               for n, b in q.coeffs.items() if n in r.coeffs}
-    return _mode_sum(q.collar, weights, [(win.s1, win.s2)])
+    shared = [n for n in q.coeffs if n in r.coeffs]
+    x, y = _coords(q.collar, [{n: p.coeffs[n] for n in shared}
+                              for p in (q, r)], [(win.s1, win.s2)])
+    return sum((a * b.conjugate() for a, b in zip(x, y)), 0j)
 
 
 def l2_norm(q: LaurentQD, win: SubCollar | None = None) -> float:
     """Closed-form L2 norm over a window (default: the full collar)."""
     win = _check_window(q.collar, win)
-    weights = {n: square(abs(b)) for n, b in q.coeffs.items()}
-    return math.sqrt(_mode_sum(q.collar, weights, [(win.s1, win.s2)]).real)
+    return _coord_norm(q, [(win.s1, win.s2)])
+
+
+def _coord_norm(q: LaurentQD, windows) -> float:
+    return math.hypot(*map(abs, _coords(q.collar, [q.coeffs], windows)[0]))
 
 
 def _phi_on_circle(q: LaurentQD, s: np.ndarray, n_theta: int) -> np.ndarray:
@@ -489,12 +508,9 @@ def linf_thin(q: LaurentQD, delta: float) -> ThinSup:
     # (max at the matching endpoint) and peaks at s = 0 for n = 0
     r = math.sinh(0.5 * c.ell) / math.sinh(delta)
     edge = center * r * r
-    env = 0.0
-    for n, b in q.coeffs.items():
-        if n == 0:
-            env += abs(b) * center
-        else:
-            env += exp_scale(abs(b) * edge, abs(n) * xd)
+    env = sum(abs(b) * center if n == 0
+              else exp_scale(abs(b) * edge, abs(n) * xd)
+              for n, b in q.coeffs.items())
     return ThinSup(sup, env, float(grid[i]), 2.0 * math.pi * j / n_theta)
 
 
@@ -528,14 +544,10 @@ def coefficient_bound_check(q: LaurentQD) -> CoefficientBoundReport:
         raise DomainError("coefficient bound check requires b_0 = 0")
     if q.is_zero:
         return CoefficientBoundReport(0.0, {}, 0.0)
-    c = q.collar
-    x = c.half_length
-    weights = {n: square(abs(b)) for n, b in q.coeffs.items()}
-    tn = math.sqrt(
-        _mode_sum(c, weights, _thick_windows(c, DEFAULT_DELTA0)).real)
-    per = {}
-    for n, b in q.coeffs.items():
-        per[n] = exp_scale(abs(b) / (math.sqrt(abs(n)) * tn), abs(n) * x)
+    x = q.collar.half_length
+    tn = _coord_norm(q, _thick_windows(q.collar, DEFAULT_DELTA0))
+    per = {n: exp_scale(abs(b) / (math.sqrt(abs(n)) * tn), abs(n) * x)
+           for n, b in q.coeffs.items()}
     return CoefficientBoundReport(max(per.values()), per, tn)
 
 
@@ -553,13 +565,8 @@ def mode_inner_quadrature_ratios(c: CollarParams, modes, win: SubCollar
     if win.width == 0.0:
         raise DomainError("degenerate window has no normalizable modes")
 
-    needed = set()
-    for i, n in enumerate(modes):
-        needed.add(2 * n)
-        for m in modes[i:]:
-            needed.add(n + m)
     log_i: dict[int, float] = {}
-    for ktot in sorted(needed):
+    for ktot in sorted({n + m for n in modes for m in modes}):
         anchor = win.s2 if ktot > 0 else win.s1
 
         def f(s, _k=ktot, _a=anchor):
@@ -570,19 +577,12 @@ def mode_inner_quadrature_ratios(c: CollarParams, modes, win: SubCollar
         log_i[ktot] = math.log(val) + ktot * anchor
 
     theta = np.arange(256) * (2.0 * math.pi / 256)
-    tsum: dict[int, float] = {}
-    for i, n in enumerate(modes):
-        for m in modes[i:]:
-            d = n - m
-            if d not in tsum:
-                tsum[d] = abs(np.exp(1j * d * theta).sum()) / 256
-
     out = np.zeros((len(modes), len(modes)))
     for i, n in enumerate(modes):
         for j, m in enumerate(modes[i:], start=i):
-            ratio = tsum[n - m] * math.exp(
+            tsum = abs(np.exp(1j * (n - m) * theta).sum()) / 256
+            out[i, j] = out[j, i] = tsum * math.exp(
                 log_i[n + m] - 0.5 * log_i[2 * n] - 0.5 * log_i[2 * m])
-            out[i, j] = out[j, i] = ratio
     return out
 
 

@@ -18,9 +18,10 @@ import numpy as np
 from .collar import CollarParams, thin_boundary
 from .errors import (DomainError, RankDeficiencyError, ValidationError,
                      read_json)
-from .laurent import (LaurentQD, coeffs_from_json, coeffs_to_json, l2_inner,
-                      l2_norm, linf_thin, principal_part, remove_principal)
-from .numerics import exp_scale, square
+from .laurent import (LaurentQD, _coords, coeffs_from_json, coeffs_to_json,
+                      l2_inner, l2_norm, linf_thin, principal_part,
+                      remove_principal)
+from .numerics import exp_scale
 from .report import Report, ReportRow, STATUS_EMPTY
 
 # Relative spectral floor below which a Gram matrix counts as singular.
@@ -63,7 +64,7 @@ def mc_inner(u: MultiCollarQD, v: MultiCollarQD) -> complex:
 
 
 def mc_norm(u: MultiCollarQD) -> float:
-    return math.sqrt(sum(square(l2_norm(p)) for p in u.parts))
+    return math.hypot(*(l2_norm(p) for p in u.parts))
 
 
 def mc_combine(elems, weights) -> MultiCollarQD:
@@ -120,13 +121,16 @@ class QDSpace:
 
 
 def gram_matrix_of(basis) -> np.ndarray:
+    """sum over collars of C C^H, C the basis's mode coordinates on the
+    full collar, by einsum: unlike BLAS it keeps each sum's order."""
     basis = tuple(basis)
-    d = len(basis)
-    g = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(i, d):
-            g[i, j] = mc_inner(basis[i], basis[j])
-            g[j, i] = g[i, j].conjugate()
+    g = np.zeros((len(basis), len(basis)), dtype=complex)
+    for parts in zip(*(e.parts for e in basis)):
+        x = parts[0].collar.half_length
+        C = np.array(_coords(parts[0].collar, [p.coeffs for p in parts],
+                             [(-x, x)]), dtype=complex)
+        with np.errstate(invalid="ignore"):   # inf * 0 past an overflow
+            g += np.einsum("in,jn->ij", C, C.conj())
     return g
 
 
@@ -185,10 +189,13 @@ def w_subspace(space: QDSpace) -> QDSpace:
     if kernel.shape[1] == 0:
         return QDSpace([], collars=space.collars)
     combos = []
-    for v in kernel.T:
+    for i, v in enumerate(kernel.T):
         elem = MultiCollarQD([remove_principal(part)
                               for part in mc_combine(space.basis, v).parts])
         nrm = mc_norm(elem)
+        if not math.isfinite(nrm):
+            raise DomainError(f"W element {i} has a non-finite L2 norm "
+                              f"{nrm}: it cannot be normalized")
         if nrm > 0:
             elem = mc_combine([elem], [1.0 / nrm])
         combos.append(elem)

@@ -24,8 +24,9 @@ from .collar import (CollarParams, DEFAULT_DELTA0, DELTA_MAX, ELL_MAX,
                      cos_profile_vec, thin_boundary, validate_delta0)
 from .errors import ValidationError, is_int
 from .laurent import (DensityRows, SubCollar, _norm_const, _sorted_unique,
-                      _thick_windows, full_window, mode_l2_norm_sq)
-from .numerics import exp_cos2_window, exp_scale, square
+                      _thick_windows, full_window, mode_l2_norm_sq,
+                      mode_weights)
+from .numerics import exp_scale, square
 from .report import Report, ReportRow, STATUS_EMPTY, STATUS_OK
 
 #: C0 = 32 pi^5: thin L^2 mass of the principal differential is C0/ell^3 + O(delta^-3)
@@ -206,20 +207,13 @@ def draw_coefficients(seed: int, li: int, di: int, trials: int,
 
 
 def _window_weights(c: CollarParams, ns: np.ndarray, windows) -> np.ndarray:
-    """Per-mode L^2 weights sum_w integral_w e^{2 n s} cos^2(b s) ds,
-    times the e^{-2|n|X} law factor and the 32 pi^3/ell^2 constant.
-
-    Every exponent is assembled as 2(n*anchor - |n|X) <= 0 before
-    exponentiation, so underflow is the only rounding mode and it is
-    the honest one.
-    """
-    X = c.half_length
-    t = np.zeros(ns.size)
-    for s1, s2 in windows:
-        vals, anchors = exp_cos2_window(2.0 * ns, c.freq, s1, s2)
-        t += vals * np.exp(2.0 * (ns * anchors - np.abs(ns) * X))
+    """Per-mode L^2 weights over the windows times the e^{-2|n|X} law
+    factor, folded into mode_weights' exponent: every exponent is <= 0
+    before exp, so underflow is the only, and the honest, rounding."""
+    t, e = mode_weights(c, ns, windows)
     with np.errstate(invalid="ignore"):   # inf * 0 once ell * ell underflows
-        return _norm_const(c) * t
+        return _norm_const(c) * (t * np.exp(2.0 * (e - np.abs(ns)
+                                                   * c.half_length)))
 
 
 def _normalized_draws(cfg: SweepConfig, c: CollarParams, li: int, di: int,

@@ -7,13 +7,15 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
+import click
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import collardiff
-from collardiff.cli import _write, main, parse_grid
+from collardiff.cli import _write, cli, main, parse_grid
 from collardiff.errors import ValidationError
 from collardiff.report import CSV_SCHEMA, STATUS_EMPTY
 
@@ -148,6 +150,25 @@ def test_qd_norms_reads_its_mode_range_off_the_file(capsys, coeffs_file):
     assert code == 0 and err == ""
     for n_max in ("1", "40"):
         assert invoke(capsys, "--n-max", n_max, *args) == (0, out, "")
+
+
+def test_qd_norms_keeps_a_mode_whose_square_underflows(capsys, tmp_path):
+    # |b_30|^2 ~ 5e-434 underflows; the n = 30 mode still carries about a
+    # fifth of the full norm
+    from reference import l2_norm as mp_l2_norm
+    coeffs = {1: 5.994497079968183e-08, 30: 2.150713639784616e-217}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps([{"n": n, "re": b, "im": 0}
+                             for n, b in coeffs.items()]))
+    code, out, _ = invoke(capsys, "qd", "norms", "--coeffs", str(p),
+                          "--ell", "0.5", "--delta", "0.4")
+    assert code == 0
+    full, = (float(r["value"]) for r in csv_rows(out)
+             if r["statistic"] == "l2_full")
+    assert full == pytest.approx(12.8763748996072, rel=1e-13, abs=0.0)
+    x = collardiff.CollarParams(0.5).half_length
+    assert full == pytest.approx(mp_l2_norm(0.5, coeffs, [(-x, x)]),
+                                 rel=1e-13, abs=0.0)
 
 
 def test_qd_norms_empty_thin(capsys, coeffs_file):
@@ -577,6 +598,33 @@ def test_space_w_report_cli(capsys, space_file):
     assert [r["statistic"] for r in rows] == ["w_linf_ratio_max"] * 2
     assert all(r["ell"] == "" for r in rows)  # no single collar applies
     assert float(rows[0]["value"]) > 0.0
+
+
+def test_space_w_report_names_an_element_whose_norm_overflows(capsys,
+                                                               tmp_path):
+    # ||e^{6w} dw^2|| overflows at ell 0.05; the element cannot be
+    # normalized, which is an input error, not a rank deficiency
+    p = tmp_path / "space.json"
+    p.write_text(json.dumps({"collars": [0.05], "basis": [
+        [[{"n": 6, "re": 1, "im": 0}]], [[{"n": 1, "re": 1, "im": 0}]]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = invoke(capsys, "space", "w-report", str(p),
+                                "--delta", "0.2")
+    assert (code, out) == (2, "")
+    assert "W element 0 has a non-finite L2 norm inf" in err
+
+
+def test_main_keeps_a_commands_exit_code():
+    @cli.command("exit-three")
+    @click.pass_context
+    def exit_three(ctx):
+        ctx.exit(3)
+
+    try:
+        assert main(["exit-three"]) == 3
+    finally:
+        del cli.commands["exit-three"]
 
 
 # --- the exit-code and row-status contract, fuzzed -----------------------------

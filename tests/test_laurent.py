@@ -1,14 +1,16 @@
 """Laurent-mode differentials: closed forms vs quadrature, suprema,
 coefficient decay constants, JSON round trips."""
 
+import cmath
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from collardiff.collar import CollarParams, cos_profile_vec, thin_boundary
+from collardiff.collar import (DEFAULT_DELTA0, CollarParams, cos_profile_vec,
+                               thin_boundary)
 from collardiff.errors import DomainError, ValidationError
 from collardiff.laurent import (_ROW_BATCH, DensityRows, LaurentQD,
                                 SubCollar, ThinSup, _sorted_unique, _sup_grid,
@@ -516,6 +518,55 @@ def test_coefficient_bound_check():
         coefficient_bound_check(LaurentQD(c, {0: 1.0, 1: 1.0}))
     empty = coefficient_bound_check(LaurentQD(c, {}))
     assert empty.constant == 0.0 and empty.thick_norm == 0.0
+
+
+def test_l2_norm_keeps_a_mode_whose_square_underflows():
+    # |b_1|^2 ~ 1e-395 is below the double range, but the mode's coordinate
+    # b_1 ||e^{w} dw^2|| ~ 2.5e231 is not, and it carries the norm
+    from reference import l2_norm as mp_l2_norm
+    c = CollarParams(0.01)
+    x = c.half_length
+    coeffs = {0: -0.5439577217873256 - 0.13345155853725454j,
+              1: -7.343541300402361e-198 - 7.15253263672712e-198j}
+    got = l2_norm(LaurentQD(c, coeffs))
+    assert got == pytest.approx(2.47071711417e231, rel=1e-11)
+    assert got == pytest.approx(mp_l2_norm(c.ell, coeffs, [(-x, x)]),
+                                rel=1e-12)
+
+
+@pytest.mark.parametrize("b", [3e-320, 5.52874e-319 - 3.6167e-319j])
+def test_l2_norm_of_a_subnormal_coefficient(b):
+    # b_30 ||e^{30w} dw^2|| ~ 1e-100 is normal, while b_30 times the
+    # anchored weight is subnormal and would keep only its few digits
+    from reference import l2_norm as mp_l2_norm
+    c = CollarParams(0.5)
+    x = c.half_length
+    got = l2_norm(LaurentQD(c, {30: b}))
+    assert got == pytest.approx(mp_l2_norm(c.ell, {30: b}, [(-x, x)]),
+                                rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=140, derandomize=True, deadline=None)
+@given(ell=st.floats(0.01, 1.7), u=st.floats(0.5, 1.0),
+       modes=st.lists(st.integers(-6, 6).filter(bool), min_size=1,
+                      max_size=4, unique=True),
+       phase=st.floats(0.0, 2.0 * math.pi))
+def test_coefficient_bound_check_on_law_scaled_coefficients(ell, u, modes,
+                                                            phase):
+    # |b_n| = e^{-u|n|X}: every |b_n|^2 can underflow while b_n and the
+    # thick norm stay in range; the thick norm is never 0 for nonzero input
+    from reference import l2_norm as mp_l2_norm
+    c = CollarParams(ell)
+    x = c.half_length
+    q = LaurentQD(c, {n: cmath.rect(math.exp(-u * abs(n) * x), n * phase)
+                      for n in modes})
+    rep = coefficient_bound_check(q)
+    xd = thin_boundary(c, DEFAULT_DELTA0).x_delta
+    thick = [(xd, x), (-x, -xd)] if xd else [(-x, x)]
+    assert rep.thick_norm == pytest.approx(mp_l2_norm(ell, q.coeffs, thick),
+                                           rel=1e-10, abs=0.0)
+    assert set(rep.per_mode) == set(q.coeffs)
+    assert (rep.thick_norm > 0) == (not q.is_zero)
 
 
 def test_mode_orthogonality_small():

@@ -10,7 +10,7 @@ from collardiff.collar import CollarParams
 from collardiff.errors import (DomainError, RankDeficiencyError,
                                ValidationError)
 from collardiff.laurent import LaurentQD, lp_norm, principal_part
-from collardiff.report import STATUS_EMPTY, STATUS_FAILED, STATUS_OK
+from collardiff.report import STATUS_EMPTY, STATUS_OK
 from collardiff.spaces import (MultiCollarQD, QDSpace, load_space, mc_combine,
                                mc_inner, mc_norm, mc_zero, multi_from_json,
                                multi_to_json, principal_vector, project_onto_w,
@@ -199,16 +199,28 @@ def test_w_decay_report_takes_each_norm_once(rng, monkeypatch):
 
 
 def test_w_decay_report_keeps_a_non_finite_sup():
-    # the ell-0.01 part of some W element has a NaN linf_thin (its modes
-    # overflow at the thin edge); the row must say so, not read "ok"
+    # the ell-0.01 parts {-2: 1e-300j} and {0: 0.2, 3: 1e-300} overflow at
+    # the thin edge, and so do their L2 norms (|b_n| e^{|n|X}, X ~ 984): a
+    # W element with a non-finite norm cannot be normalized, so the report
+    # stops with an error that names it
     cs = (CollarParams(0.01), CollarParams(0.3))
     basis = [({0: 1}, {0: 0.5}), ({1: 1e-300}, {0: 1}),
              ({-2: 1e-300j}, {1: 1}), ({0: 0.2, 3: 1e-300}, {2: 0.3})]
     space = QDSpace([MultiCollarQD([LaurentQD(c, d) for c, d in zip(cs, e)])
                      for e in basis], collars=cs)
-    row, = w_decay_report(space, [0.3], samples=4, seed=1).rows
-    assert row.status == STATUS_FAILED
-    assert math.isnan(row.value) and math.isnan(row.normalized)
+    with pytest.raises(DomainError,
+                       match=r"W element \d+ has a non-finite L2 norm inf"):
+        w_decay_report(space, [0.3], samples=4, seed=1)
+
+
+def test_gram_matrix_is_the_pairwise_inner_products(rng):
+    space = random_space(rng, dim=6)
+    g = space.gram
+    want = np.array([[mc_inner(a, b) for b in space.basis]
+                     for a in space.basis])
+    assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(g, g.conj().T)
+    assert QDSpace([], collars=space.collars).gram.shape == (0, 0)
 
 
 def test_space_json_round_trip(tmp_path, rng):

@@ -10,8 +10,9 @@ from hypothesis import assume, given, strategies as st
 from collardiff.collar import (CollarParams, cos_profile_vec, thin_area,
                                thin_boundary)
 from collardiff.errors import DomainError, ValidationError
-from collardiff.laurent import (DensityRows, LaurentQD, SubCollar, l2_norm,
-                                lp_norm)
+from collardiff.laurent import (DensityRows, LaurentQD, SubCollar,
+                                _norm_const, _thick_windows, l2_norm, lp_norm)
+from collardiff.numerics import exp_cos2_window
 from collardiff.report import STATUS_EMPTY, STATUS_FAILED, STATUS_OK
 from collardiff.sweeps import (PRINCIPAL_MASS_CONSTANT, SweepConfig,
                                bij_normalization_check, decay_sweep,
@@ -679,3 +680,28 @@ def test_closed_form_sweeps_check_their_grids(ells, deltas, message):
     if deltas == (0.3,):  # an ell-grid fault; bij-check has no delta grid
         with pytest.raises(ValidationError, match=message):
             bij_normalization_check(ells, [1.0] * len(ells))
+
+
+def _law_scaled_weights(c, ns, windows):
+    """The sweeps' weight rule written out on the kernel:
+    _norm_const(c) * sum_w vals e^{2(n anchor - |n|X)}, summed from 0 in
+    window order."""
+    t = np.zeros(ns.size)
+    for s1, s2 in windows:
+        vals, anchors = exp_cos2_window(2.0 * ns, c.freq, s1, s2)
+        t += vals * np.exp(2.0 * (ns * anchors - np.abs(ns) * c.half_length))
+    with np.errstate(invalid="ignore"):
+        return _norm_const(c) * t
+
+
+@pytest.mark.parametrize("delta0", [0.1, 0.4, 0.69])
+@pytest.mark.parametrize("ell", [1e-8, 1e-4, 1e-2, 0.5, 1.7])
+def test_window_weights_keep_the_law_scaled_bits(ell, delta0):
+    # every sweep byte rests on these weights: the thick windows normalize
+    # the draws and the thin window gives the p = 2 column
+    c = CollarParams(ell)
+    ns = interleaved_modes(64)
+    xd = thin_boundary(c, delta0).x_delta
+    for windows in (_thick_windows(c, delta0), [(-xd, xd)]):
+        got = sweeps._window_weights(c, ns, windows)
+        assert got.tobytes() == _law_scaled_weights(c, ns, windows).tobytes()
