@@ -34,9 +34,6 @@ from .errors import DomainError
 ELL_MAX = 2.0 * math.asinh(1.0)
 DELTA_MAX = math.asinh(1.0)
 
-# Evaluation points are clamped to |s| <= X * _CLAMP inside the open collar.
-_CLAMP = 1.0 - 1e-12
-
 
 @dataclass(frozen=True)
 class CollarParams:
@@ -99,7 +96,6 @@ def conformal_factor(c: CollarParams, s: float) -> float:
     x = c.half_length
     if not abs(s) < x:
         raise DomainError(f"s = {s!r} outside the open collar (-{x:.6g}, {x:.6g})")
-    s = math.copysign(min(abs(s), x * _CLAMP), s)
     return c.ell / (2.0 * math.pi * cos_profile_vec(c, s))
 
 
@@ -174,7 +170,7 @@ def validate_delta0(delta0: float) -> float:
 
 
 def _check_delta(delta: float) -> None:
-    if not (0.0 < delta < DELTA_MAX) or not math.isfinite(delta):
+    if not 0.0 < delta < DELTA_MAX:
         raise DomainError(
             f"thin-part threshold must lie in (0, {DELTA_MAX:.12g}), "
             f"got {delta!r}")

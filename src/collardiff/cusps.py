@@ -287,16 +287,13 @@ def is_bounded(g: PunctureGerm) -> GermBound:
     return GermBound(True, best, best_r)
 
 
-def _annulus_sups(g: PunctureGerm) -> np.ndarray:
-    """Per-annulus density sups marching toward the puncture."""
-    sups = []
-    hi = g.radius
-    for _ in range(_STEPS):
-        lo = hi / _SHRINK
-        r = np.geomspace(lo, hi, 33)
-        sups.append(float(hyperbolic_density(g, r, _N_THETA_DETECT).max()))
-        hi = lo
-    return np.array(sups)
+def _annulus_sups(g: PunctureGerm, eps) -> np.ndarray:
+    """Per-annulus density sups marching toward the puncture, on the
+    truncation ladder's annuli eps_j < |z| < eps_{j-1} (eps_{-1} = R)."""
+    return np.array([
+        float(hyperbolic_density(g, np.geomspace(lo, hi, 33),
+                                 _N_THETA_DETECT).max())
+        for lo, hi in zip(eps, (g.radius, *eps[:-1]))])
 
 
 # --- the classification, three independent ways --------------------------------
@@ -329,13 +326,13 @@ def classify(g: PunctureGerm) -> Classification:
     """
     if g.is_zero:
         return Classification(True, True, True)
-    integrable = truncation_profile(g).converged
-    sups = _annulus_sups(g)
+    profile = truncation_profile(g)
+    sups = _annulus_sups(g, profile.epsilons)
     # a bounded density decays into the cusp; any pole >= 2 forces the
     # tail back up (at least like (log r)^2)
     bounded = not (sups[-1] > sups[-4] * (1.0 + 1e-9))
     simple = pole_order(g) <= 1
-    return Classification(integrable, bounded, simple)
+    return Classification(profile.converged, bounded, simple)
 
 
 # --- JSON ----------------------------------------------------------------------

@@ -275,13 +275,14 @@ _ROW_BATCH = 128     # (t, s) rows per FFT call in DensityRows.batches
 class DensityRows:
     """Rows of the density |phi| * pref(s) on the theta grid, one per (t, s):
     phi_t(s, theta) = sum_n coef[t, n] amp[s, n] e^{i n theta}, where
-    amp[s, n] = e^{sn + log_scale_n} and the modes ns are distinct modulo
-    n_theta.  pocketfft gives a row the same bits in any batch, so rows are
-    transformed on demand, any subset at a time.  ``bound``, the triangle
-    bound pref(s) * sum_n |coef[t, n]| amp[s, n], is at least the row's
-    largest density.  ``row_max`` is the one pruned pass over the rows:
-    every thin sup (linf_thin's value and location, the sweeps' p = inf
-    column) is read off its matrix.
+    amp[s, n] = e^{sn + log_scale_n}, on n_theta = max(256, 8 max|n|) theta
+    points: the modes are distinct modulo n_theta, the highest sampled 8
+    times a period.  pocketfft gives a row the same bits in any batch, so
+    rows are transformed on demand, any subset at a time.  ``bound``, the
+    triangle bound pref(s) * sum_n |coef[t, n]| amp[s, n], is at least the
+    row's largest density.  ``row_max`` is the one pruned pass over the
+    rows: every thin sup (linf_thin's value and location, the sweeps' p =
+    inf column) is read off its matrix.
 
     A transformed row s of trial t, with computed grid max M_s of |phi|,
     also bounds every other row s' of t (the transfer bound).  For any
@@ -322,8 +323,9 @@ class DensityRows:
     """
 
     def __init__(self, coef: np.ndarray, ns: np.ndarray, log_scale: np.ndarray,
-                 s_nodes: np.ndarray, pref: np.ndarray, n_theta: int):
-        self.pref, self.n_theta = pref, n_theta
+                 s_nodes: np.ndarray, pref: np.ndarray):
+        self.pref = pref
+        self.n_theta = n_theta = max(256, 8 * int(np.abs(ns).max()))
         amp = np.exp(s_nodes[:, None] * ns[None, :] + log_scale[None, :])
         abs_coef = np.abs(coef)
         self.bound = (abs_coef @ amp.T) * pref[None, :]
@@ -484,7 +486,6 @@ def linf_thin(q: LaurentQD, delta: float) -> ThinSup:
     tw = thin_boundary(q.collar, delta)
     if tw.empty or q.is_zero:
         return ThinSup(0.0, 0.0)
-    n_theta = max(256, 8 * q.n_max)
     c = q.collar
     xd = tw.x_delta
     center = 2.0 * square(2.0 * math.pi / c.ell)  # 2 rho^-2 = center * cos^2
@@ -495,12 +496,12 @@ def linf_thin(q: LaurentQD, delta: float) -> ThinSup:
     logb = np.array([math.log(abs(q.coeffs[n])) for n in modes])
     phase = np.array([q.coeffs[n] / abs(q.coeffs[n]) for n in modes])
     rows = DensityRows(phase[None, :], np.array(modes), logb, grid,
-                       center * cos_profile_vec(c, grid) ** 2, n_theta)
+                       center * cos_profile_vec(c, grid) ** 2)
     row_max = rows.row_max()[0]
-    sup = float(row_max.max())
     # the first row holding the sup (a NaN sup: the first NaN row), then
     # the first theta in it, as a row-major argmax of the full grid finds
-    i = int(np.argmax((row_max == sup) | np.isnan(row_max)))
+    i = int(np.argmax(row_max))
+    sup = float(row_max[i])
     j = int(np.argmax(rows.abs_phi(np.zeros(1, dtype=int), np.array([i]))[0]
                       * rows.pref[i]))
 
@@ -511,7 +512,7 @@ def linf_thin(q: LaurentQD, delta: float) -> ThinSup:
     env = sum(abs(b) * center if n == 0
               else exp_scale(abs(b) * edge, abs(n) * xd)
               for n, b in q.coeffs.items())
-    return ThinSup(sup, env, float(grid[i]), 2.0 * math.pi * j / n_theta)
+    return ThinSup(sup, env, float(grid[i]), 2.0 * math.pi * j / rows.n_theta)
 
 
 def _sup_grid(xd: float, n_s: int) -> np.ndarray:

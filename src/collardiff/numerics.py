@@ -25,6 +25,7 @@ from .errors import QuadratureError
 _A_ZERO = 1e-12
 # math.exp(t) is finite and normal for _EXP_LO < t < _EXP_HI
 _EXP_LO, _EXP_HI = -708.39, 709.78
+_QUAD_LIMIT = 200   # intervals before adaptive_quad gives up
 
 
 def exp_scale(mag: float, t: float) -> float:
@@ -197,7 +198,7 @@ def _gk21(f, a: np.ndarray, b: np.ndarray):
 def adaptive_quad(f, lo: float, hi: float, *,
                   tol_abs: float = DEFAULT_TOL_ABS,
                   tol_rel: float = DEFAULT_TOL_REL,
-                  points=None, limit: int = 200) -> float:
+                  points=None) -> float:
     """Global adaptive Gauss-Kronrod (G10/K21) quadrature over [lo, hi].
 
     ``lo``, ``hi`` and the tolerances must be finite, the tolerances >= 0
@@ -208,7 +209,7 @@ def adaptive_quad(f, lo: float, hi: float, *,
     first, until the rest hold at most half the tolerance
     max(tol_abs, tol_rel * |value|), and evaluates f once on the nodes of
     every new interval.  There is no extrapolation.  Raises
-    QuadratureError, never returns a silently bad value, when ``limit``
+    QuadratureError, never returns a silently bad value, when _QUAD_LIMIT
     intervals are reached before convergence, when the value or its error
     estimate is not finite, and when no interval can be refined further
     (every estimate is at its roundoff floor, or the interval is too
@@ -246,15 +247,15 @@ def adaptive_quad(f, lo: float, hi: float, *,
                     f"requested tolerance (estimate {value:.17g})",
                     estimate=value, error=abserr)
             return value
-        if a.size >= limit:
+        if a.size >= _QUAD_LIMIT:
             raise QuadratureError(
-                f"quadrature did not converge within {limit} intervals "
+                f"quadrature did not converge within {_QUAD_LIMIT} intervals "
                 f"(estimate {value:.17g}, abs error {abserr:.3e})",
                 estimate=value, error=abserr)
         worst = np.flatnonzero(can)[np.argsort(-err[can], kind="stable")]
         left = abserr - np.cumsum(err[worst])
         take = min(int(np.searchsorted(-left, -0.5 * tol)) + 1,
-                   worst.size, limit - a.size)
+                   worst.size, _QUAD_LIMIT - a.size)
         split = np.zeros(a.size, dtype=bool)
         split[worst[:take]] = True
         new_a = np.concatenate([a[split], mid[split]])

@@ -120,15 +120,19 @@ class QDSpace:
         return len(self.basis)
 
 
+def _full_coords(parts) -> list:
+    """laurent._coords on the full collar that the parts share."""
+    x = parts[0].collar.half_length
+    return _coords(parts[0].collar, [p.coeffs for p in parts], [(-x, x)])
+
+
 def gram_matrix_of(basis) -> np.ndarray:
     """sum over collars of C C^H, C the basis's mode coordinates on the
     full collar, by einsum: unlike BLAS it keeps each sum's order."""
     basis = tuple(basis)
     g = np.zeros((len(basis), len(basis)), dtype=complex)
     for parts in zip(*(e.parts for e in basis)):
-        x = parts[0].collar.half_length
-        C = np.array(_coords(parts[0].collar, [p.coeffs for p in parts],
-                             [(-x, x)]), dtype=complex)
+        C = np.array(_full_coords(parts), dtype=complex)
         with np.errstate(invalid="ignore"):   # inf * 0 past an overflow
             g += np.einsum("in,jn->ij", C, C.conj())
     return g
@@ -136,9 +140,11 @@ def gram_matrix_of(basis) -> np.ndarray:
 
 def _cholesky_or_raise(g: np.ndarray):
     evals = np.linalg.eigvalsh(g)
-    if evals[0] < RANK_TOL * max(evals[-1], 0.0) or evals[0] <= 0.0:
+    if not evals[0] >= RANK_TOL * max(evals[-1], 0.0) or evals[0] <= 0.0:
+        what = ("numerically rank deficient" if np.isfinite(g).all()
+                else "not finite")
         raise RankDeficiencyError(
-            f"Gram matrix is numerically rank deficient: smallest eigenvalue "
+            f"Gram matrix is {what}: smallest eigenvalue "
             f"{evals[0]:.6g} vs largest {evals[-1]:.6g}", eigenvalue=float(evals[0]))
     try:
         return np.linalg.cholesky(g)
@@ -267,7 +273,10 @@ def w_decay_report(space: QDSpace, deltas, *, samples: int = 48,
         z = rng.standard_normal(w.dim) + 1j * rng.standard_normal(w.dim)
         vecs.append(z / np.linalg.norm(z))
     elems = [mc_combine(w.basis, v) for v in vecs]
-    norms = [mc_norm(elem) for elem in elems]
+    # mc_norm of every sample, from one coordinate pass per collar
+    norms = [math.hypot(*col) for col in zip(*(
+        [math.hypot(*map(abs, row)) for row in _full_coords(parts)]
+        for parts in zip(*(e.parts for e in elems))))]
     for delta in deltas:
         # np.max keeps a NaN or inf sup, which Python's max may drop
         ratios = [float(np.max([linf_thin(part, delta).sup

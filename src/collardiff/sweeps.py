@@ -56,7 +56,7 @@ def check_grids(ell_grid, delta_grid=None) -> list:
     ells, *deltas = grids = [tuple(float(x) for x in g) for g in grids]
     if not all(grids):
         raise ValidationError("sweep grids must be nonempty")
-    if not all(0.0 < x <= ELL_MAX and math.isfinite(x) for x in ells):
+    if not all(0.0 < x <= ELL_MAX for x in ells):
         raise ValidationError(
             f"core lengths must lie in (0, {ELL_MAX:.6g}]")
     if not all(0.0 < d < DELTA_MAX for g in deltas for d in g):
@@ -238,15 +238,15 @@ def _sup_nodes(x_delta: float) -> np.ndarray:
 
 
 def _density_max(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
-                 s_nodes: np.ndarray, n_theta: int) -> np.ndarray:
+                 s_nodes: np.ndarray) -> np.ndarray:
     """Per-trial sup of |phi| * 2 rho^{-2} over s_nodes x theta grid (exact,
     see DensityRows.row_max); the law factor e^{-|n|X} enters as the
     log-scale."""
     with np.errstate(invalid="ignore"):   # inf * 0 at a vanishing ell
         pref = 2.0 * square(2.0 * math.pi / c.ell) \
             * cos_profile_vec(c, s_nodes) ** 2
-    return DensityRows(Gt, ns, -np.abs(ns) * c.half_length, s_nodes, pref,
-                       n_theta).row_max().max(axis=1)
+    return DensityRows(Gt, ns, -np.abs(ns) * c.half_length, s_nodes,
+                       pref).row_max().max(axis=1)
 
 
 # --- decay of zero-principal differentials into the thin part ------------------
@@ -334,7 +334,6 @@ def bij_normalization_check(ell_grid, b0_sequence,
             f"b0 sequence length {len(b0)} does not match the ell grid "
             f"length {len(ells)}")
     rows = []
-    norms = []
     for ell, b in zip(ells, b0):
         c = CollarParams(ell)
         win = thin_boundary(c, delta0)
@@ -347,13 +346,11 @@ def bij_normalization_check(ell_grid, b0_sequence,
         if win.empty:
             rows.append(ReportRow(ell, delta0, "b0_thin_norm", 0.0, ref,
                                   STATUS_EMPTY))
-            norms.append(0.0)
             continue
         thin = mode_l2_norm_sq(c, 0, SubCollar(-win.x_delta, win.x_delta))
-        val = size * math.sqrt(thin)
-        rows.append(ReportRow(ell, delta0, "b0_thin_norm", val, ref))
-        norms.append(val)
-    slope, passed = _vanishing_verdict(ells, norms)
+        rows.append(ReportRow(ell, delta0, "b0_thin_norm",
+                              size * math.sqrt(thin), ref))
+    slope, passed = _vanishing_verdict(ells, [row.value for row in rows])
     rows.append(ReportRow(math.nan, delta0, "b0_vanishing", slope,
                           float(passed)))
     return Report(rows)
@@ -419,8 +416,7 @@ def _row_dots(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _density_lp(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
-                s_nodes: np.ndarray, w_nodes: np.ndarray,
-                n_theta: int) -> dict:
+                s_nodes: np.ndarray, w_nodes: np.ndarray) -> dict:
     """Per-trial (sum of dens^p rho^2 w dtheta over s_nodes x theta)^{1/p}
     for p = 1 and 4, where dens = |phi| * 2 rho^{-2}.
 
@@ -439,10 +435,10 @@ def _density_lp(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
         pref = 2.0 / rho_sq
     rw = rho_sq * w_nodes
     X = c.half_length
-    rows = DensityRows(Gt, ns, -np.abs(ns) * X, s_nodes, pref, n_theta)
+    rows = DensityRows(Gt, ns, -np.abs(ns) * X, s_nodes, pref)
     # the ~(<=) form keeps NaN bounds, whose rows must be evaluated
     t_idx, s_idx = np.nonzero(~(rows.bound <= 0.0))
-    w_theta = np.full(n_theta, 2.0 * math.pi / n_theta)
+    w_theta = np.full(rows.n_theta, 2.0 * math.pi / rows.n_theta)
     contrib = np.zeros(rows.bound.shape)
     for t, s, dens in rows.batches(t_idx, s_idx):
         dens *= pref[s][:, None]
@@ -475,10 +471,9 @@ def _cell_lp(cfg: SweepConfig, c: CollarParams, li: int, di: int,
     on composite Gauss-Legendre panels (p = 4 by Parseval in theta), p=inf
     by the shared sup grid."""
     Gt = _normalized_draws(cfg, c, li, di, ns)
-    n_theta = max(256, 8 * cfg.n_max)
     out = {}
     if math.inf in ps:
-        out[math.inf] = _density_max(Gt, ns, c, _sup_nodes(x_delta), n_theta)
+        out[math.inf] = _density_max(Gt, ns, c, _sup_nodes(x_delta))
     if 2.0 in ps:
         t2 = _window_weights(c, ns, [(-x_delta, x_delta)])
         out[2.0] = np.sqrt(_row_dots(np.abs(Gt) ** 2, t2))
@@ -487,7 +482,7 @@ def _cell_lp(cfg: SweepConfig, c: CollarParams, li: int, di: int,
         gl_nodes, gl_weights = np.polynomial.legendre.leggauss(8)
         mid, hw = 0.5 * (s1 + s2), 0.5 * (s2 - s1)
         out.update(_density_lp(Gt, ns, c, (mid + hw * gl_nodes).ravel(),
-                               (hw * gl_weights).ravel(), n_theta))
+                               (hw * gl_weights).ravel()))
     return out
 
 

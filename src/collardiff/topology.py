@@ -100,7 +100,7 @@ def hol_dimension(t: SurfaceTopology) -> int:
 
 def max_short_geodesics(t: SurfaceTopology) -> int:
     """Largest number of disjoint short geodesics: sum of 3g - 3 + k."""
-    return sum(max(0, 3 * g - 3 + k) for g, k in t.components)
+    return hol_dimension(t)
 
 
 def pinch(t: SurfaceTopology, move: PinchMove) -> SurfaceTopology:
@@ -157,7 +157,7 @@ def enumerate_moves(t: SurfaceTopology) -> list[PinchMove]:
     """
     out: list[PinchMove] = []
     for ci, (g, k) in enumerate(t.components):
-        if g >= 1 and _general_type(g - 1, k + 2):
+        if g >= 1:   # (g - 1, k + 2) is of general type, as (g, k) is
             out.append(PinchMove(ci, NONSEPARATING))
         for g1 in range(g + 1):
             g2 = g - g1

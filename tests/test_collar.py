@@ -129,6 +129,21 @@ def test_domain_errors():
         disc_metric_density(1.0)
 
 
+@pytest.mark.parametrize("ell", [1e-2, 1e-4, 1e-8])
+def test_conformal_factor_at_the_collar_edge(ell):
+    # rho at s = X(1 - 1e-13), in 40 digits from the same float ell and s:
+    # the boundary identity keeps cos > 0 up to the edge, so rho is taken
+    # at s itself (a clamp to X(1 - 1e-12) was off by 2.8e-4 at ell 1e-8)
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    c = CollarParams(ell)
+    s = c.half_length * (1.0 - 1e-13)
+    with mpmath.workdps(40):
+        b = mp.mpf(ell) / (2 * mp.pi)
+        want = b / mp.cos(b * mp.mpf(s))
+    assert abs(conformal_factor(c, s) / want - 1) < 1e-7
+
+
 def test_validate_delta0():
     assert validate_delta0(DEFAULT_DELTA0) >= 1.0
     assert validate_delta0(0.4) >= 1.0

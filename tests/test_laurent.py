@@ -315,23 +315,25 @@ def test_linf_thin_transforms_the_row_max_rows_and_one_more(monkeypatch):
     assert beyond_seed > 0
 
 
-@pytest.mark.parametrize("n_theta", [256, 384])
-@pytest.mark.parametrize("modes", ["sweep", "sparse", "nyquist"])
-def test_density_rows_do_not_depend_on_the_batch(n_theta, modes):
+@pytest.mark.parametrize("ns, n_theta", [
+    ([1, -1, 2, -2, 3, -3, 4, -4], 256),   # the sweeps' +-n order
+    ([-5, -1, 0, 3], 256),
+    ([48, -47, -2, 0, 1, 47], 384)],       # not a power of two
+    ids=["sweep-256", "sparse-256", "wide-384"])
+def test_density_rows_do_not_depend_on_the_batch(ns, n_theta):
     # the spectrum buffer is reused across batches and filled by bin runs:
     # a row's bits must not depend on which rows share its batch, and must
-    # equal a scatter of the products into a fresh zero spectrum
-    half = n_theta // 2
-    ns = np.array({"sweep": [1, -1, 2, -2, 3, -3, 4, -4],
-                   "sparse": [-5, -1, 0, 3],
-                   "nyquist": [half, 1 - half, -2, 0, 1, half - 1]}[modes])
+    # equal a scatter of the products into a fresh zero spectrum; the theta
+    # rule is max(256, 8 max|n|)
+    ns = np.array(ns)
     rng = np.random.default_rng(n_theta)
     trials, n_s = 3, 70
     coef = rng.standard_normal((trials, ns.size)) \
         + 1j * rng.standard_normal((trials, ns.size))
     s_nodes = np.linspace(-2.0, 2.0, n_s)
     log_scale = -0.5 * np.abs(ns)
-    rows = DensityRows(coef, ns, log_scale, s_nodes, np.ones(n_s), n_theta)
+    rows = DensityRows(coef, ns, log_scale, s_nodes, np.ones(n_s))
+    assert rows.n_theta == n_theta
     t, s = np.divmod(rng.permutation(trials * n_s), n_s)
 
     amp = np.exp(s_nodes[:, None] * ns[None, :] + log_scale[None, :])
@@ -350,16 +352,15 @@ def test_density_rows_do_not_depend_on_the_batch(n_theta, modes):
         assert np.array_equal(got, want), size
 
 
-@given(data=st.data(), n_theta=st.sampled_from([256, 384]),
-       dominant=st.sampled_from([None, "low", "high"]))
-def test_transfer_bound_covers_the_computed_row_max(data, n_theta, dominant):
+@given(data=st.data(), dominant=st.sampled_from([None, "low", "high"]))
+def test_transfer_bound_covers_the_computed_row_max(data, dominant):
     # The transfer bound from any seed row, rounding term included, is at
     # least the computed grid max of every other row of the trial, so a row
     # it skips cannot hold the sup.  Each mode's amplitude at the seed row is
     # normal, subnormal or zero; near-duplicate rows leave the rounding term
-    # nearly alone against the bound's rho * M_s part.
-    half = n_theta // 2
-    ns = np.array(data.draw(st.lists(st.integers(1 - half, half), min_size=1,
+    # nearly alone against the bound's rho * M_s part.  The theta rule
+    # follows the modes: 256 up to |n| = 32, then 8 max|n|.
+    ns = np.array(data.draw(st.lists(st.integers(-48, 48), min_size=1,
                                      max_size=10, unique=True)))
     k = ns.size
     seed = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -382,8 +383,7 @@ def test_transfer_bound_covers_the_computed_row_max(data, n_theta, dominant):
                               seed.uniform(-1.0, 1.0, 3)])
     s_nodes = np.concatenate([[s0], s0 + offsets])
     pref = 10.0 ** seed.uniform(-2.0, 3.0, s_nodes.size)
-    rows = DensityRows(coef[None, :], ns, at_seed - s0 * ns, s_nodes, pref,
-                       n_theta)
+    rows = DensityRows(coef[None, :], ns, at_seed - s0 * ns, s_nodes, pref)
 
     zero = np.zeros(1, dtype=int)
     m = rows.abs_phi(zero, zero).max(axis=1)
@@ -421,14 +421,13 @@ def _per_row_transfer_bound(rows, t, s, top, m):
                                + (1.0 + rho) * floor)
 
 
-@given(data=st.data(), n_theta=st.sampled_from([256, 384]),
-       trials=st.integers(1, 5), poison=st.booleans())
+@given(data=st.data(), trials=st.integers(1, 5), poison=st.booleans())
 def test_transfer_bound_per_trial_terms_keep_the_per_row_bits(
-        data, n_theta, trials, poison):
+        data, trials, poison):
     # n* and floor_t are computed once per trial and indexed per row; every
-    # bound keeps the bits of the per-row formula, NaN trials included
-    half = n_theta // 2
-    ns = np.array(data.draw(st.lists(st.integers(1 - half, half), min_size=1,
+    # bound keeps the bits of the per-row formula, NaN trials included;
+    # the theta rule follows the modes (256 up to |n| = 32, then 8 max|n|)
+    ns = np.array(data.draw(st.lists(st.integers(-48, 48), min_size=1,
                                      max_size=12, unique=True)))
     k = ns.size
     seed = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -440,7 +439,7 @@ def test_transfer_bound_per_trial_terms_keep_the_per_row_bits(
     log_scale = seed.uniform(-900.0, 5.0, k)
     s_nodes = np.sort(seed.uniform(-3.0, 3.0, data.draw(st.integers(2, 12))))
     pref = 10.0 ** seed.uniform(-2.0, 3.0, s_nodes.size)
-    rows = DensityRows(coef, ns, log_scale, s_nodes, pref, n_theta)
+    rows = DensityRows(coef, ns, log_scale, s_nodes, pref)
     with np.errstate(invalid="ignore"):
         top = np.argmax(rows.bound, axis=1)
     m = rows.abs_phi(np.arange(trials), top).max(axis=1)
@@ -456,7 +455,7 @@ def test_transfer_bound_by_group_keeps_the_per_row_bits():
     # over the shuffled pairs of all three keeps the per-row formula's bits.
     # n* leads its row by only ~1e3, so the correction sums are not lost
     # against rho * M and a sum rounded in another order shows in the bound
-    n_theta, trials = 256, 9
+    trials = 9
     ns = np.arange(-24, 25)
     rng = np.random.default_rng(12)
     coef = rng.standard_normal((trials, ns.size)) \
@@ -466,10 +465,10 @@ def test_transfer_bound_by_group_keeps_the_per_row_bits():
         coef[t, n + 24] *= 1e3
     s_nodes = np.linspace(-1.0, 1.0, 24)
     rows = DensityRows(coef, ns, -1.5 * np.abs(ns), s_nodes,
-                       1.0 + s_nodes ** 2, n_theta)
+                       1.0 + s_nodes ** 2)
     top = np.array([r for r, _ in plan])
     seed_modes = rows._seed_modes(top)
-    bin_order = ns[np.argsort(np.mod(ns, n_theta))]
+    bin_order = ns[np.argsort(np.mod(ns, rows.n_theta))]
     assert [(r, int(bin_order[j])) for r, j in zip(top, seed_modes)] == plan
     m = rows.abs_phi(np.arange(trials), top).max(axis=1)
     t, s = np.divmod(rng.permutation(trials * s_nodes.size), s_nodes.size)

@@ -135,8 +135,8 @@ def test_adaptive_quad_known_value():
 
 def test_adaptive_quad_failure_raises():
     # 1/x is not integrable at 0: the interval limit is reached first
-    with pytest.raises(QuadratureError, match="within 10 intervals"):
-        adaptive_quad(lambda x: 1.0 / x, 0.0, 1.0, limit=10)
+    with pytest.raises(QuadratureError, match="within 200 intervals"):
+        adaptive_quad(lambda x: 1.0 / x, 0.0, 1.0)
     with pytest.raises(QuadratureError, match="non-finite"):
         adaptive_quad(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0)
     with pytest.raises(ValueError, match="limits must be finite"):
@@ -187,20 +187,21 @@ def _integrand_families():
 @pytest.mark.parametrize("family", list(_integrand_families()))
 def test_adaptive_quad_matches_quadpack(monkeypatch, family):
     # every adaptive_quad call of the family also runs through scipy's
-    # QUADPACK with the same tolerances and break points.  Both meet the
-    # tolerance (1e-10 relative or tighter), so they may differ by twice
-    # it; measured, no pair differs by more than 3.7e-16 relative, and
-    # the bound below leaves a margin of about 300 over that.
+    # QUADPACK with the same tolerances, break points and interval limit
+    # (adaptive_quad's constant 200).  Both meet the tolerance (1e-10
+    # relative or tighter), so they may differ by twice it; measured, no
+    # pair differs by more than 3.7e-16 relative, and the bound below
+    # leaves a margin of about 300 over that.
     integrate = pytest.importorskip("scipy.integrate")
     pairs = []
 
     def both(f, lo, hi, *, tol_abs=DEFAULT_TOL_ABS, tol_rel=DEFAULT_TOL_REL,
-             points=None, limit=200):
+             points=None):
         ours = adaptive_quad(f, lo, hi, tol_abs=tol_abs, tol_rel=tol_rel,
-                             points=points, limit=limit)
+                             points=points)
         pts = sorted({p for p in points or () if lo < p < hi})
         ref = integrate.quad(lambda x: float(f(np.array([x]))[0]), lo, hi,
-                             epsabs=tol_abs, epsrel=tol_rel, limit=limit,
+                             epsabs=tol_abs, epsrel=tol_rel, limit=200,
                              points=pts or None)[0]
         pairs.append((ours, ref))
         return ours

@@ -118,8 +118,10 @@ _FIXED_SIZES = {
               "load_germ": "k_min"},
     "laurent": {"lp_norm": "n_theta", "linf_thin": "n_s",
                 "mode_inner_quadrature_ratios": "n_theta tol_abs tol_rel",
-                "LaurentQD": "n_max", "coefficient_bound_check": "delta0"},
+                "LaurentQD": "n_max", "coefficient_bound_check": "delta0",
+                "DensityRows": "n_theta"},
     "collar": {"validate_delta0": "ell_values"},
+    "numerics": {"adaptive_quad": "limit"},
 }
 
 

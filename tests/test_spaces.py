@@ -87,6 +87,13 @@ def test_unitary_basis_rank_deficiency(rng):
     with pytest.raises(RankDeficiencyError) as exc:
         unitary_basis(space)
     assert exc.value.eigenvalue < 1e-10
+    # mode 6's coordinate overflows at ell 0.05 (e^{6X}, X ~ 194), so its
+    # Gram entries are NaN, even against the element that shares no mode
+    c = CollarParams(0.05)
+    space = QDSpace([MultiCollarQD([LaurentQD(c, {6: 1.0})]),
+                     MultiCollarQD([LaurentQD(c, {1: 1.0})])])
+    with pytest.raises(RankDeficiencyError, match="Gram matrix is not finite"):
+        unitary_basis(space)
 
 
 def test_w_subspace_dimension_and_exact_principal(rng):
@@ -180,22 +187,26 @@ def test_w_decay_report(rng):
 
 
 def test_w_decay_report_takes_each_norm_once(rng, monkeypatch):
-    # the element norms do not depend on delta: a report over three
-    # thresholds takes as many mc_norm calls as one over a single threshold
+    # the element norms do not depend on delta, and every sample's part
+    # norms on a collar come from one coordinate pass: a report over one
+    # threshold or three takes one pass per collar beyond W's own
     import collardiff.spaces as sp
 
     space = random_space(rng, dim=3)
     deltas = [0.2, 0.35, 0.5]
     want = w_decay_report(space, deltas, samples=4, seed=7).render("csv")
+    w = w_subspace(space)
+    real = sp._coords
     calls = []
-    monkeypatch.setattr(sp, "mc_norm",
-                        lambda u: calls.append(u) or mc_norm(u))
+    monkeypatch.setattr(sp, "w_subspace", lambda _: w)
+    monkeypatch.setattr(sp, "_coords",
+                        lambda *a: calls.append(a) or real(*a))
     assert w_decay_report(space, deltas, samples=4, seed=7) \
         .render("csv") == want
-    three = len(calls)
+    assert len(calls) == len(space.collars)
     calls.clear()
     w_decay_report(space, deltas[:1], samples=4, seed=7)
-    assert three == len(calls) > 0
+    assert len(calls) == len(space.collars)
 
 
 def test_w_decay_report_keeps_a_non_finite_sup():

@@ -197,7 +197,7 @@ def test_pruned_density_max_matches_full_grid_bitwise(n_max, transfer_calls):
             Gt = sweeps._normalized_draws(cfg, c, li, di, ns)
             s_nodes = sweeps._sup_nodes(win.x_delta)
             want = _full_grid_density_max(Gt, ns, c, s_nodes, n_theta)
-            got = sweeps._density_max(Gt, ns, c, s_nodes, n_theta)
+            got = sweeps._density_max(Gt, ns, c, s_nodes)
             assert got.tobytes() == want.tobytes(), (ell, delta)
             checked += 1
     assert checked == 9
@@ -231,7 +231,7 @@ def test_row_max_is_neg_inf_exactly_on_skipped_rows_full_grid(monkeypatch):
             pref = 2.0 * (2.0 * math.pi / c.ell) ** 2 \
                 * cos_profile_vec(c, s_nodes) ** 2
             rows = DensityRows(Gt, ns, -np.abs(ns) * c.half_length, s_nodes,
-                               pref, 256)
+                               pref)
             seen.clear()
             with monkeypatch.context() as m:
                 m.setattr(DensityRows, "abs_phi", recording)
@@ -269,7 +269,7 @@ def test_pruned_density_max_matches_full_grid_at_subnormal_scale(
         * 10.0 ** seed.uniform(-320.0, -300.0, (4, 1))
     s_nodes = sweeps._sup_nodes(win.x_delta)
     want = _full_grid_density_max(Gt, ns, c, s_nodes, 256)
-    got = sweeps._density_max(Gt, ns, c, s_nodes, 256)
+    got = sweeps._density_max(Gt, ns, c, s_nodes)
     assert got.tobytes() == want.tobytes()
 
 
