@@ -385,7 +385,7 @@ def cusp():
 @cusp.command("classify")
 @click.argument("germ_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--radius", type=float, default=CUSP_DISC_RADIUS,
-              help="Disc radius (default e^{-pi}).")
+              help="Disc radius in [2^-91, 1) (default e^{-pi}).")
 @click.pass_obj
 def cusp_classify(opts, germ_file, radius):
     """The three equivalent finiteness conditions for a germ."""

@@ -21,20 +21,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collar import CUSP_DISC_RADIUS, disc_metric_density
-from .errors import (DomainError, ValidationError, is_int, mode_table,
-                     read_json)
+from .errors import (DomainError, ValidationError, mode_table,
+                     modes_from_json, modes_to_json, read_json)
 from .numerics import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, adaptive_quad
 
-_K_MIN = -8     # lowest germ mode: r^k stays finite down to R / 4^17
+_K_MIN = -8     # lowest germ mode; with _RADIUS_MIN, r^k stays finite
 
 # theta rules of the L^1 routes and the density sup, and of classify's two
 # detectors, whose ladder of annuli ends at eps_j = R / 4^j, j = 1..17
 _N_THETA, _N_THETA_DETECT = 256, 128
 _STEPS, _SHRINK = 17, 4.0
+# smallest radius: r^{_K_MIN} stays below 2^1000 down to the last rung
+# R / 4^17 when R / 4^17 >= 2^(1000 / _K_MIN) = 2^-125, so R >= 2^-91
+_RADIUS_MIN = _SHRINK ** _STEPS * 2.0 ** (1000 / _K_MIN)
 # break points of the polar L^1 quadratures, as fractions of the radius
 _L1_BREAKS = (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5)
 
 
+@dataclass(frozen=True, eq=False)
 class PunctureGerm:
     """Laurent window sum c_k z^k on the punctured disc of ``radius``.
 
@@ -42,21 +46,20 @@ class PunctureGerm:
     (a stored 1e-30 at k = -2 really is a double pole).
     """
 
-    __slots__ = ("coeffs", "radius")
+    coeffs: dict[int, complex]
+    radius: float = CUSP_DISC_RADIUS
 
-    def __init__(self, coeffs, radius: float = CUSP_DISC_RADIUS):
-        if not (0.0 < radius < 1.0):
+    def __post_init__(self):
+        if not (_RADIUS_MIN <= self.radius < 1.0):
             # log|z| must be negative on the whole disc
-            raise DomainError(f"radius must lie in (0, 1), got {radius}")
-        clean = mode_table(coeffs)
+            raise DomainError(
+                f"radius must lie in [2^-91, 1), got {self.radius}")
+        clean = mode_table(self.coeffs)
         if min(clean, default=0) < _K_MIN:
             raise ValidationError(
                 f"mode {min(clean)} below the window floor {_K_MIN}")
         object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "radius", float(radius))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PunctureGerm is immutable")
+        object.__setattr__(self, "radius", float(self.radius))
 
     @property
     def is_zero(self) -> bool:
@@ -69,10 +72,6 @@ class PunctureGerm:
         if z == 0:
             raise DomainError("germ is undefined at the puncture")
         return sum(c * z ** k for k, c in self.coeffs.items())
-
-    def __repr__(self):
-        inside = ", ".join(f"{k}: {c}" for k, c in sorted(self.coeffs.items()))
-        return f"PunctureGerm({{{inside}}}, radius={self.radius})"
 
 
 def _abs_phi_at(g: PunctureGerm, r, n_theta: int) -> np.ndarray:
@@ -339,29 +338,11 @@ def classify(g: PunctureGerm) -> Classification:
 
 def germ_from_json(data, radius: float = CUSP_DISC_RADIUS) -> PunctureGerm:
     """Parse a germ file: JSON array of {k, re, im}."""
-    if not isinstance(data, list):
-        raise ValidationError("germ file must be a JSON array of {k, re, im}")
-    coeffs = {}
-    for i, item in enumerate(data):
-        if not isinstance(item, dict) or "k" not in item:
-            raise ValidationError(f"entry {i} needs a 'k' key")
-        k = item["k"]
-        if not is_int(k):
-            raise ValidationError(f"entry {i}: k must be an integer")
-        if k in coeffs:
-            raise ValidationError(f"duplicate mode k={k}")
-        try:
-            coeffs[k] = complex(float(item.get("re", 0.0)),
-                                float(item.get("im", 0.0)))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"entry {i}: bad coefficient for k={k}: {exc}") from exc
-    return PunctureGerm(coeffs, radius=radius)
+    return PunctureGerm(modes_from_json(data, "k"), radius=radius)
 
 
 def germ_to_json(g: PunctureGerm) -> list:
-    return [{"k": k, "re": c.real, "im": c.imag}
-            for k, c in sorted(g.coeffs.items())]
+    return modes_to_json(g.coeffs, "k")
 
 
 def load_germ(path, radius: float = CUSP_DISC_RADIUS) -> PunctureGerm:

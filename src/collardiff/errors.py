@@ -1,5 +1,6 @@
 """Exception types shared across the package, and its one JSON file reader,
-integer rule and Laurent table rule (``read_json``, ``is_int``, ``mode_table``).
+integer rule, Laurent table rule and table file form (``read_json``,
+``is_int``, ``mode_table``, ``modes_from_json``/``modes_to_json``).
 
 Two failure families matter to callers: bad input (DomainError and
 friends, mapped to exit code 2 by the CLI) and numerical trouble
@@ -48,6 +49,34 @@ def mode_table(coeffs) -> dict[int, complex]:
         if b != 0:
             table[int(n)] = b
     return table
+
+
+def modes_from_json(data, key: str) -> dict[int, complex]:
+    """A Laurent table file: a JSON array of {key, "re", "im"} entries with
+    an integer mode, no mode twice and numeric re/im."""
+    if not isinstance(data, list):
+        raise ValidationError(f"file must be a JSON array of {{{key}, re, im}}")
+    table: dict[int, complex] = {}
+    for i, item in enumerate(data):
+        if not isinstance(item, dict) or not {key, "re", "im"} <= set(item):
+            raise ValidationError(f"entry {i} needs keys {key}/re/im, got {item!r}")
+        n = item[key]
+        if not is_int(n):
+            raise ValidationError(f"entry {i}: mode index {n!r} is not an integer")
+        if n in table:
+            raise ValidationError(f"entry {i}: duplicate mode {key}={n}")
+        try:
+            table[n] = complex(float(item["re"]), float(item["im"]))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"entry {i}: bad coefficient for {key}={n}: {exc}") from exc
+    return table
+
+
+def modes_to_json(table, key: str) -> list:
+    """The file form of ``table``, sorted by mode."""
+    return [{key: int(n), "re": float(b.real), "im": float(b.imag)}
+            for n, b in sorted(dict(table).items())]
 
 
 class InvalidMoveError(ValueError):

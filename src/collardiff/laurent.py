@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .collar import CollarParams, thin_boundary, cos_profile_vec, \
     conformal_factor, DEFAULT_DELTA0
-from .errors import (DomainError, ValidationError, is_int, mode_table,
+from .errors import (DomainError, mode_table, modes_from_json, modes_to_json,
                      read_json)
 from .numerics import (DEFAULT_TOL_ABS, DEFAULT_TOL_REL, adaptive_quad,
                        exp_cos2_window, exp_scale, scale_complex, square,
@@ -53,6 +53,7 @@ class SubCollar:
         return self.s2 - self.s1
 
 
+@dataclass(frozen=True, eq=False)
 class LaurentQD:
     """A finite Laurent-mode quadratic differential on one collar.
 
@@ -61,16 +62,14 @@ class LaurentQD:
     ``n_max`` is the largest |n| stored (0 for the zero differential).
     """
 
-    __slots__ = ("collar", "coeffs", "n_max")
+    collar: CollarParams
+    coeffs: dict[int, complex]
+    n_max: int = field(init=False, repr=False)
 
-    def __init__(self, collar: CollarParams, coeffs):
-        self.collar = collar
-        self.coeffs = mode_table(coeffs)
-        self.n_max = max(map(abs, self.coeffs), default=0)
-
-    def __repr__(self):
-        return (f"LaurentQD(ell={self.collar.ell:.6g}, "
-                f"modes={sorted(self.coeffs)})")
+    def __post_init__(self):
+        coeffs = mode_table(self.coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "n_max", max(map(abs, coeffs), default=0))
 
     @property
     def is_zero(self) -> bool:
@@ -591,28 +590,11 @@ def mode_inner_quadrature_ratios(c: CollarParams, modes, win: SubCollar
 
 def coeffs_from_json(data) -> dict[int, complex]:
     """Parse [{"n": ..., "re": ..., "im": ...}, ...]; duplicate n rejected."""
-    if not isinstance(data, list):
-        raise ValidationError("coefficient file must be a JSON array")
-    out: dict[int, complex] = {}
-    for item in data:
-        if not isinstance(item, dict) or not {"n", "re", "im"} <= set(item):
-            raise ValidationError(
-                f"coefficient entries need keys n/re/im, got {item!r}")
-        n = item["n"]
-        if not is_int(n):
-            raise ValidationError(f"mode index must be an integer, got {n!r}")
-        if n in out:
-            raise ValidationError(f"duplicate mode index {n} in coefficient file")
-        try:
-            out[n] = complex(float(item["re"]), float(item["im"]))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"bad coefficient for mode {n}: {exc}") from exc
-    return out
+    return modes_from_json(data, "n")
 
 
 def coeffs_to_json(coeffs) -> list:
-    return [{"n": int(n), "re": float(b.real), "im": float(b.imag)}
-            for n, b in sorted(dict(coeffs).items())]
+    return modes_to_json(coeffs, "n")
 
 
 def load_coeffs(path) -> dict[int, complex]:

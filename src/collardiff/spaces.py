@@ -12,6 +12,7 @@ P(psi) = sum_j <psi, w_j> w_j over an L2-unitary basis of W.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,16 +33,17 @@ RANK_TOL = 1e-12
 _PIVOT_TOL = 1e-12
 
 
+@dataclass(frozen=True, eq=False)
 class MultiCollarQD:
     """One Laurent differential per collar, over a shared collar tuple."""
 
-    __slots__ = ("parts",)
+    parts: tuple
 
-    def __init__(self, parts):
-        parts = tuple(parts)
+    def __post_init__(self):
+        parts = tuple(self.parts)
         if not parts:
             raise ValidationError("a multi-collar differential needs >= 1 collar")
-        self.parts = parts
+        object.__setattr__(self, "parts", parts)
 
     @property
     def collars(self) -> tuple:
@@ -50,10 +52,6 @@ class MultiCollarQD:
     @property
     def is_zero(self) -> bool:
         return all(p.is_zero for p in self.parts)
-
-    def __repr__(self):
-        ells = ", ".join(f"{c.ell:.4g}" for c in self.collars)
-        return f"MultiCollarQD(ells=[{ells}])"
 
 
 def mc_inner(u: MultiCollarQD, v: MultiCollarQD) -> complex:

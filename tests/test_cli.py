@@ -459,6 +459,21 @@ def test_cusp_classify_simple_pole_json(capsys, tmp_path):
     assert code == 0 and stats["pole_order"] == "0"
 
 
+def test_cusp_classify_radius_below_the_floor_is_an_input_error(capfd,
+                                                                tmp_path):
+    # the check comes before any numerics: below 2^-91 the ladder's last
+    # rungs would hand LAPACK inf abscissae, and LAPACK writes its
+    # complaints to file descriptor 1, which capfd sees
+    germ = tmp_path / "germ.json"
+    germ.write_text(json.dumps([{"k": 0, "re": 1.0, "im": 0.0}]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["cusp", "classify", str(germ), "--radius", "1e-300"])
+    out, err = capfd.readouterr()
+    assert (code, out) == (2, "")
+    assert "radius must lie in [2^-91, 1)" in err
+
+
 @pytest.mark.parametrize("args", [
     ["qd", "principal-mass", "--delta0", "0.3"],
     ["qd", "principal-mass", "--workers", "2"],

@@ -3,6 +3,7 @@ three-way classification agreement."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,22 @@ def test_germ_construction():
         PunctureGerm({0: math.inf})
     with pytest.raises(DomainError):
         PunctureGerm({0: 1.0}, radius=1.0)
+
+
+@pytest.mark.parametrize("coeffs", [{-8: 1.0}, {-1: 1.0, 1: 1.0}, {0: 1.0}],
+                         ids=["k-8", "k-1,1", "k0"])
+def test_radius_floor(coeffs):
+    # 2^-91 keeps r^-8 finite on the ladder's last rung R / 4^17; every
+    # route runs there without a RuntimeWarning
+    floor = 2.0 ** -91
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        g = PunctureGerm(coeffs, radius=floor)
+        assert classify(g).agree
+        l1_norm(g)
+        is_bounded(g)
+    with pytest.raises(DomainError, match=r"\[2\^-91, 1\)"):
+        PunctureGerm(coeffs, radius=math.nextafter(floor, 0.0))
 
 
 def test_pole_order_is_exact():
@@ -177,17 +194,13 @@ def test_germ_json(tmp_path):
     data = germ_to_json(g)
     again = germ_from_json(data)
     assert again.coeffs == g.coeffs
-    # re/im default to zero when omitted; such an entry contributes nothing
-    assert germ_from_json([{"k": 3}]).is_zero
+    # re and im are required, as in coefficient files; the malformed tables
+    # are tests/test_errors.py's, for both file kinds
+    with pytest.raises(ValidationError, match="keys k/re/im"):
+        germ_from_json([{"k": 3}])
     p = tmp_path / "g.json"
     p.write_text(json.dumps(data))
     assert load_germ(p).coeffs == g.coeffs
-    with pytest.raises(ValidationError):
-        germ_from_json({"k": 1})
-    with pytest.raises(ValidationError):
-        germ_from_json([{"k": 1, "re": 0.0}, {"k": 1, "im": 1.0}])
-    with pytest.raises(ValidationError):
-        germ_from_json([{"k": True}])
     bad = tmp_path / "bad.json"
     bad.write_text("nope")
     with pytest.raises(ValidationError):

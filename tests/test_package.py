@@ -135,3 +135,18 @@ def test_fixed_rule_sizes_are_not_parameters(module, func, name):
     fn = getattr(importlib.import_module(f"collardiff.{module}"), func)
     with pytest.raises(TypeError, match=f"unexpected keyword .*'{name}'"):
         fn(None, **{name: 1})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: collardiff.LaurentQD(collardiff.CollarParams(0.3), {1: 1.0}),
+    lambda: collardiff.PunctureGerm({-1: 1.0}),
+    lambda: collardiff.MultiCollarQD(
+        [collardiff.LaurentQD(collardiff.CollarParams(0.3), {1: 1.0})])],
+    ids=["LaurentQD", "PunctureGerm", "MultiCollarQD"])
+def test_differential_types_are_frozen(make):
+    # a derived field such as LaurentQD.n_max cannot go stale; equality
+    # and hashing stay by identity
+    value = make()
+    with pytest.raises(AttributeError):
+        value.coeffs = {2: 1.0}
+    assert value != make() and hash(value) == object.__hash__(value)
