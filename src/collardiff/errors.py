@@ -1,6 +1,7 @@
 """Exception types shared across the package, and its one JSON file reader,
-integer rule, Laurent table rule and table file form (``read_json``,
-``is_int``, ``mode_table``, ``modes_from_json``/``modes_to_json``).
+integer rule, number rule, Laurent table rule and table file form
+(``read_json``, ``is_int``, ``json_double``, ``mode_table``,
+``modes_from_json``/``modes_to_json``).
 
 Two failure families matter to callers: bad input (DomainError and
 friends, mapped to exit code 2 by the CLI) and numerical trouble
@@ -36,6 +37,17 @@ def is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def json_double(x) -> float:
+    """A JSON number as a double: an int or a float, not a bool, inside the
+    double range; a ValidationError otherwise."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValidationError(f"{x!r} is not a number")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValidationError("an integer beyond the double range") from None
+
+
 def mode_table(coeffs) -> dict[int, complex]:
     """{mode: coefficient} with integer modes and finite complex
     coefficients, exact zeros dropped so that an absent mode means 0."""
@@ -66,8 +78,8 @@ def modes_from_json(data, key: str) -> dict[int, complex]:
         if n in table:
             raise ValidationError(f"entry {i}: duplicate mode {key}={n}")
         try:
-            table[n] = complex(float(item["re"]), float(item["im"]))
-        except (TypeError, ValueError) as exc:
+            table[n] = complex(*map(json_double, (item["re"], item["im"])))
+        except ValidationError as exc:
             raise ValidationError(
                 f"entry {i}: bad coefficient for {key}={n}: {exc}") from exc
     return table

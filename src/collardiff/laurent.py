@@ -144,6 +144,13 @@ def _norm_const(c: CollarParams) -> float:
     return 32.0 * math.pi ** 3 / sq if sq else math.inf
 
 
+def density_weight(c: CollarParams, s):
+    """2 rho(s)^-2 = 2 (2 pi/ell)^2 cos^2(ell s/2 pi) = |Theta| / |phi|, at a
+    point or elementwise; silently NaN where a vanishing ell gives inf * 0."""
+    with np.errstate(invalid="ignore"):
+        return 2.0 * square(2.0 * math.pi / c.ell) * cos_profile_vec(c, s) ** 2
+
+
 def _thick_windows(c: CollarParams, delta0: float) -> list:
     """The (s1, s2) windows of the delta0-thick part: the collar outside
     its delta0-thin window, or the whole collar where that is empty."""
@@ -487,7 +494,7 @@ def linf_thin(q: LaurentQD, delta: float) -> ThinSup:
         return ThinSup(0.0, 0.0)
     c = q.collar
     xd = tw.x_delta
-    center = 2.0 * square(2.0 * math.pi / c.ell)  # 2 rho^-2 = center * cos^2
+    center = density_weight(c, 0.0)
 
     grid = _sup_grid(xd, 257)
     modes = sorted(q.coeffs)
@@ -495,7 +502,7 @@ def linf_thin(q: LaurentQD, delta: float) -> ThinSup:
     logb = np.array([math.log(abs(q.coeffs[n])) for n in modes])
     phase = np.array([q.coeffs[n] / abs(q.coeffs[n]) for n in modes])
     rows = DensityRows(phase[None, :], np.array(modes), logb, grid,
-                       center * cos_profile_vec(c, grid) ** 2)
+                       density_weight(c, grid))
     row_max = rows.row_max()[0]
     # the first row holding the sup (a NaN sup: the first NaN row), then
     # the first theta in it, as a row-major argmax of the full grid finds

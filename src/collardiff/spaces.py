@@ -18,7 +18,7 @@ import numpy as np
 
 from .collar import CollarParams, thin_boundary
 from .errors import (DomainError, RankDeficiencyError, ValidationError,
-                     read_json)
+                     json_double, read_json)
 from .laurent import (LaurentQD, _coords, coeffs_from_json, coeffs_to_json,
                       l2_inner, l2_norm, linf_thin, principal_part,
                       remove_principal)
@@ -294,14 +294,17 @@ def space_from_json(data) -> QDSpace:
     """Parse {"collars": [ell...], "basis": [[coeff-list per collar]...]}."""
     if not isinstance(data, dict) or "collars" not in data or "basis" not in data:
         raise ValidationError("space file needs 'collars' and 'basis' keys")
-    try:
-        collars = tuple(CollarParams(float(e)) for e in data["collars"])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad collar list: {exc}") from exc
+    for key in ("collars", "basis"):
+        if not isinstance(data[key], list):
+            raise ValidationError(f"'{key}' must be an array")
+    collars = []
+    for i, ell in enumerate(data["collars"]):
+        try:
+            collars.append(CollarParams(json_double(ell)))
+        except ValueError as exc:
+            raise ValidationError(f"collar {i}: {exc}") from exc
     if not collars:
         raise ValidationError("space file lists no collars")
-    if not isinstance(data["basis"], list):
-        raise ValidationError("'basis' must be an array")
     basis = []
     for bi, elem in enumerate(data["basis"]):
         try:

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collar import (CollarParams, DEFAULT_DELTA0, DELTA_MAX, ELL_MAX,
-                     cos_profile_vec, thin_boundary, validate_delta0)
+                     thin_boundary, validate_delta0)
 from .errors import ValidationError, is_int
 from .laurent import (DensityRows, SubCollar, _norm_const, _sorted_unique,
-                      _thick_windows, full_window, mode_l2_norm_sq,
-                      mode_weights)
-from .numerics import exp_scale, square
+                      _thick_windows, density_weight, full_window,
+                      mode_l2_norm_sq, mode_weights)
+from .numerics import exp_scale
 from .report import Report, ReportRow, STATUS_EMPTY, STATUS_OK
 
 #: C0 = 32 pi^5: thin L^2 mass of the principal differential is C0/ell^3 + O(delta^-3)
@@ -242,11 +242,8 @@ def _density_max(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
     """Per-trial sup of |phi| * 2 rho^{-2} over s_nodes x theta grid (exact,
     see DensityRows.row_max); the law factor e^{-|n|X} enters as the
     log-scale."""
-    with np.errstate(invalid="ignore"):   # inf * 0 at a vanishing ell
-        pref = 2.0 * square(2.0 * math.pi / c.ell) \
-            * cos_profile_vec(c, s_nodes) ** 2
     return DensityRows(Gt, ns, -np.abs(ns) * c.half_length, s_nodes,
-                       pref).row_max().max(axis=1)
+                       density_weight(c, s_nodes)).row_max().max(axis=1)
 
 
 # --- decay of zero-principal differentials into the thin part ------------------
@@ -418,35 +415,30 @@ def _row_dots(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _density_lp(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
                 s_nodes: np.ndarray, w_nodes: np.ndarray) -> dict:
     """Per-trial (sum of dens^p rho^2 w dtheta over s_nodes x theta)^{1/p}
-    for p = 1 and 4, where dens = |phi| * 2 rho^{-2}.
+    for p = 1 and 4, where dens = |phi| pref and pref = 2 rho^{-2}.
 
-    p = 1 is the tile's sum, bit for bit; a (trial, s) row whose every term
-    underflowed has an all-zero F row, adds +0 and is not transformed.
+    p = 1 sums dens rho^2 = 2|phi| w_theta w_s, the tile's sum, bit for bit;
+    a (trial, s) row whose every term underflowed is zero, not transformed.
     p = 4 has no tile: by discrete Parseval (|k| <= 2 n_max < n_theta / 2)
     the theta sum of |phi|^4 is 2 pi sum_k |D_k|^2 e^{2(ks - |k|X)}, where
     D_k = sum_{n+m=k} g_n g_m e^{-(|n| + |m| - |k|)X} is the autoconvolution
-    of g_n e^{-(|n| -+ n)X} for k >= 0 (k < 0), and the s-exponent is taken
-    as 2|k| (+-s - X), with s -+ X exact near the dominant edge: every
-    exponent is <= 0, so underflow is the only rounding of a factor.
+    of g_n e^{-(|n| -+ n)X} for k >= 0 (k < 0); V_k = sum_s 2 w_s pref_s^3
+    e^{2|k| (+-s - X)} (rho^2 pref^4 = 2 pref^3), s -+ X exact near the
+    dominant edge: every exponent is <= 0, so underflow alone rounds.
     """
-    with np.errstate(all="ignore"):   # 0 / 0 and 2 / 0 at a vanishing ell
-        rho_sq = (c.ell / (2.0 * math.pi)) ** 2 \
-            / cos_profile_vec(c, s_nodes) ** 2
-        pref = 2.0 / rho_sq
-    rw = rho_sq * w_nodes
+    pref = density_weight(c, s_nodes)
     X = c.half_length
     rows = DensityRows(Gt, ns, -np.abs(ns) * X, s_nodes, pref)
     # the ~(<=) form keeps NaN bounds, whose rows must be evaluated
     t_idx, s_idx = np.nonzero(~(rows.bound <= 0.0))
-    w_theta = np.full(rows.n_theta, 2.0 * math.pi / rows.n_theta)
+    w2_theta = np.full(rows.n_theta, 4.0 * math.pi / rows.n_theta)
     contrib = np.zeros(rows.bound.shape)
-    for t, s, dens in rows.batches(t_idx, s_idx):
-        dens *= pref[s][:, None]
-        contrib[t, s] = _row_dots(dens, w_theta)
+    for t, s, phi_abs in rows.batches(t_idx, s_idx):   # sums of 2|phi| w
+        contrib[t, s] = _row_dots(phi_abs, w2_theta)
     p1 = np.zeros(Gt.shape[0])
     for lo in range(0, s_nodes.size, _LP_CHUNK):
         sl = slice(lo, lo + _LP_CHUNK)
-        p1 += (contrib[:, sl] * rw[sl]).sum(axis=1)
+        p1 += (contrib[:, sl] * w_nodes[sl]).sum(axis=1)
     n_max = int(np.abs(ns).max())
     n = np.arange(-n_max, n_max + 1)
     g = np.zeros((Gt.shape[0], n.size), dtype=complex)
@@ -458,8 +450,8 @@ def _density_lp(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
         row[:2 * n_max] = np.convolve(a, a)[:2 * n_max]
         row[2 * n_max:] = np.convolve(b, b)[2 * n_max:]
     k = np.arange(-2 * n_max, 2 * n_max + 1)
-    with np.errstate(invalid="ignore", over="ignore"):   # pref ** 4 = inf
-        V = (rw * pref ** 4) @ np.exp(
+    with np.errstate(invalid="ignore", over="ignore"):   # pref ** 3 = inf
+        V = (2.0 * w_nodes * pref ** 3) @ np.exp(
             2.0 * np.abs(k) * (np.sign(k) * s_nodes[:, None] - X))
     return {1.0: p1,
             4.0: (2.0 * math.pi * _row_dots(np.abs(D) ** 2, V)) ** 0.25}

@@ -131,6 +131,13 @@ def test_truncation_profile_regimes():
     assert not p3.converged and p3.tail_ratio > 2.0
     pz = truncation_profile(PunctureGerm({}))
     assert pz.converged and all(v == 0 for v in pz.values)
+    # r^300 underflows on every rung: no two positive masses to take a
+    # ratio of, so the tail ratio is 0 and the ladder converged
+    pu = truncation_profile(PunctureGerm({300: 1.0}))
+    assert pu.tail_ratio == 0.0 and pu.converged
+    assert not any(pu.increments)
+    c = classify(PunctureGerm({300: 1.0}))
+    assert c.integrable and c.bounded and c.simple_pole_or_better
 
 
 def test_sup_closed_form_frozen():

@@ -42,6 +42,20 @@ _MALFORMED = {
                 lambda k: f"entry 0: bad coefficient for {k}=1"),
     "im-object": (lambda k: [_entry(k, im={"a": 1})],
                   lambda k: f"entry 0: bad coefficient for {k}=1"),
+    # numbers only: a numeric string or a bool is not read as one, and an
+    # integer beyond the double range is an input error, not an overflow
+    "re-numeric-string": (lambda k: [_entry(k, re="2.5")],
+                          lambda k: f"entry 0: bad coefficient for {k}=1: "
+                                    "'2.5' is not a number"),
+    "im-true": (lambda k: [_entry(k, im=True)],
+                lambda k: f"entry 0: bad coefficient for {k}=1: "
+                          "True is not a number"),
+    "im-false": (lambda k: [_entry(k, im=False)],
+                 lambda k: f"entry 0: bad coefficient for {k}=1: "
+                           "False is not a number"),
+    "re-401-digits": (lambda k: [_entry(k, re=10 ** 400)],
+                      lambda k: f"entry 0: bad coefficient for {k}=1: "
+                                "an integer beyond the double range"),
 }
 
 

@@ -147,6 +147,13 @@ def test_adaptive_quad_failure_raises():
         adaptive_quad(lambda x: np.exp(-x * x), -8.0, 8.0, tol_abs=0.0,
                       tol_rel=1e-20)
     assert exc.value.estimate == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+    # there too at tol_rel 2e-15, but the estimate 1.968e-14 is within 10x
+    # of the tolerance, so the value is returned; at 1e-15 it is not
+    assert adaptive_quad(lambda x: np.exp(-x * x), -8.0, 8.0, tol_abs=0.0,
+                         tol_rel=2e-15) == 1.7724538509055159
+    with pytest.raises(QuadratureError, match="estimate 1.968e-14 exceeds"):
+        adaptive_quad(lambda x: np.exp(-x * x), -8.0, 8.0, tol_abs=0.0,
+                      tol_rel=1e-15)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])

@@ -266,6 +266,14 @@ def test_space_json_errors(tmp_path):
         space_from_json({"collars": [0.5], "basis": {"0": []}})
     with pytest.raises(ValidationError, match="basis element 1: "):
         space_from_json({"collars": [0.5], "basis": [[[]], [[{"n": 1.5}]]]})
+    # collar lengths are JSON numbers in the double range, named by entry
+    for collars, message in (([True, "0.8"], "collar 0: True is not a number"),
+                             ([0.5, "0.8"], "collar 1: '0.8' is not a number"),
+                             ([10 ** 400], "collar 0: an integer beyond"),
+                             ([0.5, 3.0], "collar 1: collar core length"),
+                             (0.5, "'collars' must be an array")):
+        with pytest.raises(ValidationError, match=message):
+            space_from_json({"collars": collars, "basis": []})
     bad = tmp_path / "space.json"
     bad.write_text("[")
     with pytest.raises(ValidationError):

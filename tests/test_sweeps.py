@@ -11,7 +11,8 @@ from collardiff.collar import (CollarParams, cos_profile_vec, thin_area,
                                thin_boundary)
 from collardiff.errors import DomainError, ValidationError
 from collardiff.laurent import (DensityRows, LaurentQD, SubCollar,
-                                _norm_const, _thick_windows, l2_norm, lp_norm)
+                                _norm_const, _thick_windows, density_weight,
+                                l2_norm, lp_norm)
 from collardiff.numerics import exp_cos2_window
 from collardiff.report import STATUS_EMPTY, STATUS_FAILED, STATUS_OK
 from collardiff.sweeps import (PRINCIPAL_MASS_CONSTANT, SweepConfig,
@@ -127,37 +128,44 @@ def test_decay_summary_monotone_in_trials():
 
 def test_cell_against_unscaled_laurent_oracle():
     # Rebuild one cell's trials as literal LaurentQD objects (raw
-    # coefficients g_n e^{-|n|X} are representable at ell = 0.5) and
-    # compare every statistic against the laurent-module routes.
-    ell, delta, delta0, n_max, trials, seed = 0.5, 0.45, 0.4, 4, 3, 123
-    cfg = SweepConfig(ell_grid=(ell,), delta_grid=(delta,), delta0=delta0,
+    # coefficients g_n e^{-|n|X} are representable at ell = 0.5, and at
+    # ell = 0.05, X ~ 194, for n_max 3) and compare every statistic against
+    # the laurent-module routes: lp_norm goes through the metric, so it
+    # checks the metric-free p = 1 tile
+    for ell, deltas, n_max in ((0.5, (0.45,), 4), (0.05, (0.3, 0.7), 3)):
+        _check_cells_against_laurent(ell, deltas, n_max)
+
+
+def _check_cells_against_laurent(ell, deltas, n_max):
+    delta0, trials, seed = 0.4, 3, 123
+    cfg = SweepConfig(ell_grid=(ell,), delta_grid=deltas, delta0=delta0,
                       n_max=n_max, trials=trials, seed=seed)
     c = CollarParams(ell)
     x = c.half_length
     xd0 = thin_boundary(c, delta0).x_delta
-    xd = thin_boundary(c, delta).x_delta
     ns = interleaved_modes(n_max)
-
-    units = []
-    for g in draw_coefficients(seed, 0, 0, trials, ns.size):
-        raw = {int(n): g[i] * math.exp(-abs(int(n)) * x)
-               for i, n in enumerate(ns)}
-        q = LaurentQD(c, raw)
-        thick = math.sqrt(l2_norm(q, SubCollar(xd0, x)) ** 2
-                          + l2_norm(q, SubCollar(-x, -xd0)) ** 2)
-        units.append(LaurentQD(c, {n: b / thick for n, b in raw.items()}))
-
     lp = lp_vanishing_sweep(cfg)
-    thin = SubCollar(-xd, xd)
-    for trial, q in enumerate(units):
-        p2 = lp.values("lp_ratio_p2")[trial].value
-        assert p2 == pytest.approx(l2_norm(q, thin), rel=1e-12)
-        p1 = lp.values("lp_ratio_p1")[trial].value
-        assert p1 == pytest.approx(
-            lp_norm(q, 1.0, thin, tol_abs=1e-13, tol_rel=1e-11), rel=1e-8)
-        p4 = lp.values("lp_ratio_p4")[trial].value
-        assert p4 == pytest.approx(
-            lp_norm(q, 4.0, thin, tol_abs=1e-13, tol_rel=1e-11), rel=1e-8)
+    for di, delta in enumerate(deltas):
+        units = []
+        for g in draw_coefficients(seed, 0, di, trials, ns.size):
+            raw = {int(n): g[i] * math.exp(-abs(int(n)) * x)
+                   for i, n in enumerate(ns)}
+            q = LaurentQD(c, raw)
+            thick = math.sqrt(l2_norm(q, SubCollar(xd0, x)) ** 2
+                              + l2_norm(q, SubCollar(-x, -xd0)) ** 2)
+            units.append(LaurentQD(c, {n: b / thick for n, b in raw.items()}))
+        xd = thin_boundary(c, delta).x_delta
+        thin = SubCollar(-xd, xd)
+        for trial, q in enumerate(units):
+            row = di * trials + trial
+            p2 = lp.values("lp_ratio_p2")[row].value
+            assert p2 == pytest.approx(l2_norm(q, thin), rel=1e-12)
+            p1 = lp.values("lp_ratio_p1")[row].value
+            assert p1 == pytest.approx(
+                lp_norm(q, 1.0, thin, tol_abs=1e-13, tol_rel=1e-11), rel=1e-8)
+            p4 = lp.values("lp_ratio_p4")[row].value
+            assert p4 == pytest.approx(
+                lp_norm(q, 4.0, thin, tol_abs=1e-13, tol_rel=1e-11), rel=1e-8)
 
 
 def _full_grid_density_max(Gt, ns, c, s_nodes, n_theta):
@@ -310,7 +318,7 @@ def _gl_tile(c, x_delta):
 def _full_tile_lp(Gt, ns, c, x_delta, n_theta, finite):
     """Reference for the finite-p path of sweeps._cell_lp: transform every
     (trial, s) row of the Gauss-Legendre tile, 48 s-nodes at a time, and
-    sum dens ** p."""
+    sum dens ** p rho^2, which is 2|phi| for p = 1."""
     s_nodes, w_nodes, rho_sq = _gl_tile(c, x_delta)
     X = c.half_length
     pref = 2.0 / rho_sq
@@ -322,12 +330,15 @@ def _full_tile_lp(Gt, ns, c, x_delta, n_theta, finite):
                      - np.abs(ns)[None, :] * X)
         F = np.zeros((Gt.shape[0], amp.shape[0], n_theta), dtype=complex)
         F[:, :, bins] = Gt[:, None, :] * amp[None, :, :]
-        dens = np.abs(np.fft.ifft(F, axis=2, norm="forward")) \
-            * pref[sl][None, :, None]
+        phi_abs = np.abs(np.fft.ifft(F, axis=2, norm="forward"))
         for p in finite:
-            contrib = dens ** p @ np.full(n_theta, 2.0 * math.pi / n_theta)
-            acc[p] += (contrib * (rho_sq[sl] * w_nodes[sl])[None, :]) \
-                .sum(axis=1)
+            if p == 1.0:
+                terms, w_s = 2.0 * phi_abs, w_nodes[sl]
+            else:
+                terms = (phi_abs * pref[sl][None, :, None]) ** p
+                w_s = rho_sq[sl] * w_nodes[sl]
+            contrib = terms @ np.full(n_theta, 2.0 * math.pi / n_theta)
+            acc[p] += (contrib * w_s[None, :]).sum(axis=1)
     # the triangle bound of every row, to show that the zero-row skip ran
     bound = (np.abs(Gt) @ np.exp(s_nodes[:, None] * ns[None, :]
                                  - np.abs(ns)[None, :] * X).T) * pref
@@ -368,7 +379,7 @@ def test_lp_tile_matches_full_tile_bitwise(n_max):
     assert zero_rows > 0, zero_rows
 
 
-def _p4_unanchored(Gt, ns, c, s_nodes, w_nodes, rho_sq):
+def _p4_unanchored(Gt, ns, c, s_nodes, w_nodes, pref):
     """The p = 4 route with the s-exponent taken as 2(ks - |k|X), not
     2|k|(+-s - X): a mutant that the 40-digit reference must catch."""
     X, n_max = c.half_length, int(np.abs(ns).max())
@@ -380,7 +391,7 @@ def _p4_unanchored(Gt, ns, c, s_nodes, w_nodes, rho_sq):
                   for a, b in zip(g * np.exp(-(np.abs(n) + n) * X),
                                   g * np.exp(-(np.abs(n) - n) * X))])
     k = np.arange(-2 * n_max, 2 * n_max + 1)
-    V = (rho_sq * w_nodes * (2.0 / rho_sq) ** 4) @ np.exp(
+    V = (2.0 * w_nodes * pref ** 3) @ np.exp(
         2.0 * (k * s_nodes[:, None] - np.abs(k) * X))
     return (2.0 * math.pi * (np.abs(D) ** 2 @ V)) ** 0.25
 
@@ -389,9 +400,11 @@ def _p4_unanchored(Gt, ns, c, s_nodes, w_nodes, rho_sq):
 def test_lp_p4_matches_40_digit_theta_grid_sum(ell, delta):
     # The sweep's Gauss-Legendre x theta-grid sum of dens^4 rho^2, in
     # 40-digit arithmetic from the same double inputs (draws, nodes,
-    # weights, rho^2, X).  On the theta grid phi(s)^2 has the coefficients
-    # c_k(s) = sum_{n+m=k} g_n g_m e^{(n+m)s - (|n|+|m|)X}, |k| <= 26 <
-    # n_theta / 2, so the grid sum of |phi(s)|^4 is 2 pi sum_k |c_k(s)|^2;
+    # weights, pref = 2 rho^-2 from density_weight, X), with rho^2 pref^4
+    # taken as 2 pref^3 on both sides.  On the theta grid phi(s)^2 has the
+    # coefficients c_k(s) = sum_{n+m=k} g_n g_m e^{(n+m)s - (|n|+|m|)X},
+    # |k| <= 26 < n_theta / 2, so the grid sum of |phi(s)|^4 is
+    # 2 pi sum_k |c_k(s)|^2;
     # that identity is checked term by term at the node nearest the edge.
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
@@ -402,18 +415,18 @@ def test_lp_p4_matches_40_digit_theta_grid_sum(ell, delta):
     n_theta = 256
     x_delta = thin_boundary(c, delta).x_delta
     Gt = sweeps._normalized_draws(cfg, c, 0, 0, ns)
-    s_nodes, w_nodes, rho_sq = _gl_tile(c, x_delta)
+    s_nodes, w_nodes, _ = _gl_tile(c, x_delta)
+    pref = density_weight(c, s_nodes)
     got = sweeps._cell_lp(cfg, c, 0, 0, x_delta, ns, (4.0,))[4.0]
-    mutant = _p4_unanchored(Gt, ns, c, s_nodes, w_nodes, rho_sq)
+    mutant = _p4_unanchored(Gt, ns, c, s_nodes, w_nodes, pref)
     with mpmath.workdps(40):
         X = mp.mpf(c.half_length)
         modes = [int(n) for n in ns]
         ks = range(-2 * cfg.n_max, 2 * cfg.n_max + 1)
         roots = [mp.expjpi(2 * mp.mpf(j) / n_theta) for j in range(n_theta)]
         S = [mp.mpf(s) for s in s_nodes]
-        # w rho^2 (2 / rho^2)^4 and |e^{ks - |k|X}|^2 at each node
-        Q = [mp.mpf(w) * mp.mpf(r) * (2 / mp.mpf(r)) ** 4
-             for w, r in zip(w_nodes, rho_sq)]
+        # 2 w pref^3 and |e^{ks - |k|X}|^2 at each node
+        Q = [2 * mp.mpf(w) * mp.mpf(f) ** 3 for w, f in zip(w_nodes, pref)]
         E = [{k: mp.exp(2 * (k * s - abs(k) * X)) for k in ks} for s in S]
         for trial, g in enumerate(Gt):
             g = [mp.mpc(complex(b)) for b in g]
