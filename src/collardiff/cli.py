@@ -21,20 +21,12 @@ from typing import TYPE_CHECKING
 
 import click
 
-from .defaults import (CUSP_DISC_RADIUS, DEFAULT_DELTA0, DEFAULT_TOL_ABS,
-                       DEFAULT_TOL_REL)
-from .errors import QuadratureError, ValidationError, read_json
+from .defaults import CUSP_DISC_RADIUS, DEFAULT_DELTA0
+from .errors import MODE_MAX, QuadratureError, ValidationError, read_json
 from .report import Report, ReportRow, STATUS_EMPTY
 
 if TYPE_CHECKING:
     from .topology import SurfaceTopology
-
-
-def _tolerance(ctx, param, value: float) -> float:
-    if not 0.0 <= value < math.inf:   # NaN would pass click.FloatRange
-        raise click.BadParameter(
-            f"quadrature tolerances must be finite and >= 0, got {value!r}")
-    return value
 
 
 @click.group(name="collardiff")
@@ -46,22 +38,13 @@ def _tolerance(ctx, param, value: float) -> float:
               show_default=True,
               help="Base seed, unsigned 64-bit (read by qd decay-sweep and "
                    "space w-report).")
-@click.option("--tol-abs", type=float, default=DEFAULT_TOL_ABS,
-              show_default=True, callback=_tolerance,
-              help="Absolute quadrature tolerance (read by qd norms and "
-                   "cusp classify).")
-@click.option("--tol-rel", type=float, default=DEFAULT_TOL_REL,
-              show_default=True, callback=_tolerance,
-              help="Relative quadrature tolerance (read by qd norms and "
-                   "cusp classify).")
-@click.option("--n-max", type=click.IntRange(min=1), default=32,
+@click.option("--n-max", type=click.IntRange(1, MODE_MAX), default=32,
               show_default=True,
               help="Drawn Laurent modes n = +-1..N (read by qd decay-sweep).")
 @click.pass_context
-def cli(ctx, fmt, out, seed, tol_abs, tol_rel, n_max):
+def cli(ctx, fmt, out, seed, n_max):
     """Collar geometry, Laurent differentials, and pinching experiments."""
-    ctx.obj = SimpleNamespace(fmt=fmt, out=out, seed=seed, tol_abs=tol_abs,
-                              tol_rel=tol_rel, n_max=n_max)
+    ctx.obj = SimpleNamespace(fmt=fmt, out=out, seed=seed, n_max=n_max)
 
 
 def _write(opts, text: str) -> None:
@@ -185,7 +168,6 @@ def qd_norms(opts, coeffs_path, ell, delta):
 
     c = cg.CollarParams(ell)
     q = lq.LaurentQD(c, lq.load_coeffs(coeffs_path))
-    tols = {"tol_abs": opts.tol_abs, "tol_rel": opts.tol_rel}
     win = cg.thin_boundary(c, delta)
     rows = [ReportRow(ell, None, "l2_full", lq.l2_norm(q))]
     if win.empty:
@@ -198,9 +180,9 @@ def qd_norms(opts, coeffs_path, ell, delta):
         rows.extend([
             ReportRow(ell, delta, "l2_thin", lq.l2_norm(q, sub)),
             ReportRow(ell, delta, "l2_thin_quadrature",
-                      lq.lp_norm(q, 2.0, sub, **tols)),
-            ReportRow(ell, delta, "lp_thin_p1", lq.lp_norm(q, 1.0, sub, **tols)),
-            ReportRow(ell, delta, "lp_thin_p4", lq.lp_norm(q, 4.0, sub, **tols)),
+                      lq.lp_norm(q, 2.0, sub)),
+            ReportRow(ell, delta, "lp_thin_p1", lq.lp_norm(q, 1.0, sub)),
+            ReportRow(ell, delta, "lp_thin_p4", lq.lp_norm(q, 4.0, sub)),
             ReportRow(ell, delta, "linf_thin", sup.sup, sup.envelope),
         ])
     _emit(opts, Report(rows))
@@ -400,8 +382,7 @@ def cusp_classify(opts, germ_file, radius):
         ReportRow(None, None, "bounded", float(cl.bounded)),
         ReportRow(None, None, "simple_pole_or_better",
                   float(cl.simple_pole_or_better)),
-        ReportRow(None, None, "l1_norm",
-                  cu.l1_norm(g, tol_abs=opts.tol_abs, tol_rel=opts.tol_rel)),
+        ReportRow(None, None, "l1_norm", cu.l1_norm(g)),
         ReportRow(None, None, "density_sup", cu.is_bounded(g).sup),
     ]
     _emit(opts, Report(rows))

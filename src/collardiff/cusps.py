@@ -23,7 +23,7 @@ import numpy as np
 from .collar import CUSP_DISC_RADIUS, disc_metric_density
 from .errors import (DomainError, ValidationError, mode_table,
                      modes_from_json, modes_to_json, read_json)
-from .numerics import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, adaptive_quad
+from .numerics import adaptive_quad
 
 _K_MIN = -8     # lowest germ mode; with _RADIUS_MIN, r^k stays finite
 
@@ -102,8 +102,7 @@ def pole_order(g: PunctureGerm) -> int:
 
 # --- L^1 mass -----------------------------------------------------------------
 
-def l1_norm(g: PunctureGerm, tol_abs: float = DEFAULT_TOL_ABS,
-            tol_rel: float = DEFAULT_TOL_REL) -> float:
+def l1_norm(g: PunctureGerm) -> float:
     """2 * integral of |phi| over the punctured disc; +inf for pole >= 2.
 
     Single modes use the closed form 4 pi |c| R^{k+2} / (k+2); anything
@@ -116,11 +115,10 @@ def l1_norm(g: PunctureGerm, tol_abs: float = DEFAULT_TOL_ABS,
     if len(g.coeffs) == 1:
         (k, c), = g.coeffs.items()
         return 4.0 * math.pi * abs(c) * g.radius ** (k + 2) / (k + 2)
-    return l1_norm_quadrature(g, tol_abs=tol_abs, tol_rel=tol_rel)
+    return l1_norm_quadrature(g)
 
 
-def l1_norm_quadrature(g: PunctureGerm, tol_abs: float = DEFAULT_TOL_ABS,
-                       tol_rel: float = DEFAULT_TOL_REL) -> float:
+def l1_norm_quadrature(g: PunctureGerm) -> float:
     """Polar quadrature of 2|phi| dx dy; the route that never sees the
     closed form.  Diverges (so refuses to run) for pole order >= 2;
     truncated masses come from ``truncation_profile``."""
@@ -129,8 +127,8 @@ def l1_norm_quadrature(g: PunctureGerm, tol_abs: float = DEFAULT_TOL_ABS,
     if pole_order(g) >= 2:
         raise DomainError("integral diverges for pole order >= 2")
     R = g.radius
-    return adaptive_quad(_l1_integrand(g, _N_THETA), 0.0, R, tol_abs=tol_abs,
-                         tol_rel=tol_rel, points=[R * f for f in _L1_BREAKS])
+    return adaptive_quad(_l1_integrand(g, _N_THETA), 0.0, R,
+                         points=[R * f for f in _L1_BREAKS])
 
 
 def l1_norm_hyperbolic(g: PunctureGerm) -> float:

@@ -11,7 +11,3 @@ DEFAULT_DELTA0 = 0.4
 
 # Radius of the punctured disc that models the standard cusp.
 CUSP_DISC_RADIUS = math.exp(-math.pi)
-
-# Default tolerances for the adaptive quadrature oracle paths.
-DEFAULT_TOL_ABS = 1e-10
-DEFAULT_TOL_REL = 1e-10

@@ -22,12 +22,12 @@ class ValidationError(ValueError):
 
 
 def read_json(path):
-    """The parsed contents of a JSON file; malformed JSON is a
-    ValidationError."""
+    """The parsed contents of a JSON file; a file json cannot read (not
+    JSON, too deep, an integer too long) is a ValidationError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -48,33 +48,46 @@ def json_double(x) -> float:
         raise ValidationError("an integer beyond the double range") from None
 
 
+#: largest |mode| of a Laurent table, and of a sweep's n_max.  lp_norm's
+#: largest quadrature round samples phi at ~4200 heights on 8 max|n|
+#: angles: about 4200 x 8192 complex values, 550 MB, at this bound.
+MODE_MAX = 1024
+
+
+def _mode_index(n, where: str = "") -> int:
+    """n as an int, or a ValidationError whose message starts ``where``."""
+    if not is_int(n):
+        raise ValidationError(f"{where}mode index {n!r} is not an integer")
+    if abs(n) > MODE_MAX:
+        raise ValidationError(f"{where}mode index beyond +-{MODE_MAX}")
+    return int(n)
+
+
 def mode_table(coeffs) -> dict[int, complex]:
-    """{mode: coefficient} with integer modes and finite complex
-    coefficients, exact zeros dropped so that an absent mode means 0."""
+    """{mode: coefficient} with integer modes within +-MODE_MAX and finite
+    complex coefficients, exact zeros dropped so that an absent mode
+    means 0."""
     table = {}
     for n, b in dict(coeffs).items():
-        if not is_int(n):
-            raise ValidationError(f"mode index {n!r} is not an integer")
+        n = _mode_index(n)
         b = complex(b)
         if not (math.isfinite(b.real) and math.isfinite(b.imag)):
             raise ValidationError(f"coefficient of mode {n} is not finite: {b!r}")
         if b != 0:
-            table[int(n)] = b
+            table[n] = b
     return table
 
 
 def modes_from_json(data, key: str) -> dict[int, complex]:
     """A Laurent table file: a JSON array of {key, "re", "im"} entries with
-    an integer mode, no mode twice and numeric re/im."""
+    a mode as mode_table takes it, no mode twice and numeric re/im."""
     if not isinstance(data, list):
         raise ValidationError(f"file must be a JSON array of {{{key}, re, im}}")
     table: dict[int, complex] = {}
     for i, item in enumerate(data):
         if not isinstance(item, dict) or not {key, "re", "im"} <= set(item):
             raise ValidationError(f"entry {i} needs keys {key}/re/im, got {item!r}")
-        n = item[key]
-        if not is_int(n):
-            raise ValidationError(f"entry {i}: mode index {n!r} is not an integer")
+        n = _mode_index(item[key], f"entry {i}: ")
         if n in table:
             raise ValidationError(f"entry {i}: duplicate mode {key}={n}")
         try:

@@ -17,7 +17,6 @@ import math
 
 import numpy as np
 
-from .defaults import DEFAULT_TOL_ABS, DEFAULT_TOL_REL
 from .errors import QuadratureError
 
 # Threshold below which the growth rate a is treated as exactly zero in
@@ -26,6 +25,7 @@ _A_ZERO = 1e-12
 # math.exp(t) is finite and normal for _EXP_LO < t < _EXP_HI
 _EXP_LO, _EXP_HI = -708.39, 709.78
 _QUAD_LIMIT = 200   # intervals before adaptive_quad gives up
+DEFAULT_TOL_ABS = DEFAULT_TOL_REL = 1e-10   # the package's tolerances
 
 
 def exp_scale(mag: float, t: float) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .collar import (CollarParams, DEFAULT_DELTA0, DELTA_MAX, ELL_MAX,
                      thin_boundary, validate_delta0)
-from .errors import ValidationError, is_int
+from .errors import MODE_MAX, ValidationError, is_int
 from .laurent import (DensityRows, SubCollar, _norm_const, _sorted_unique,
                       _thick_windows, density_weight, full_window,
                       mode_l2_norm_sq, mode_weights)
@@ -82,8 +82,9 @@ class SweepConfig:
         ells, deltas = check_grids(self.ell_grid, self.delta_grid)
         object.__setattr__(self, "ell_grid", ells)
         object.__setattr__(self, "delta_grid", deltas)
-        if not _python_int(self.n_max) or self.n_max < 1:
-            raise ValidationError("n_max must be a positive integer")
+        if not _python_int(self.n_max) or not 1 <= self.n_max <= MODE_MAX:
+            raise ValidationError(
+                f"n_max must be an integer in [1, {MODE_MAX}]")
         if not _python_int(self.trials) or self.trials < 1:
             raise ValidationError("trials must be a positive integer")
         if not _python_int(self.seed) or not 0 <= self.seed < 2 ** 64:
@@ -488,8 +489,15 @@ def _lp_cell(cfg: SweepConfig, li: int, di: int, stats: dict) -> list:
     per_p = _cell_lp(cfg, c, li, di, win.x_delta,
                      interleaved_modes(cfg.n_max), tuple(stats))
     env = exp_scale(delta * delta, math.pi / delta)   # delta^2 e^{pi/delta}
+    log_env = math.pi / delta + 2.0 * math.log(delta)
+
+    def scaled(v):   # env alone is inf below delta ~ 0.00435; 0 * inf is NaN
+        if math.isfinite(env) or not v > 0.0:
+            return v * env
+        return exp_scale(v, log_env)
+
     cols = [(name, per_p[p].tolist()) for p, (name, _) in stats.items()]
-    return [ReportRow(ell, delta, name, vals[trial], vals[trial] * env)
+    return [ReportRow(ell, delta, name, vals[trial], scaled(vals[trial]))
             for trial in range(cfg.trials) for name, vals in cols]
 
 

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import collardiff
 from collardiff.cli import _write, cli, main, parse_grid
-from collardiff.errors import ValidationError
+from collardiff.errors import MODE_MAX, ValidationError
 from collardiff.report import CSV_SCHEMA, STATUS_EMPTY
 
 
@@ -181,10 +181,18 @@ def test_qd_norms_empty_thin(capsys, coeffs_file):
 
 
 @pytest.mark.parametrize("command", ["qd norms", "cusp classify"])
-def test_quadrature_failure_exit_code(capsys, tmp_path, coeffs_file,
-                                      command):
-    # demand an impossible tolerance: the quadrature's honest error estimate
-    # exceeds it and the error surfaces as exit 3
+def test_quadrature_failure_exit_code(monkeypatch, capsys, tmp_path,
+                                      coeffs_file, command):
+    # demand an impossible tolerance of the command's quadrature: its
+    # honest error estimate exceeds it and the error surfaces as exit 3
+    from collardiff import cusps, laurent, numerics
+
+    def strict(f, lo, hi, **kw):
+        return numerics.adaptive_quad(f, lo, hi, **{
+            **kw, "tol_abs": 1e-300, "tol_rel": 1e-300})
+
+    for module in (laurent, cusps):
+        monkeypatch.setattr(module, "adaptive_quad", strict)
     if command == "qd norms":
         args = ["qd", "norms", "--coeffs", coeffs_file, "--ell", "0.3",
                 "--delta", "0.35"]
@@ -194,36 +202,18 @@ def test_quadrature_failure_exit_code(capsys, tmp_path, coeffs_file,
         germ.write_text(json.dumps([{"k": -1, "re": 1.0, "im": 0.0},
                                     {"k": 1, "re": 0.5, "im": 0.25}]))
         args = ["cusp", "classify", str(germ)]
-    code, out, err = invoke(capsys, "--tol-abs", "1e-300", "--tol-rel",
-                            "1e-300", *args)
+    code, out, err = invoke(capsys, *args)
     assert code == 3
     assert "numerical failure" in err
     assert out == ""
 
 
-@pytest.mark.parametrize("tol, args", [
-    (["--tol-abs", "nan"], ["qd", "norms", "COEFFS", "--ell", "0.5"]),
-    (["--tol-rel", "-1"], ["cusp", "classify", 2]),
-    # an empty thin part and a one-mode germ (closed-form L^1) run no
-    # quadrature: the flags are checked all the same
-    (["--tol-abs", "nan"], ["qd", "norms", "COEFFS", "--ell", "1.0"]),
-    (["--tol-abs", "nan"], ["cusp", "classify", 1])])
-def test_bad_tolerance_is_an_input_error(capsys, tmp_path, coeffs_file, tol,
-                                         args):
-    if args[0] == "qd":
-        args = ["qd", "norms", "--coeffs", coeffs_file, *args[3:],
-                "--delta", "0.4"]
-    else:
-        germ = tmp_path / "germ.json"
-        germ.write_text(json.dumps([{"k": -1, "re": 1.0, "im": 0.0},
-                                    {"k": 1, "re": 0.5, "im": 0.25}][:args[2]]))
-        args = ["cusp", "classify", str(germ)]
-    out_path = tmp_path / "out.csv"
-    out_path.write_text("untouched\n")
-    code, out, err = invoke(capsys, "--out", str(out_path), *tol, *args)
-    assert code == 2
-    assert "tolerances must be finite and >= 0" in err
-    assert out_path.read_text() == "untouched\n"
+@pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
+def test_quadrature_tolerances_are_not_options(capsys, coeffs_file, flag):
+    code, out, err = invoke(capsys, flag, "1e-6", "qd", "norms", "--coeffs",
+                            coeffs_file, "--ell", "0.5")
+    assert code == 2 and out == "" and "No such option" in err
+    assert "--tol" not in invoke(capsys, "--help")[1]
 
 
 def test_usage_errors(capsys):
@@ -457,6 +447,35 @@ def test_cusp_classify_simple_pole_json(capsys, tmp_path):
     code, out, _ = invoke(capsys, "cusp", "classify", str(germ))
     stats = {r["statistic"]: r["value"] for r in csv_rows(out)}
     assert code == 0 and stats["pole_order"] == "0"
+
+
+@pytest.mark.parametrize("key, args", [
+    ("n", ["qd", "norms", "--ell", "1.0", "--delta", "0.4", "--coeffs"]),
+    ("k", ["cusp", "classify"])])
+def test_mode_index_bound(capsys, tmp_path, key, args):
+    # at the bound a file is read (the empty thin part and the one-mode
+    # germ keep the run small); one past it, or 10**30, is an input error
+    # that names its entry
+    path = tmp_path / "modes.json"
+    for mode, code in [(MODE_MAX, 0), (MODE_MAX + 1, 2), (10 ** 30, 2)]:
+        path.write_text(json.dumps([{key: mode, "re": 1.0, "im": 0.0}]))
+        got, out, err = invoke(capsys, *args, str(path))
+        assert got == code
+        if code == 2:
+            assert out == ""
+            assert f"entry 0: mode index beyond +-{MODE_MAX}" in err
+    assert invoke(capsys, "--n-max", str(MODE_MAX + 1), "topology", "dim",
+                  "2,0")[0] == 2
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, "[" + "1" * 5000 + "]"],
+                         ids=["deep", "huge-integer"])
+def test_unparsable_json_names_the_file(capsys, tmp_path, text):
+    path = tmp_path / "germ.json"
+    path.write_text(text)
+    code, out, err = invoke(capsys, "cusp", "classify", str(path))
+    assert (code, out) == (2, "")
+    assert f"invalid JSON in {path}" in err
 
 
 def test_cusp_classify_radius_below_the_floor_is_an_input_error(capfd,

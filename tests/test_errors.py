@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from collardiff.cusps import germ_from_json
-from collardiff.errors import ValidationError, modes_from_json, modes_to_json
+from collardiff.errors import (MODE_MAX, ValidationError, mode_table,
+                               modes_from_json, modes_to_json)
 from collardiff.laurent import coeffs_from_json
 
 _READERS = {"n": coeffs_from_json, "k": germ_from_json}
@@ -32,6 +33,8 @@ _MALFORMED = {
                   lambda k: "entry 0: mode index True is not an integer"),
     "float-mode": (lambda k: [_entry(k, 1.0)],
                    lambda k: "entry 0: mode index 1.0 is not an integer"),
+    "mode-past-bound": (lambda k: [_entry(k, MODE_MAX + 1)],
+                        lambda k: f"entry 0: mode index beyond +-{MODE_MAX}"),
     "duplicate": (lambda k: [_entry(k), _entry(k, re=1.0)],
                   lambda k: f"entry 1: duplicate mode {k}=1"),
     "re-string": (lambda k: [_entry(k, re="x")],
@@ -86,3 +89,12 @@ def test_modes_to_json_round_trips_every_bit(table, key):
 
     assert bits(again) == bits(table)
     assert [e[key] for e in json.loads(text)] == sorted(table)
+
+
+def test_mode_table_bound():
+    # the bound itself is a mode, on either side; one past it is not
+    assert mode_table({MODE_MAX: 1.0, -MODE_MAX: 2.0}) == {
+        MODE_MAX: 1 + 0j, -MODE_MAX: 2 + 0j}
+    for n in (MODE_MAX + 1, -MODE_MAX - 1):
+        with pytest.raises(ValidationError, match="mode index beyond"):
+            mode_table({n: 1.0})

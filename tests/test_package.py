@@ -109,7 +109,8 @@ def test_every_imported_name_is_read():
 
 
 _FIXED_SIZES = {
-    "cusps": {"l1_norm": "n_theta", "l1_norm_quadrature": "n_theta r_lo",
+    "cusps": {"l1_norm": "n_theta tol_abs tol_rel",
+              "l1_norm_quadrature": "n_theta r_lo tol_abs tol_rel",
               "l1_norm_hyperbolic": "n_theta tol_abs tol_rel",
               "l1_norm_cylinder": "n_theta tol_abs tol_rel",
               "is_bounded": "n_theta", "classify": "n_theta",

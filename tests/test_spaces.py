@@ -96,6 +96,23 @@ def test_unitary_basis_rank_deficiency(rng):
         unitary_basis(space)
 
 
+def test_cholesky_failure_is_rank_deficiency(monkeypatch, rng):
+    # a Gram matrix that passes the eigenvalue screen but that LAPACK still
+    # refuses is reported the same way, with its smallest eigenvalue
+    space = random_space(rng, dim=2)
+
+    def refuse(g):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    with pytest.raises(RankDeficiencyError,
+                       match="Cholesky factorization failed: Matrix is not"
+                       ) as exc:
+        unitary_basis(space)
+    assert exc.value.eigenvalue == np.linalg.eigvalsh(space.gram)[0] > 0.0
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_w_subspace_dimension_and_exact_principal(rng):
     # 4 elements over 2 collars, generic principal parts: rank 2, dim W = 2
     space = random_space(rng, dim=4)

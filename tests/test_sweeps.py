@@ -9,11 +9,11 @@ from hypothesis import assume, given, strategies as st
 
 from collardiff.collar import (CollarParams, cos_profile_vec, thin_area,
                                thin_boundary)
-from collardiff.errors import DomainError, ValidationError
+from collardiff.errors import MODE_MAX, DomainError, ValidationError
 from collardiff.laurent import (DensityRows, LaurentQD, SubCollar,
                                 _norm_const, _thick_windows, density_weight,
                                 l2_norm, lp_norm)
-from collardiff.numerics import exp_cos2_window
+from collardiff.numerics import exp_cos2_window, exp_scale
 from collardiff.report import STATUS_EMPTY, STATUS_FAILED, STATUS_OK
 from collardiff.sweeps import (PRINCIPAL_MASS_CONSTANT, SweepConfig,
                                bij_normalization_check, decay_sweep,
@@ -44,6 +44,9 @@ def test_config_validation():
     SweepConfig(ell_grid=(1e-16,), delta_grid=(0.3,), n_max=2, trials=1)
     with pytest.raises(ValidationError):
         SweepConfig(n_max=0)
+    SweepConfig(n_max=MODE_MAX)   # validates only; draws nothing
+    with pytest.raises(ValidationError, match=f"in \\[1, {MODE_MAX}\\]"):
+        SweepConfig(n_max=MODE_MAX + 1)
     with pytest.raises(ValidationError):
         SweepConfig(trials=-1)
     with pytest.raises(ValidationError):
@@ -552,6 +555,28 @@ def test_nan_trial_is_non_converged(monkeypatch):
             assert best.status == STATUS_OK
             assert math.isfinite(best.normalized)
             assert best.normalized == max(r.normalized for r in ok)
+
+
+@pytest.mark.parametrize("sweep", [decay_sweep, lp_vanishing_sweep])
+def test_normalized_column_past_the_envelope_overflow(sweep):
+    # delta^2 e^{pi/delta} alone overflows below delta ~ 0.00435, while
+    # its product with a trial's value (~1e-312 here) is ~10: each row
+    # matches that product formed in 40 digits from the same double value;
+    # a zero value stays NaN, as 0 * inf, and so does a summary over it
+    mpmath = pytest.importorskip("mpmath")
+    rep = sweep(SweepConfig(ell_grid=(1e-4,), delta_grid=(0.0043,),
+                            n_max=4, trials=3))
+    assert exp_scale(0.0043 ** 2, math.pi / 0.0043) == math.inf
+    with mpmath.workdps(40):
+        delta = mpmath.mpf(0.0043)
+        env = delta ** 2 * mpmath.exp(mpmath.pi / delta)
+        for row in rep.rows:
+            if not row.value > 0.0:
+                assert math.isnan(row.normalized)
+                continue
+            want = mpmath.mpf(row.value) * env
+            assert row.status == STATUS_OK
+            assert abs(row.normalized - want) <= 1e-12 * want
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
