@@ -99,7 +99,11 @@ def hol_dimension(t: SurfaceTopology) -> int:
 
 
 def max_short_geodesics(t: SurfaceTopology) -> int:
-    """Largest number of disjoint short geodesics: sum of 3g - 3 + k."""
+    """Largest number of disjoint short geodesics: sum of 3g - 3 + k.
+
+    That is the same count per component as :func:`hol_dimension`, so
+    this returns ``hol_dimension(t)``: one pinch per dimension.
+    """
     return hol_dimension(t)
 
 

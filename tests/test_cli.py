@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -281,30 +282,72 @@ def _run_child(code: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def _run_without(module: str, commands) -> subprocess.CompletedProcess:
-    """Run CLI commands in one fresh interpreter where importing MODULE
-    fails; each prints its report and then its exit code."""
-    return _run_child("import sys\n"
-                      f"sys.modules[{module!r}] = None\n"
+def _run_without(modules, commands) -> subprocess.CompletedProcess:
+    """Run CLI commands in one fresh interpreter where importing any of
+    MODULES fails and a RuntimeWarning is an error; each prints its report
+    and then its exit code."""
+    return _run_child("import sys, warnings\n"
+                      "warnings.simplefilter('error', RuntimeWarning)\n"
+                      f"for name in {modules!r}:\n"
+                      "    sys.modules[name] = None\n"
                       "import collardiff.cli\n"
                       f"for argv in {commands!r}:\n"
                       "    rc = collardiff.cli.main(argv)\n"
                       "    print('exit', rc)\n")
 
 
+# the input files and commands of the "Every subcommand" step in CI's
+# bare-install job, and a wider decay-sweep grid
+_SMOKE_FILES = {
+    "coeffs.json": [{"n": 1, "re": 1.0, "im": 0.0},
+                    {"n": -2, "re": 0.0, "im": 0.5}],
+    "germ.json": [{"k": -1, "re": 1.0, "im": 0.0},
+                  {"k": 1, "re": 0.5, "im": 0.25}],
+    "moves.json": [{"component": 0, "kind": "nonseparating"}],
+    "space.json": {"collars": [0.3, 0.8], "basis": [
+        [[{"n": 0, "re": 1.0, "im": 0.0}], [{"n": 1, "re": 0.3, "im": 0.0}]],
+        [[{"n": 2, "re": 1.0, "im": 0.0}], [{"n": 0, "re": 0.4, "im": 0.0}]],
+        [[{"n": -1, "re": 0.5, "im": 0.5}],
+         [{"n": 1, "re": 1.0, "im": 0.0}]]]},
+    "target.json": [[{"n": -1, "re": 1.0, "im": 0.0},
+                     {"n": 0, "re": 0.2, "im": 0.0}],
+                    [{"n": 1, "re": 0.5, "im": 0.0}]],
+}
+_SMOKE_COMMANDS = [
+    ["collar", "info", "0.3", "--delta", "0.2", "--delta", "0.4"],
+    ["topology", "dim", "2,1"],
+    ["topology", "pinch", "2,1", "--moves", "moves.json"],
+    ["qd", "norms", "--coeffs", "coeffs.json", "--ell", "0.5", "--delta",
+     "0.4"],
+    ["qd", "principal-mass", "--ell-grid", "log:1e-4:1:5", "--delta-grid",
+     "lin:0.1:0.6:3"],
+    ["qd", "bij-check", "--b0", "pow:2", "--ell-grid", "log:1e-4:1:5"],
+    ["qd", "decay-sweep", "--ell-grid", "1e-3,0.1", "--delta-grid", "0.3",
+     "--trials", "4"],
+    ["qd", "decay-sweep", "--ell-grid", "log:1e-4:1:9", "--delta-grid",
+     "lin:0.05:0.8:4", "--trials", "4"],
+    ["space", "project", "space.json", "target.json"],
+    ["space", "w-report", "space.json", "--delta", "0.2", "--samples", "4"],
+    ["cusp", "classify", "germ.json"],
+]
+
+
 def test_no_command_needs_scipy(tmp_path, coeffs_file):
     # scipy is a test-only dependency: with every scipy import failing,
-    # the two commands that integrate still run
-    germ = tmp_path / "germ.json"
-    germ.write_text(json.dumps([{"k": -1, "re": 1.0, "im": 0.0},
-                                {"k": 1, "re": 0.5, "im": 0.25}]))
-    commands = [["collar", "info", "0.5"],
-                ["qd", "norms", "--coeffs", coeffs_file, "--ell", "0.3",
-                 "--delta", "0.35"],
-                ["cusp", "classify", str(germ)]]
-    proc = _run_without("scipy", commands)
+    # every subcommand still runs.  On these sane inputs none raises a
+    # RuntimeWarning (the thin-sup bounds divide underflowed amplitudes
+    # silently), and none imports numpy.ma (np.unique's first call would)
+    for name, data in _SMOKE_FILES.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    commands = [[str(tmp_path / a) if a in _SMOKE_FILES else a for a in argv]
+                for argv in _SMOKE_COMMANDS]
+    commands += [["collar", "info", "0.5"],
+                 ["qd", "norms", "--coeffs", coeffs_file, "--ell", "0.3",
+                  "--delta", "0.35"]]
+    proc = _run_without(("scipy", "numpy.ma"), commands)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("exit 0\n") == 3, proc.stdout + proc.stderr
+    assert proc.stdout.count("exit 0\n") == len(commands), \
+        proc.stdout + proc.stderr
     for stat_name in ("half_length", "l2_thin_quadrature", "l1_norm"):
         assert stat_name in proc.stdout
 
@@ -316,7 +359,7 @@ def test_topology_commands_run_without_numpy(tmp_path):
     moves.write_text(json.dumps([{"component": 0, "kind": "nonseparating"}]))
     commands = [["topology", "dim", "2,1"],
                 ["topology", "pinch", "2,1", "--moves", str(moves)]]
-    proc = _run_without("numpy", commands)
+    proc = _run_without(("numpy",), commands)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("exit 0\n") == 2, proc.stdout + proc.stderr
     assert proc.stdout.startswith("4\nexit 0\n")
@@ -431,6 +474,9 @@ def test_cusp_classify_pole(capsys, tmp_path):
     assert stats["simple_pole_or_better"] == "0"
     assert stats["l1_norm"] == "inf"
     assert stats["density_sup"] == "inf"
+    # an infinite L^1 norm or density sup is the answer, so its row is ok
+    assert {",,l1_norm,inf,,ok", ",,density_sup,inf,,ok"} \
+        <= set(out.splitlines())
 
 
 def test_cusp_classify_simple_pole_json(capsys, tmp_path):
@@ -493,6 +539,29 @@ def test_cusp_classify_radius_below_the_floor_is_an_input_error(capfd,
     assert "radius must lie in [2^-91, 1)" in err
 
 
+@pytest.mark.parametrize("argv, text, message", [
+    (["cusp", "classify", "FILE"], '[{"k": -1, "re": 1.0}]',
+     "entry 0 needs keys k/re/im"),
+    (["qd", "norms", "--coeffs", "FILE", "--ell", "0.5", "--delta", "0.4"],
+     '[{"n": 1, "re": "2.5", "im": 0}]', "'2.5' is not a number"),
+    (["cusp", "classify", "FILE"], '[{"k": -1, "re": 1%s, "im": 0}]' % (
+        "0" * 400), "an integer beyond the double range"),
+    (["space", "w-report", "FILE", "--delta", "0.2"],
+     '{"collars": [true], "basis": []}', "collar 0: True is not a number"),
+], ids=["germ-without-im", "numeric-string", "401-digit-integer", "bool"])
+def test_malformed_files_exit_2_with_nothing_on_stdout(capfd, tmp_path, argv,
+                                                       text, message):
+    # a missing key, a numeric string, a bool or an integer beyond the
+    # double range is an input error: never a value read from it, nor an
+    # OverflowError traceback (exit 1)
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code = main([str(path) if a == "FILE" else a for a in argv])
+    out, err = capfd.readouterr()
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 @pytest.mark.parametrize("args", [
     ["qd", "principal-mass", "--delta0", "0.3"],
     ["qd", "principal-mass", "--workers", "2"],
@@ -529,6 +598,35 @@ def test_decay_sweep_workers_byte_identical(capsys, tmp_path):
     b1, b8 = f1.read_bytes(), f8.read_bytes()
     assert b1 == b8
     assert b1.startswith(CSV_SCHEMA.encode())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, present, absent", [
+    # X - X_delta0 is ~4.5 at ell 1e-16, not an input error, but every
+    # thick weight underflows to 0, and at ell 1e-200 (2 pi / ell)^2
+    # overflows as well: the trials are NaN before any division
+    (["--n-max", "2", "qd", "decay-sweep", "--ell-grid", "1e-16",
+      "--delta-grid", "0.3", "--trials", "1"],
+     "linf_ratio,nan,nan,non-converged$", None),
+    (["--n-max", "2", "qd", "decay-sweep", "--ell-grid", "1e-200",
+      "--delta-grid", "0.3", "--trials", "1"],
+     "linf_ratio,nan,nan,non-converged$", None),
+    # at delta 0.001 the sup underflows to 0 and 0 * e^{pi/delta} is NaN
+    (["qd", "decay-sweep", "--ell-grid", "1e-4", "--delta-grid", "0.001",
+      "--trials", "2"], None, ",nan,ok$"),
+    # below delta ~ 0.00435 delta^2 e^{pi/delta} alone overflows, while its
+    # product with a trial's sup (~1e-312 here) is ~20
+    (["qd", "decay-sweep", "--ell-grid", "1e-4", "--delta-grid", "0.0043",
+      "--trials", "3"], ",max_normalized,.*,ok$", ",inf,ok$"),
+], ids=["ell-1e-16", "ell-1e-200", "delta-0.001", "delta-0.0043"])
+def test_decay_sweep_rows_past_the_double_range(capsys, argv, present,
+                                                absent):
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    if present:
+        assert re.search(present, out, re.M), out
+    if absent:
+        assert not re.search(absent, out, re.M), out
 
 
 def test_bij_check_cli(capsys):
@@ -823,6 +921,9 @@ def _emitted_rows(text, fmt):
 @example(argv=["qd", "norms", "--coeffs", _FILE,
                '[{"n": 1, "re": 1.0, "im": 0.0}]', "--ell", "1e-300"],
          fmt="csv", to_file=True)
+@example(argv=["qd", "norms", "--coeffs", _FILE,
+               '[{"n": 1, "re": 1.0, "im": 0.0}, {"n": -2, "re": 0.0, '
+               '"im": 0.5}]', "--ell", "1e-300"], fmt="csv", to_file=False)
 @example(argv=["collar", "info", "5e-324"], fmt="csv", to_file=True)
 @example(argv=["qd", "bij-check", "--ell-grid", "1e-300", "--delta0",
                "1e-300", "--b0", "nan"], fmt="csv", to_file=False)

@@ -478,6 +478,17 @@ def test_lp_sweep_deterministic_across_workers():
             == ref.to_json(), workers
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lp_sweep_takes_underflowed_amplitudes_silently():
+    # the p = 1 tile and the p = 4 Parseval sums meet amplitudes that
+    # underflow at small ell; three cells are empty, every other row is ok
+    rep = lp_vanishing_sweep(SweepConfig(ell_grid=(1e-4, 1e-2, 0.3, 1.0),
+                                         delta_grid=(0.05, 0.3, 0.79),
+                                         n_max=13, trials=4))
+    ok = sum(r.status == STATUS_OK for r in rep.rows)
+    assert (len(rep.rows), ok) == (160, 148)
+
+
 def test_trial_values_do_not_depend_on_trial_count():
     # the thick-part normalization, the p = 2 closed form and the finite-p
     # tile's sums reduce one row per trial; each trial of each cell must
