@@ -276,12 +276,19 @@ def space_project(opts, space_file, target_file):
     w = sp.w_subspace(s)
     proj = sp.project_onto_w(s, psi)
     resid = sp.mc_combine([psi, proj], [1.0, -1.0])
+    target_norm, proj_norm = sp.mc_norm(psi), sp.mc_norm(proj)
+    # the residual's rounding floor: each of its n coordinates is a
+    # difference of the target's and the projection's, which come from
+    # n-term inner products, so it carries rounding up to about n eps
+    # times those operands; a residual_norm at or below it is noise
+    n = sum(len(part.coeffs) for part in resid.parts)
+    floor = n * sys.float_info.epsilon * (target_norm + proj_norm)
     rows = [
         ReportRow(None, None, "space_dimension", float(s.dim)),
         ReportRow(None, None, "w_dimension", float(w.dim)),
-        ReportRow(None, None, "target_norm", sp.mc_norm(psi)),
-        ReportRow(None, None, "projection_norm", sp.mc_norm(proj)),
-        ReportRow(None, None, "residual_norm", sp.mc_norm(resid)),
+        ReportRow(None, None, "target_norm", target_norm),
+        ReportRow(None, None, "projection_norm", proj_norm),
+        ReportRow(None, None, "residual_norm", sp.mc_norm(resid), floor),
     ]
     _emit(opts, Report(rows))
 

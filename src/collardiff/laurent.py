@@ -286,9 +286,10 @@ class DensityRows:
     times a period.  pocketfft gives a row the same bits in any batch, so
     rows are transformed on demand, any subset at a time.  ``bound``, the
     triangle bound pref(s) * sum_n |coef[t, n]| amp[s, n], is at least the
-    row's largest density.  ``row_max`` is the one pruned pass over the
-    rows: every thin sup (linf_thin's value and location, the sweeps' p =
-    inf column) is read off its matrix.
+    row's largest density; ``triangle`` is the sum before pref.
+    ``row_max`` is the one pruned pass over the rows: every thin sup
+    (linf_thin's value and location, the sweeps' p = inf column) is read
+    off its matrix.
 
     A transformed row s of trial t, with computed grid max M_s of |phi|,
     also bounds every other row s' of t (the transfer bound).  For any
@@ -302,7 +303,7 @@ class DensityRows:
     rho = amp[s', n*] / amp[s, n*] for the mode n* that dominates row s,
     from the stored amplitudes (exp(n*(s' - s)) rounds by ~1e-9 at
     |s n| ~ 6e6), so the n* term drops out of the sum and the bound sits
-    just above the row's max wherever n* dominates.  kappa is the rounding
+    just above the row's max wherever n* dominates.  ``kappa`` is the rounding
     of the products, the FFT (a few eps per stage of log2(n_theta), each
     relative to sum_n |coef_n| amp[., n]), |.| and the bound's own sums
     over n_modes terms.  floor_t = (sum_n |coef[t, n]| + n_theta (n_modes +
@@ -334,7 +335,8 @@ class DensityRows:
         self.n_theta = n_theta = max(256, 8 * int(np.abs(ns).max()))
         amp = np.exp(s_nodes[:, None] * ns[None, :] + log_scale[None, :])
         abs_coef = np.abs(coef)
-        self.bound = (abs_coef @ amp.T) * pref[None, :]
+        self.triangle = abs_coef @ amp.T
+        self.bound = self.triangle * pref[None, :]
         bins = np.mod(ns, n_theta)
         order = np.argsort(bins)
         bins = bins[order]
@@ -347,6 +349,8 @@ class DensityRows:
         with np.errstate(over="ignore", invalid="ignore"):
             self._floor = (self._abs_coef.sum(axis=1)
                            + n_theta * (ns.size + n_theta)) * 2.0 ** -1070
+        self.kappa = 4.0 * np.finfo(float).eps \
+            * (ns.size + 8.0 * math.log2(n_theta) + 8.0)
 
     def abs_phi(self, t: np.ndarray, s: np.ndarray,
                 spec: np.ndarray | None = None) -> np.ndarray:
@@ -436,9 +440,7 @@ class DensityRows:
         sign bits would depend on the grouping."""
         abs_coef, floor, amp = self._abs_coef, self._floor, self._amp
         seed, n = top[t], self._seed_modes(top)[t]
-        n_modes, n_theta = abs_coef.shape[1], self.n_theta
-        kappa = 4.0 * np.finfo(float).eps \
-            * (n_modes + 8.0 * math.log2(n_theta) + 8.0)
+        n_modes = abs_coef.shape[1]
         key = seed * n_modes + n
         order = np.argsort(key, kind="stable")
         groups = np.split(order, np.flatnonzero(np.diff(key[order])) + 1) \
@@ -461,7 +463,7 @@ class DensityRows:
             # bounds: kappa needs it only to within a few eps
             rnd = self.bound[t, s] / self.pref[s] \
                 + rho * (self.bound[t, seed] / self.pref[seed])
-            return self.pref[s] * (rho * m[t] + corr + kappa * rnd
+            return self.pref[s] * (rho * m[t] + corr + self.kappa * rnd
                                    + (1.0 + rho) * floor[t])
 
     def _transfer(self, t: np.ndarray, s: np.ndarray, top: np.ndarray,

@@ -39,6 +39,9 @@ DEFAULT_DELTA_GRID = tuple(float(x) for x in np.linspace(0.05, 0.8, 16))
 _PANEL_FRACTIONS = (0.0, 1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.15, 0.35, 0.65, 1.0)
 _EDGE_DEPTH = 40.0   # e^{-40}: deeper contributions are below double noise
 _LP_CHUNK = 48       # s-nodes per partial sum, rows per gemv in _row_dots
+# the L^1 tile skips rows whose terms add at most 2^-80 of a trial's sum:
+# 2^-27 of its last bit, so the sum moves only across a rounding midpoint
+_LP_PRUNE = 2.0 ** -80
 # depths of the thin-sup s-nodes below each thin edge, as fractions of the cap
 _SUP_LADDER = np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 96)])
 
@@ -418,8 +421,17 @@ def _density_lp(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
     """Per-trial (sum of dens^p rho^2 w dtheta over s_nodes x theta)^{1/p}
     for p = 1 and 4, where dens = |phi| pref and pref = 2 rho^{-2}.
 
-    p = 1 sums dens rho^2 = 2|phi| w_theta w_s, the tile's sum, bit for bit;
-    a (trial, s) row whose every term underflowed is zero, not transformed.
+    p = 1 sums dens rho^2 = 2|phi| w_theta w_s over the tile's (trial, s)
+    rows, skipping two kinds.  The row's term is at most u = 4 pi (1 +
+    kappa) w_s sum_n |g_n| amp[s, n] (the triangle bound before pref;
+    kappa is DensityRows' rounding plus the theta sum's).  Each trial's
+    largest-u row is transformed first: its computed term x_seed bounds the
+    trial's sum from below, as every term is >= 0, and each row with u <=
+    _LP_PRUNE x_seed / n_s is skipped, so the skipped rows add at most
+    2^-80 of the sum.  A row whose every term underflowed has u = +0 and is
+    skipped too (its Fourier row is zero), also where a subnormal seed
+    term underflows the threshold to 0.  So the sum is the full tile's bit
+    for bit unless the 2^-80 crosses a rounding midpoint.
     p = 4 has no tile: by discrete Parseval (|k| <= 2 n_max < n_theta / 2)
     the theta sum of |phi|^4 is 2 pi sum_k |D_k|^2 e^{2(ks - |k|X)}, where
     D_k = sum_{n+m=k} g_n g_m e^{-(|n| + |m| - |k|)X} is the autoconvolution
@@ -430,11 +442,19 @@ def _density_lp(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
     pref = density_weight(c, s_nodes)
     X = c.half_length
     rows = DensityRows(Gt, ns, -np.abs(ns) * X, s_nodes, pref)
-    # the ~(<=) form keeps NaN bounds, whose rows must be evaluated
-    t_idx, s_idx = np.nonzero(~(rows.bound <= 0.0))
     w2_theta = np.full(rows.n_theta, 4.0 * math.pi / rows.n_theta)
-    contrib = np.zeros(rows.bound.shape)
-    for t, s, phi_abs in rows.batches(t_idx, s_idx):   # sums of 2|phi| w
+    contrib = np.zeros(rows.triangle.shape)   # sums of 2|phi| w_theta
+    # u n_s / _LP_PRUNE, so a row is skipped where it is <= x_seed
+    kappa = rows.kappa + (rows.n_theta + 8.0) * np.finfo(float).eps
+    with np.errstate(over="ignore", invalid="ignore"):   # inf and NaN kept
+        u = rows.triangle * (4.0 * math.pi * (1.0 + kappa) * s_nodes.size
+                             / _LP_PRUNE * w_nodes)
+    trials, top = np.arange(Gt.shape[0]), np.argmax(u, axis=1)
+    contrib[trials, top] = _row_dots(rows.abs_phi(trials, top), w2_theta)
+    # the ~(<=) form keeps NaN and inf bounds, whose rows must be seen
+    keep = ~(u <= (contrib[trials, top] * w_nodes[top])[:, None])
+    keep[trials, top] = False
+    for t, s, phi_abs in rows.batches(*np.nonzero(keep)):
         contrib[t, s] = _row_dots(phi_abs, w2_theta)
     p1 = np.zeros(Gt.shape[0])
     for lo in range(0, s_nodes.size, _LP_CHUNK):

@@ -721,6 +721,58 @@ def test_space_project_cli(capsys, tmp_path, space_file):
         == pytest.approx(stats["target_norm"] ** 2, rel=1e-9)
 
 
+# perfbench's cli seed 5 space and target: collars 0.251372 and 0.743345,
+# where the n = +-2 modes have full-collar L^2 norms near 1e32
+_SEED5_COLLARS = [0.251372, 0.743345]
+_SEED5_BASIS = [
+    [[(-2, 0.20746382676533098, -0.41075584285141925), (-1, -0.128365063182747, -0.49037367802200627), (0, -0.17315522486203205, -1.2894187467538587), (1, 0.0103451970187956, -0.018942870522034114), (2, -0.07608443773962224, -0.26198162628006155)],
+     [(-2, -0.09904758261827318, -0.27283222542392727), (-1, -0.6776043731023698, 0.11239286622994657), (0, -1.109349937891366, 1.1702961011782933), (1, 0.35829382793691805, -0.9989083462248606), (2, 0.068032217353122, -0.2754291568952612)]],
+    [[(-2, 0.008264305039567299, 0.010907998142355402), (-1, -0.9942148941155604, -0.11671126188288501), (0, -0.255790031399391, 0.9620005318430944), (1, -0.5907234039781079, 0.36902094892284204), (2, -0.2747431907591016, -0.08282272317497918)],
+     [(-2, -0.21011829210555277, 0.362182822230418), (-1, 0.28410654989414663, 1.2158662514226062), (0, 0.6419163790823205, 0.8449927337191754), (1, 0.42034143813267005, -0.3033057679547758), (2, -0.01750711165959552, 0.3375972169361565)]],
+    [[(-2, -0.0991376912932429, 0.047199882822774666), (-1, -0.010611730208644898, 0.30460824641637035), (0, -0.3649087419473726, -0.15236188875684828), (1, 0.12119071433607521, 0.051511569243403846), (2, -0.21624318657045502, 0.22394576079736095)],
+     [(-2, -0.324620302061728, -0.30027888720088164), (-1, -0.641245897370231, 0.4834861394666074), (0, -0.36060836889927, -0.9710363785210655), (1, -0.5680106970948233, 0.21056556873120308), (2, -0.26371016564445876, -0.31801955252441055)]],
+    [[(-2, 0.15349826561721522, -0.29917693179814264), (-1, -0.16121907537569863, -0.0033807701732608926), (0, -0.4453353669298123, -0.05409396159544828), (1, 0.6693867495273857, -0.2584470762946375), (2, -0.3148267897195569, -0.4591864262984199)],
+     [(-2, -0.051191529208466764, -0.08806425260280762), (-1, 0.13254545346516175, -0.2321222958187408), (0, -0.4786384630527245, -0.7213157478486046), (1, -0.2598798861850894, 0.08011335315871215), (2, -0.0950881818037847, 0.025110463208126627)]],
+]
+_SEED5_TARGET = [
+    [(-2, 0.4752968000083142, 0.11977953769923587), (-1, -0.7880449227176131, 0.8667647928065534), (0, 0.34781036998853543, -0.9414132864509847), (1, 0.4535244788429051, 0.008827805454919485), (2, -0.15380463325876728, -0.1583772313584041)],
+    [(-2, -0.24835794756296434, 0.012029745997459644), (-1, 0.5344083468747829, -0.16252604940318935), (0, 0.42082412505635486, 1.875646053775279), (1, -0.6072953164899249, 0.12876116196174586), (2, -0.07660923171296859, -0.26481402495696116)],
+]
+
+
+def _coeff_json(parts):
+    return [[{"n": n, "re": re, "im": im} for n, re, im in part]
+            for part in parts]
+
+
+@pytest.mark.parametrize("modes, noise", [(range(-2, 3), True),
+                                          (range(-1, 2), False)])
+def test_space_project_residual_names_its_rounding_floor(capsys, tmp_path,
+                                                         modes, noise):
+    # On the seed 5 target (n = -2..2) the target and the projection are
+    # ~1.1e32 and agree to ~1e-15, so residual_norm (~1.4e17) is rounding
+    # of their difference, at or below the floor in its normalized column.
+    # Without the n = +-2 modes the target (its principal parts and n =
+    # +-1 modes, ~8e16) lies almost wholly outside the 2-dimensional W,
+    # and the residual is the target's size, far above the floor.
+    space, target = tmp_path / "space.json", tmp_path / "target.json"
+    space.write_text(json.dumps({"collars": _SEED5_COLLARS,
+                                 "basis": [_coeff_json(e)
+                                           for e in _SEED5_BASIS]}))
+    target.write_text(json.dumps(_coeff_json(
+        [[m for m in part if m[0] in modes] for part in _SEED5_TARGET])))
+    code, out, err = invoke(capsys, "space", "project", str(space),
+                            str(target))
+    assert (code, err) == (0, "")
+    row = {r["statistic"]: r for r in csv_rows(out)}["residual_norm"]
+    value, floor = float(row["value"]), float(row["normalized"])
+    assert row["status"] == "ok"
+    if noise:
+        assert 0.0 < value <= floor, (value, floor)
+    else:
+        assert value > 1e6 * floor, (value, floor)
+
+
 def test_space_w_report_cli(capsys, space_file):
     code, out, _ = invoke(capsys, "--seed", "5", "space", "w-report",
                           space_file, "--delta", "0.2", "--delta", "0.5",

@@ -284,23 +284,28 @@ def test_pruned_density_max_matches_full_grid_at_subnormal_scale(
     assert got.tobytes() == want.tobytes()
 
 
+def _count_transforms(monkeypatch) -> list:
+    """A one-item list counting the rows that DensityRows transforms."""
+    count = [0]
+    real = DensityRows.abs_phi
+
+    def counting(self, t, s, spec=None):
+        count[0] += t.size
+        return real(self, t, s, spec)
+
+    monkeypatch.setattr(DensityRows, "abs_phi", counting)
+    return count
+
+
 def test_decay_round_transforms_one_row_per_trial(monkeypatch):
     # the benchmark's decay round at seed 0 (256 nonempty trials): the
     # triangle bound alone leaves 5043 rows to transform, the transfer
     # bound from each trial's seed row leaves the seeds and few others
-    transformed = 0
-    real = DensityRows.abs_phi
-
-    def counting(self, t, s, spec=None):
-        nonlocal transformed
-        transformed += t.size
-        return real(self, t, s, spec)
-
-    monkeypatch.setattr(DensityRows, "abs_phi", counting)
+    transformed = _count_transforms(monkeypatch)
     for n_max in (32, 64):
         decay_sweep(SweepConfig(ell_grid=(1e-4, 1e-2, 1.0), delta_grid=(0.3,),
                                 n_max=n_max, trials=64, seed=0))
-    assert 256 <= transformed <= 300, transformed
+    assert 256 <= transformed[0] <= 300, transformed
 
 
 def _gl_tile(c, x_delta):
@@ -349,37 +354,47 @@ def _full_tile_lp(Gt, ns, c, x_delta, n_theta, finite):
 
 
 @pytest.mark.parametrize("n_max", [1, 13, 48])
-def test_lp_tile_matches_full_tile_bitwise(n_max):
+def test_lp_tile_matches_full_tile_bitwise(n_max, monkeypatch):
     # n_theta = 256 for n_max 1 and 13, 384 (not a power of two) for 48.
-    # p = 1 is the tile's, bit for bit.  p = 4 comes by Parseval, with no
-    # tile; the full tile's pow sums round s n - |n| X at |s n| ~ 5e6 and
-    # sit up to 2.1e-12 off (ell 1e-4, delta 0.79)
-    cfg = SweepConfig(ell_grid=(1e-4, 1e-2, 0.3, 0.9),
-                      delta_grid=(0.05, 0.3, 0.79), n_max=n_max, trials=24,
-                      seed=5)
+    # p = 1 is the tile's, bit for bit, though the tile skips both the
+    # rows whose every term underflowed and the rows below 2^-80 of the
+    # seed row's term (at ell 0.1, delta 0.3 rows fall on both sides).
+    # p = 4 comes by Parseval, with no tile; the full tile's pow sums
+    # round s n - |n| X at |s n| ~ 5e6 and sit up to 2.1e-12 off (ell
+    # 1e-4, delta 0.79)
+    cfgs = [SweepConfig(ell_grid=(1e-4, 1e-2, 0.3, 0.9),
+                        delta_grid=(0.05, 0.3, 0.79), n_max=n_max, trials=24,
+                        seed=5),
+            SweepConfig(ell_grid=(0.1,), delta_grid=(0.3,), n_max=n_max,
+                        trials=24, seed=5)]
     ns = interleaved_modes(n_max)
     n_theta = max(256, 8 * n_max)
-    checked = zero_rows = 0
-    for li, ell in enumerate(cfg.ell_grid):
+    transformed = _count_transforms(monkeypatch)
+    checked = zero_rows = nonzero_rows = 0
+    for cfg, li, di in [(cfg, li, di) for cfg in cfgs
+                        for li in range(len(cfg.ell_grid))
+                        for di in range(len(cfg.delta_grid))]:
+        ell, delta = cfg.ell_grid[li], cfg.delta_grid[di]
         c = CollarParams(ell)
-        for di, delta in enumerate(cfg.delta_grid):
-            win = thin_boundary(c, delta)
-            if win.empty:
-                continue
-            Gt = sweeps._normalized_draws(cfg, c, li, di, ns)
-            want, bound = _full_tile_lp(Gt, ns, c, win.x_delta, n_theta,
-                                        (1.0, 4.0))
-            got = sweeps._cell_lp(cfg, c, li, di, win.x_delta, ns,
-                                  (1.0, 4.0))
-            assert got[1.0].tobytes() == want[1.0].tobytes(), (ell, delta)
-            # atol 0: an exact zero stays an exact zero
-            np.testing.assert_allclose(got[4.0], want[4.0], rtol=1e-11,
-                                       atol=0.0, err_msg=str((ell, delta)))
-            zero_rows += np.count_nonzero(bound == 0.0)
-            checked += 1
-    assert checked == 9
-    # the p = 1 skip ran: rows whose every term underflowed
+        win = thin_boundary(c, delta)
+        if win.empty:
+            continue
+        Gt = sweeps._normalized_draws(cfg, c, li, di, ns)
+        want, bound = _full_tile_lp(Gt, ns, c, win.x_delta, n_theta,
+                                    (1.0, 4.0))
+        got = sweeps._cell_lp(cfg, c, li, di, win.x_delta, ns, (1.0, 4.0))
+        assert got[1.0].tobytes() == want[1.0].tobytes(), (ell, delta)
+        # atol 0: an exact zero stays an exact zero
+        np.testing.assert_allclose(got[4.0], want[4.0], rtol=1e-11,
+                                   atol=0.0, err_msg=str((ell, delta)))
+        zero_rows += np.count_nonzero(bound == 0.0)
+        nonzero_rows += np.count_nonzero(bound != 0.0)
+        checked += 1
+    assert checked == 10
+    # the p = 1 skips ran: rows whose every term underflowed, and rows
+    # with a nonzero bound below the seed's threshold
     assert zero_rows > 0, zero_rows
+    assert transformed[0] < nonzero_rows, (transformed, nonzero_rows)
 
 
 def _p4_unanchored(Gt, ns, c, s_nodes, w_nodes, pref):
@@ -469,8 +484,9 @@ def test_theta_sums_round_rows_as_the_chunked_tile(count):
 
 
 def test_lp_sweep_deterministic_across_workers():
-    cfg = SweepConfig(ell_grid=(1e-4, 0.3), delta_grid=(0.1, 0.6), n_max=13,
-                      trials=5, seed=4)
+    # the L^1 tile skips rows of the ell 1e-2 cells below their seed's term
+    cfg = SweepConfig(ell_grid=(1e-4, 1e-2, 0.3), delta_grid=(0.1, 0.6),
+                      n_max=13, trials=5, seed=4)
     ref = lp_vanishing_sweep(cfg, workers=1)
     assert sum(r.status == STATUS_OK for r in ref.rows) > 3 * 4 * cfg.trials
     for workers in (2, 8):
