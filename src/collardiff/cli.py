@@ -397,6 +397,12 @@ def cusp_classify(opts, germ_file, radius):
 
 def main(argv=None) -> int:
     """Console entry point with the documented exit-code contract."""
+    # BLAS starts one thread per CPU when numpy loads, and each --workers
+    # thread of a sweep calls BLAS, so two workers oversubscribe two CPUs.
+    # No command has imported numpy yet; a value the user set is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
+    os.environ.setdefault("MKL_NUM_THREADS", "1")
     try:
         return cli.main(args=argv, standalone_mode=False,
                         prog_name="collardiff") or 0

@@ -385,11 +385,20 @@ _LP_STATS = {1.0: ("lp_ratio_p1", "max_normalized_p1"),
              math.inf: ("lp_ratio_pinf", "max_normalized_pinf")}
 
 
-def _thin_panels(x_delta: float):
+def _thin_panels(x_delta: float, n_max: int):
     """(s1, s2) panels covering [-x_delta, x_delta] exactly, geometric
-    toward both edges."""
+    toward both edges.
+
+    A cut of _PANEL_FRACTIONS is kept only where its depth below the thin
+    edge is at least 1/(4 n_max), the e-fold length of the fastest term
+    either finite-p integrand has (p = 4's e^{2|k|(s - X)}, |k| <= 2
+    n_max): a thinner panel adds nodes where no term changes by a factor e.
+    """
     cap = min(x_delta, _EDGE_DEPTH)
-    cuts = x_delta - cap * np.array(_PANEL_FRACTIONS[::-1])
+    kept = [f for f in _PANEL_FRACTIONS[1:] if f * cap >= 1.0 / (4 * n_max)]
+    if not kept:   # the whole window is thinner than one e-fold
+        return [(-x_delta, x_delta)]
+    cuts = x_delta - cap * np.array([*kept[::-1], 0.0])
     right = list(zip(cuts[:-1], cuts[1:]))
     left = [(-s2, -s1) for s1, s2 in right[::-1]]
     inner = x_delta - cap
@@ -491,7 +500,7 @@ def _cell_lp(cfg: SweepConfig, c: CollarParams, li: int, di: int,
         t2 = _window_weights(c, ns, [(-x_delta, x_delta)])
         out[2.0] = np.sqrt(_row_dots(np.abs(Gt) ** 2, t2))
     if 1.0 in ps or 4.0 in ps:   # the two come together
-        s1, s2 = np.array(_thin_panels(x_delta)).T[:, :, None]
+        s1, s2 = np.array(_thin_panels(x_delta, cfg.n_max)).T[:, :, None]
         gl_nodes, gl_weights = np.polynomial.legendre.leggauss(8)
         mid, hw = 0.5 * (s1 + s2), 0.5 * (s2 - s1)
         out.update(_density_lp(Gt, ns, c, (mid + hw * gl_nodes).ravel(),

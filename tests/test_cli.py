@@ -87,6 +87,17 @@ def test_topology_dim_prints_bare_integer(capsys, tmp_path):
     assert (code, out) == (2, "") and "must be a JSON array" in err
 
 
+def test_main_caps_blas_threads_unless_set(capsys, monkeypatch):
+    # monkeypatch restores all three variables after the test
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    assert invoke(capsys, "topology", "dim", "2,0")[:2] == (0, "3\n")
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    assert os.environ["MKL_NUM_THREADS"] == "1"
+    assert os.environ["OMP_NUM_THREADS"] == "3"
+
+
 def test_topology_pinch_script(capsys, tmp_path):
     moves = tmp_path / "moves.json"
     moves.write_text(json.dumps([

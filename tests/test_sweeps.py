@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from collardiff.collar import (CollarParams, cos_profile_vec, thin_area,
                                thin_boundary)
@@ -308,12 +308,12 @@ def test_decay_round_transforms_one_row_per_trial(monkeypatch):
     assert 256 <= transformed[0] <= 300, transformed
 
 
-def _gl_tile(c, x_delta):
+def _gl_tile(c, x_delta, n_max):
     """The Gauss-Legendre s-nodes and weights of sweeps._cell_lp, and
     rho^2 at the nodes."""
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(8)
     s_nodes, w_nodes = [], []
-    for s1, s2 in sweeps._thin_panels(x_delta):
+    for s1, s2 in sweeps._thin_panels(x_delta, n_max):
         mid, hw = 0.5 * (s1 + s2), 0.5 * (s2 - s1)
         s_nodes.append(mid + hw * gl_nodes)
         w_nodes.append(hw * gl_weights)
@@ -327,7 +327,7 @@ def _full_tile_lp(Gt, ns, c, x_delta, n_theta, finite):
     """Reference for the finite-p path of sweeps._cell_lp: transform every
     (trial, s) row of the Gauss-Legendre tile, 48 s-nodes at a time, and
     sum dens ** p rho^2, which is 2|phi| for p = 1."""
-    s_nodes, w_nodes, rho_sq = _gl_tile(c, x_delta)
+    s_nodes, w_nodes, rho_sq = _gl_tile(c, x_delta, int(np.abs(ns).max()))
     X = c.half_length
     pref = 2.0 / rho_sq
     bins = np.mod(ns, n_theta)
@@ -397,6 +397,76 @@ def test_lp_tile_matches_full_tile_bitwise(n_max, monkeypatch):
     assert transformed[0] < nonzero_rows, (transformed, nonzero_rows)
 
 
+@given(x_delta=st.floats(1e-9, 1e6), n_max=st.integers(1, MODE_MAX))
+@example(x_delta=40.0, n_max=625)
+@example(x_delta=sweeps._EDGE_DEPTH * 2.5, n_max=MODE_MAX)
+@example(x_delta=1e-3, n_max=32)
+def test_thin_panels_keep_the_cuts_one_e_fold_deep(x_delta, n_max):
+    panels = sweeps._thin_panels(x_delta, n_max)
+    s1, s2 = np.array(panels).T
+    # an exact tiling of [-x_delta, x_delta], in ascending order
+    assert s1[0] == -x_delta and s2[-1] == x_delta
+    assert np.array_equal(s2[:-1], s1[1:]) and np.all(s1 < s2)
+    # no interior cut within 1/(4 n_max) of an edge, up to x_delta's ulp
+    efold = 1.0 / (4 * n_max)
+    assert np.all(x_delta - np.abs(s2[:-1]) >= efold - np.spacing(x_delta))
+    # every candidate cut at least that deep is kept, on both sides
+    cap = min(x_delta, sweeps._EDGE_DEPTH)
+    deep = np.array([x_delta - cap * f for f in sweeps._PANEL_FRACTIONS
+                     if f * cap >= efold])
+    assert np.all(np.isin(deep, s2)) and np.all(np.isin(-deep, s1))
+    if x_delta >= sweeps._EDGE_DEPTH and n_max >= 625:
+        # every cut kept: 9 panels per edge, and 8 bridge panels between
+        bridge = 8 if x_delta > sweeps._EDGE_DEPTH else 0
+        assert len(panels) == 2 * 9 + bridge
+
+
+def _refined_tile(x_delta):
+    """Gauss-Legendre s-nodes and weights with every panel of the full
+    _PANEL_FRACTIONS cut set split 6 times at 24 points: on the tile's
+    theta grid, within 5e-13 of a 12 x 32 split at delta 0.3."""
+    cap = min(x_delta, sweeps._EDGE_DEPTH)
+    right = x_delta - cap * np.array(sweeps._PANEL_FRACTIONS)
+    inner = x_delta - cap
+    cuts = np.unique(np.concatenate([-right, right,
+                                     np.linspace(-inner, inner, 9)]))
+    edges = np.concatenate([np.linspace(a, b, 7)[:-1]
+                            for a, b in zip(cuts[:-1], cuts[1:])]
+                           + [[x_delta]])
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(24)
+    mid, hw = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    return ((mid[:, None] + hw[:, None] * gl_nodes).ravel(),
+            (hw[:, None] * gl_weights).ravel())
+
+
+# README's bounds on the tile's s-quadrature error: (largest delta, p = 1,
+# p = 4).  Where two modes balance, phi nearly vanishes at some grid theta
+# and the theta sum of |phi| has near-kinks in s (delta >= 0.7, or near
+# the empty threshold); p = 4's terms steepen with n_max
+_TILE_ERROR = ((0.3, 1e-11, 5e-10), (0.6, 1e-5, 5e-10), (0.9, 2e-4, 2e-5))
+
+
+@pytest.mark.parametrize("ell, delta, n_max", [
+    (1e-4, 0.3, 32), (1e-2, 0.3, 32), (0.3, 0.6, 8), (1e-2, 0.86, 8),
+    (1e-4, 0.88, 512)])
+def test_lp_tile_panels_hold_a_refined_reference(ell, delta, n_max):
+    # the sweep's p = 1 and 4 on the panel rule's nodes against the same
+    # theta-grid sums on the refined nodes; dropping the 1e-3 cut too, or
+    # dropping the n_max-32 cuts at n_max 512, fails the last cell
+    cfg = SweepConfig(ell_grid=(ell,), delta_grid=(delta,), n_max=n_max,
+                      trials=4, seed=3)
+    c = CollarParams(ell)
+    ns = interleaved_modes(n_max)
+    x_delta = thin_boundary(c, delta).x_delta
+    got = sweeps._cell_lp(cfg, c, 0, 0, x_delta, ns, (1.0, 4.0))
+    ref = sweeps._density_lp(sweeps._normalized_draws(cfg, c, 0, 0, ns), ns,
+                             c, *_refined_tile(x_delta))
+    tol = next(t for t in _TILE_ERROR if delta <= t[0])
+    for p, bound in zip((1.0, 4.0), tol[1:]):
+        err = np.max(np.abs(got[p] / ref[p] - 1.0))
+        assert err < bound, (p, err)
+
+
 def _p4_unanchored(Gt, ns, c, s_nodes, w_nodes, pref):
     """The p = 4 route with the s-exponent taken as 2(ks - |k|X), not
     2|k|(+-s - X): a mutant that the 40-digit reference must catch."""
@@ -433,7 +503,7 @@ def test_lp_p4_matches_40_digit_theta_grid_sum(ell, delta):
     n_theta = 256
     x_delta = thin_boundary(c, delta).x_delta
     Gt = sweeps._normalized_draws(cfg, c, 0, 0, ns)
-    s_nodes, w_nodes, _ = _gl_tile(c, x_delta)
+    s_nodes, w_nodes, _ = _gl_tile(c, x_delta, cfg.n_max)
     pref = density_weight(c, s_nodes)
     got = sweeps._cell_lp(cfg, c, 0, 0, x_delta, ns, (4.0,))[4.0]
     mutant = _p4_unanchored(Gt, ns, c, s_nodes, w_nodes, pref)
