@@ -378,59 +378,53 @@ class DensityRows:
 
         Exact, not approximate.  Each t is seeded with its highest-bound
         row; the other rows are transformed only if both their triangle
-        bound and their transfer bound from the seed reach the seed's max.
-        A skipped row has every computed density strictly below that max,
-        and the transformed rows get the same arithmetic as a full-grid
-        evaluation, so each t's max over the matrix, and the first row
-        attaining it, are bit-identical to transforming every row.  (pref
-        > 0 and rounding is monotone, so scaling a row's max equals the max
-        of the scaled row, bit for bit.)
+        bound and their transfer bound from the seed reach the seed's max
+        (a NaN or inf bound keeps its row).  A skipped row has every
+        computed density strictly below that max, and the transformed rows
+        get the same arithmetic as a full-grid evaluation, so each t's max
+        over the matrix, and the first row attaining it, are bit-identical
+        to transforming every row.  (pref > 0 and rounding is monotone, so
+        scaling a row's max equals the max of the scaled row, bit for bit.)
         """
+        # seed: each trial's highest-bound row
         trials = np.arange(self.bound.shape[0])
         top = np.argmax(self.bound, axis=1)
         m = self.abs_phi(trials, top).max(axis=1)
         level = m * self.pref[top]
-        keep = self._reaches(level[:, None])
-        keep[trials, top] = False
-        t, s = self._transfer(*np.nonzero(keep), top, m, level)
-        out = np.full(self.bound.shape, -np.inf)
-        out[trials, top] = level
-        for t, s, phi_abs in self.batches(t, s):
-            out[t, s] = phi_abs.max(axis=1) * self.pref[s]
-        return out
-
-    def _reaches(self, level) -> np.ndarray:
-        # Rounding in the bound (a sum of nonnegative terms) and in the FFT
-        # is of order n_modes * eps relative to sum_n |coef_n amp_n| (~1e-14
-        # at 64 modes), 100x below the 1e-12 margin.  At subnormal scale
-        # operations round by up to 2^-1075 absolute, which pref(s) floor_t
-        # covers as in the transfer bound; the margin takes 2^48 floor_t, a
-        # normal number, because products with subnormal operands run ~10x
-        # slower; it still moves only rows whose bound lies within
-        # pref(s) 2^48 floor_t (~1e-290 in the sweeps) of the level.
-        # So a row outside this mask has every computed density strictly
-        # below the level.  The ~(<) form keeps NaN and inf bounds, whose
-        # rows must be seen.
+        # triangle test.  Rounding in the bound (a sum of nonnegative
+        # terms) and in the FFT is of order n_modes * eps relative to
+        # sum_n |coef_n amp_n| (~1e-14 at 64 modes), 100x below the 1e-12
+        # margin.  At subnormal scale operations round by up to 2^-1075
+        # absolute, which pref(s) floor_t covers as in the transfer bound;
+        # the margin takes 2^48 floor_t, a normal number, because products
+        # with subnormal operands run ~10x slower; it still moves only rows
+        # whose bound lies within pref(s) 2^48 floor_t (~1e-290 in the
+        # sweeps) of the level.  So a row outside this mask has every
+        # computed density strictly below the level.  The ~(<) forms keep
+        # NaN and inf bounds, whose rows must be seen.
         margin = self._floor * 2.0 ** 48
         with np.errstate(invalid="ignore", over="ignore"):
-            return ~(self.bound + margin[:, None] * self.pref[None, :]
-                     < level * (1.0 - 1e-12))
-
-    def _seed_modes(self, top: np.ndarray) -> np.ndarray:
-        """n* per trial: the mode that dominates the seed row top[t] of
-        trial t, argmax_n |coef[t, n]| amp[top[t], n]; top has one entry
-        per trial."""
-        with np.errstate(invalid="ignore", over="ignore"):
-            return np.argmax(self._abs_coef * self._amp[top], axis=1)
+            keep = ~(self.bound + margin[:, None] * self.pref[None, :]
+                     < level[:, None] * (1.0 - 1e-12))
+        keep[trials, top] = False
+        t, s = np.nonzero(keep)
+        # transfer test from the seed rows, then transform the rows kept
+        keep = ~(self.transfer_bound(t, s, top, m) < level[t])
+        out = np.full(self.bound.shape, -np.inf)
+        out[trials, top] = level
+        for t, s, phi_abs in self.batches(t[keep], s[keep]):
+            out[t, s] = phi_abs.max(axis=1) * self.pref[s]
+        return out
 
     def transfer_bound(self, t: np.ndarray, s: np.ndarray, top: np.ndarray,
                        m: np.ndarray) -> np.ndarray:
         """The transfer bound (class docstring) on the density of each row
         (t, s), from the seed row top[t] of t whose computed |phi| max is
-        m[t]; n* is the seed row's dominant mode, from ``_seed_modes(top)``.
-        NaN or inf where the seed's dominant amplitude is zero or a term
-        overflows (silently: 0/0 and inf * 0 are expected here), and NaN
-        for every row of a trial whose seed max is NaN.
+        m[t]; top has one entry per trial, and n* is the seed row's
+        dominant mode, argmax_n |coef[t, n]| amp[top[t], n].  NaN or inf
+        where the seed's dominant amplitude is zero or a term overflows
+        (silently: 0/0 and inf * 0 are expected here), and NaN for every
+        row of a trial whose seed max is NaN.
 
         The correction sums are taken per (seed row, n*) group, each
         (trial, row) sum by einsum "tn,rn->tr" in the order of the per-row
@@ -439,14 +433,14 @@ class DensityRows:
         NaN * NaN keeps whichever operand numpy's loop issues first, so NaN
         sign bits would depend on the grouping."""
         abs_coef, floor, amp = self._abs_coef, self._floor, self._amp
-        seed, n = top[t], self._seed_modes(top)[t]
         n_modes = abs_coef.shape[1]
-        key = seed * n_modes + n
-        order = np.argsort(key, kind="stable")
-        groups = np.split(order, np.flatnonzero(np.diff(key[order])) + 1) \
-            if t.size else []
-        corr = np.empty(t.size)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            seed, n = top[t], np.argmax(abs_coef * amp[top], axis=1)[t]
+            key = seed * n_modes + n
+            order = np.argsort(key, kind="stable")
+            groups = np.split(order, np.flatnonzero(np.diff(key[order])) + 1) \
+                if t.size else []
+            corr = np.empty(t.size)
             for g in groups:
                 r, j = seed[g[0]], n[g[0]]
                 trials, ti = _distinct(t[g], abs_coef.shape[0])
@@ -465,16 +459,6 @@ class DensityRows:
                 + rho * (self.bound[t, seed] / self.pref[seed])
             return self.pref[s] * (rho * m[t] + corr + self.kappa * rnd
                                    + (1.0 + rho) * floor[t])
-
-    def _transfer(self, t: np.ndarray, s: np.ndarray, top: np.ndarray,
-                  m: np.ndarray, level: np.ndarray):
-        """The (t, s) pairs whose transfer bound from the seed rows top
-        reaches level[t], the scaled seed max of t; the ~(<) form keeps NaN
-        and inf bounds.  It decides which rows row_max transforms."""
-        if not t.size:
-            return t, s
-        keep = ~(self.transfer_bound(t, s, top, m) < level[t])
-        return t[keep], s[keep]
 
 
 def _distinct(idx: np.ndarray, size: int):

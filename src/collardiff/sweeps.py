@@ -23,9 +23,8 @@ import numpy as np
 from .collar import (CollarParams, DEFAULT_DELTA0, DELTA_MAX, ELL_MAX,
                      thin_boundary, validate_delta0)
 from .errors import MODE_MAX, ValidationError, is_int
-from .laurent import (DensityRows, SubCollar, _norm_const, _sorted_unique,
-                      _thick_windows, density_weight, full_window,
-                      mode_l2_norm_sq, mode_weights)
+from .laurent import (DensityRows, _norm_const, _sorted_unique,
+                      _thick_windows, density_weight, mode_weights)
 from .numerics import exp_scale
 from .report import Report, ReportRow, STATUS_EMPTY, STATUS_OK
 
@@ -241,15 +240,6 @@ def _sup_nodes(x_delta: float) -> np.ndarray:
     return _sorted_unique(np.concatenate([right, -right, bridge]))
 
 
-def _density_max(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
-                 s_nodes: np.ndarray) -> np.ndarray:
-    """Per-trial sup of |phi| * 2 rho^{-2} over s_nodes x theta grid (exact,
-    see DensityRows.row_max); the law factor e^{-|n|X} enters as the
-    log-scale."""
-    return DensityRows(Gt, ns, -np.abs(ns) * c.half_length, s_nodes,
-                       density_weight(c, s_nodes)).row_max().max(axis=1)
-
-
 # --- decay of zero-principal differentials into the thin part ------------------
 
 def _append_max_row(rows: list, statistic: str, name: str) -> None:
@@ -285,20 +275,31 @@ def decay_sweep(cfg: SweepConfig, workers: int = 1) -> Report:
 
 # --- principal-mode mass concentration ------------------------------------------
 
+def _principal_mass(c: CollarParams, x: float) -> tuple:
+    """(m, ell^3 m, t) for m = ||dw^2||^2 on the window (-x, x), bit for
+    bit mode_l2_norm_sq's 32 pi^3 t / ell^2 with t from mode_weights (its
+    exponent is 0 for n = 0).  m overflows below ell ~ 4e-102; there
+    ell^3 m is formed as 32 pi^3 ell t, so only a true overflow reads inf."""
+    t = float(mode_weights(c, np.zeros(1, dtype=int), [(-x, x)])[0][0])
+    m = _norm_const(c) * t
+    if math.isfinite(m):
+        return m, c.ell ** 3 * m, t
+    return m, 32.0 * math.pi ** 3 * (c.ell * t), t
+
+
 def _principal_cell(ell: float, delta: float) -> list:
     c = CollarParams(ell)
     win = thin_boundary(c, delta)
     if win.empty:
         return [ReportRow(ell, delta, name, 0.0, 0.0, STATUS_EMPTY)
                 for name in ("principal_thin_mass", "principal_mass_fraction")]
-    thin = mode_l2_norm_sq(c, 0, SubCollar(-win.x_delta, win.x_delta))
-    full = mode_l2_norm_sq(c, 0, full_window(c))
-    scaled = ell ** 3 * thin
+    thin, scaled, t = _principal_mass(c, win.x_delta)
+    full, _, t_full = _principal_mass(c, c.half_length)
+    frac = thin / full if math.isfinite(full) else t / t_full
     return [
         ReportRow(ell, delta, "principal_thin_mass", scaled,
                   scaled / PRINCIPAL_MASS_CONSTANT),
-        ReportRow(ell, delta, "principal_mass_fraction", thin / full,
-                  thin / full),
+        ReportRow(ell, delta, "principal_mass_fraction", frac, frac),
     ]
 
 
@@ -348,9 +349,10 @@ def bij_normalization_check(ell_grid, b0_sequence,
             rows.append(ReportRow(ell, delta0, "b0_thin_norm", 0.0, ref,
                                   STATUS_EMPTY))
             continue
-        thin = mode_l2_norm_sq(c, 0, SubCollar(-win.x_delta, win.x_delta))
-        rows.append(ReportRow(ell, delta0, "b0_thin_norm",
-                              size * math.sqrt(thin), ref))
+        thin, scaled, _ = _principal_mass(c, win.x_delta)
+        norm = (size * math.sqrt(thin) if math.isfinite(thin) else
+                ref * math.sqrt(scaled / PRINCIPAL_MASS_CONSTANT))
+        rows.append(ReportRow(ell, delta0, "b0_thin_norm", norm, ref))
     slope, passed = _vanishing_verdict(ells, [row.value for row in rows])
     rows.append(ReportRow(math.nan, delta0, "b0_vanishing", slope,
                           float(passed)))
@@ -487,36 +489,39 @@ def _density_lp(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
             4.0: (2.0 * math.pi * _row_dots(np.abs(D) ** 2, V)) ** 0.25}
 
 
-def _cell_lp(cfg: SweepConfig, c: CollarParams, li: int, di: int,
-             x_delta: float, ns: np.ndarray, ps) -> dict:
-    """Per-trial L^p(thin) norms; p=2 by anchored closed form, p = 1 and 4
-    on composite Gauss-Legendre panels (p = 4 by Parseval in theta), p=inf
-    by the shared sup grid."""
-    Gt = _normalized_draws(cfg, c, li, di, ns)
-    out = {}
-    if math.inf in ps:
-        out[math.inf] = _density_max(Gt, ns, c, _sup_nodes(x_delta))
-    if 2.0 in ps:
-        t2 = _window_weights(c, ns, [(-x_delta, x_delta)])
-        out[2.0] = np.sqrt(_row_dots(np.abs(Gt) ** 2, t2))
-    if 1.0 in ps or 4.0 in ps:   # the two come together
-        s1, s2 = np.array(_thin_panels(x_delta, cfg.n_max)).T[:, :, None]
-        gl_nodes, gl_weights = np.polynomial.legendre.leggauss(8)
-        mid, hw = 0.5 * (s1 + s2), 0.5 * (s2 - s1)
-        out.update(_density_lp(Gt, ns, c, (mid + hw * gl_nodes).ravel(),
-                               (hw * gl_weights).ravel()))
-    return out
-
-
 def _lp_cell(cfg: SweepConfig, li: int, di: int, stats: dict) -> list:
+    """The trial rows of cell (li, di) for each p of ``stats``.
+
+    The collar, thin window and draws are built once.  p = inf is the
+    exact sup over the _sup_nodes x theta grid, from the pruned pass of
+    DensityRows.row_max (the law factor e^{-|n|X} enters as the
+    log-scale); p = 2 is the anchored closed form; p = 1 and 4 come
+    together from _density_lp on the Gauss-Legendre panels of
+    _thin_panels (p = 4 by Parseval in theta).
+    """
     ell, delta = cfg.ell_grid[li], cfg.delta_grid[di]
     c = CollarParams(ell)
     win = thin_boundary(c, delta)
     if win.empty:
         return [ReportRow(ell, delta, name, 0.0, 0.0, STATUS_EMPTY)
                 for name, _ in stats.values()]
-    per_p = _cell_lp(cfg, c, li, di, win.x_delta,
-                     interleaved_modes(cfg.n_max), tuple(stats))
+    xd, ns = win.x_delta, interleaved_modes(cfg.n_max)
+    Gt = _normalized_draws(cfg, c, li, di, ns)
+    per_p = {}
+    if math.inf in stats:
+        s_nodes = _sup_nodes(xd)
+        per_p[math.inf] = DensityRows(
+            Gt, ns, -np.abs(ns) * c.half_length, s_nodes,
+            density_weight(c, s_nodes)).row_max().max(axis=1)
+    if 2.0 in stats:
+        t2 = _window_weights(c, ns, [(-xd, xd)])
+        per_p[2.0] = np.sqrt(_row_dots(np.abs(Gt) ** 2, t2))
+    if 1.0 in stats or 4.0 in stats:
+        s1, s2 = np.array(_thin_panels(xd, cfg.n_max)).T[:, :, None]
+        gl_nodes, gl_weights = np.polynomial.legendre.leggauss(8)
+        mid, hw = 0.5 * (s1 + s2), 0.5 * (s2 - s1)
+        per_p.update(_density_lp(Gt, ns, c, (mid + hw * gl_nodes).ravel(),
+                                 (hw * gl_weights).ravel()))
     env = exp_scale(delta * delta, math.pi / delta)   # delta^2 e^{pi/delta}
     log_env = math.pi / delta + 2.0 * math.log(delta)
 

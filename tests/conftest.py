@@ -42,15 +42,19 @@ def rng():
 
 @pytest.fixture
 def transfer_calls(monkeypatch):
-    """Records, per DensityRows._transfer call, how many rows beyond the
-    seeds it keeps and whether its level was finite."""
+    """Records, per DensityRows.row_max pass, how many rows beyond the
+    seeds it keeps (transforms) and whether its level, the seed rows'
+    scaled maxima, was finite."""
     calls = []
-    real = DensityRows._transfer
+    real = DensityRows.row_max
 
-    def recording(self, t, s, top, m, level):
-        kept = real(self, t, s, top, m, level)
-        calls.append((kept[0].size, bool(np.isfinite(level).all())))
-        return kept
+    def recording(self):
+        out = real(self)
+        trials = np.arange(out.shape[0])
+        level = out[trials, np.argmax(self.bound, axis=1)]
+        calls.append((np.count_nonzero(~np.isneginf(out)) - trials.size,
+                      bool(np.isfinite(level).all())))
+        return out
 
-    monkeypatch.setattr(DensityRows, "_transfer", recording)
+    monkeypatch.setattr(DensityRows, "row_max", recording)
     return calls

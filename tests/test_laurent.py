@@ -467,7 +467,7 @@ def test_transfer_bound_by_group_keeps_the_per_row_bits():
     rows = DensityRows(coef, ns, -1.5 * np.abs(ns), s_nodes,
                        1.0 + s_nodes ** 2)
     top = np.array([r for r, _ in plan])
-    seed_modes = rows._seed_modes(top)
+    seed_modes = np.argmax(np.abs(rows._coef) * rows._amp[top], axis=1)
     bin_order = ns[np.argsort(np.mod(ns, rows.n_theta))]
     assert [(r, int(bin_order[j])) for r, j in zip(top, seed_modes)] == plan
     m = rows.abs_phi(np.arange(trials), top).max(axis=1)

@@ -60,7 +60,7 @@ def test_dir_lists_every_public_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         collardiff.no_such_name
-    assert not hasattr(collardiff, "_density_max")
+    assert not hasattr(collardiff, "_lp_cell")
 
 
 def _scope_imports(scope):

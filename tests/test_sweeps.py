@@ -12,7 +12,7 @@ from collardiff.collar import (CollarParams, cos_profile_vec, thin_area,
 from collardiff.errors import MODE_MAX, DomainError, ValidationError
 from collardiff.laurent import (DensityRows, LaurentQD, SubCollar,
                                 _norm_const, _thick_windows, density_weight,
-                                l2_norm, lp_norm)
+                                l2_norm, lp_norm, mode_l2_norm_sq)
 from collardiff.numerics import exp_cos2_window, exp_scale
 from collardiff.report import STATUS_EMPTY, STATUS_FAILED, STATUS_OK
 from collardiff.sweeps import (PRINCIPAL_MASS_CONSTANT, SweepConfig,
@@ -171,8 +171,17 @@ def _check_cells_against_laurent(ell, deltas, n_max):
                 lp_norm(q, 4.0, thin, tol_abs=1e-13, tol_rel=1e-11), rel=1e-8)
 
 
+def _cell_values(cfg, li, di, ps) -> dict:
+    """Per-trial values of sweeps._lp_cell for each p of ps, as arrays."""
+    stats = {p: sweeps._LP_STATS[p] for p in ps}
+    rows = sweeps._lp_cell(cfg, li, di, stats)
+    return {p: np.array([r.value for r in rows if r.statistic == name])
+            for p, (name, _) in stats.items()}
+
+
 def _full_grid_density_max(Gt, ns, c, s_nodes, n_theta):
-    """Reference for sweeps._density_max: transform every (trial, s) row."""
+    """Reference for the sweeps' p = inf column: transform every (trial,
+    s) row."""
     X = c.half_length
     pref = 2.0 * (2.0 * math.pi / c.ell) ** 2 \
         * cos_profile_vec(c, s_nodes) ** 2
@@ -208,7 +217,7 @@ def test_pruned_density_max_matches_full_grid_bitwise(n_max, transfer_calls):
             Gt = sweeps._normalized_draws(cfg, c, li, di, ns)
             s_nodes = sweeps._sup_nodes(win.x_delta)
             want = _full_grid_density_max(Gt, ns, c, s_nodes, n_theta)
-            got = sweeps._density_max(Gt, ns, c, s_nodes)
+            got = _cell_values(cfg, li, di, (math.inf,))[math.inf]
             assert got.tobytes() == want.tobytes(), (ell, delta)
             checked += 1
     assert checked == 9
@@ -280,7 +289,8 @@ def test_pruned_density_max_matches_full_grid_at_subnormal_scale(
         * 10.0 ** seed.uniform(-320.0, -300.0, (4, 1))
     s_nodes = sweeps._sup_nodes(win.x_delta)
     want = _full_grid_density_max(Gt, ns, c, s_nodes, 256)
-    got = sweeps._density_max(Gt, ns, c, s_nodes)
+    got = DensityRows(Gt, ns, -np.abs(ns) * c.half_length, s_nodes,
+                      density_weight(c, s_nodes)).row_max().max(axis=1)
     assert got.tobytes() == want.tobytes()
 
 
@@ -309,7 +319,7 @@ def test_decay_round_transforms_one_row_per_trial(monkeypatch):
 
 
 def _gl_tile(c, x_delta, n_max):
-    """The Gauss-Legendre s-nodes and weights of sweeps._cell_lp, and
+    """The Gauss-Legendre s-nodes and weights of sweeps._lp_cell, and
     rho^2 at the nodes."""
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(8)
     s_nodes, w_nodes = [], []
@@ -324,7 +334,7 @@ def _gl_tile(c, x_delta, n_max):
 
 
 def _full_tile_lp(Gt, ns, c, x_delta, n_theta, finite):
-    """Reference for the finite-p path of sweeps._cell_lp: transform every
+    """Reference for the finite-p path of sweeps._lp_cell: transform every
     (trial, s) row of the Gauss-Legendre tile, 48 s-nodes at a time, and
     sum dens ** p rho^2, which is 2|phi| for p = 1."""
     s_nodes, w_nodes, rho_sq = _gl_tile(c, x_delta, int(np.abs(ns).max()))
@@ -382,7 +392,7 @@ def test_lp_tile_matches_full_tile_bitwise(n_max, monkeypatch):
         Gt = sweeps._normalized_draws(cfg, c, li, di, ns)
         want, bound = _full_tile_lp(Gt, ns, c, win.x_delta, n_theta,
                                     (1.0, 4.0))
-        got = sweeps._cell_lp(cfg, c, li, di, win.x_delta, ns, (1.0, 4.0))
+        got = _cell_values(cfg, li, di, (1.0, 4.0))
         assert got[1.0].tobytes() == want[1.0].tobytes(), (ell, delta)
         # atol 0: an exact zero stays an exact zero
         np.testing.assert_allclose(got[4.0], want[4.0], rtol=1e-11,
@@ -458,7 +468,7 @@ def test_lp_tile_panels_hold_a_refined_reference(ell, delta, n_max):
     c = CollarParams(ell)
     ns = interleaved_modes(n_max)
     x_delta = thin_boundary(c, delta).x_delta
-    got = sweeps._cell_lp(cfg, c, 0, 0, x_delta, ns, (1.0, 4.0))
+    got = _cell_values(cfg, 0, 0, (1.0, 4.0))
     ref = sweeps._density_lp(sweeps._normalized_draws(cfg, c, 0, 0, ns), ns,
                              c, *_refined_tile(x_delta))
     tol = next(t for t in _TILE_ERROR if delta <= t[0])
@@ -505,7 +515,7 @@ def test_lp_p4_matches_40_digit_theta_grid_sum(ell, delta):
     Gt = sweeps._normalized_draws(cfg, c, 0, 0, ns)
     s_nodes, w_nodes, _ = _gl_tile(c, x_delta, cfg.n_max)
     pref = density_weight(c, s_nodes)
-    got = sweeps._cell_lp(cfg, c, 0, 0, x_delta, ns, (4.0,))[4.0]
+    got = _cell_values(cfg, 0, 0, (4.0,))[4.0]
     mutant = _p4_unanchored(Gt, ns, c, s_nodes, w_nodes, pref)
     with mpmath.workdps(40):
         X = mp.mpf(c.half_length)
@@ -726,6 +736,33 @@ def test_principal_mass_frozen_values():
 def test_principal_mass_empty_cells():
     rep = principal_mass_sweep((0.9,), (0.3,))
     assert all(r.status == STATUS_EMPTY and r.value == 0.0 for r in rep.rows)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_principal_mass_past_its_overflow():
+    # below ell ~ 4e-102 the thin mass 32 pi^3 t / ell^2 overflows; its
+    # ell^3 scale, thin/full ratio and |b0| sqrt(thin) do not.  Rows that
+    # that are finite keep the closed form's bits
+    rep = principal_mass_sweep((1e-150, 1e-120, 1e-90), (0.3,))
+    for r in rep.values("principal_thin_mass"):
+        assert r.status == STATUS_OK
+        assert r.value == pytest.approx(PRINCIPAL_MASS_CONSTANT, rel=2e-15)
+    for r in rep.values("principal_mass_fraction"):
+        assert r.status == STATUS_OK and 0.0 < r.value <= 1.0
+    grid = (1e-150, 1e-120, 1e-90, 1e-4)
+    rep = bij_normalization_check(grid, [e ** 2 for e in grid])
+    rows = rep.values("b0_thin_norm")
+    assert all(r.status == STATUS_OK for r in rows)
+    # the norm over its normalized column at 1e-90 holds at 1e-150
+    ratio = rows[2].value / rows[2].normalized
+    for r in rows[:2]:
+        assert r.value / r.normalized == pytest.approx(ratio, rel=1e-15)
+    c = CollarParams(1e-90)
+    xd = thin_boundary(c, 0.4).x_delta
+    assert rows[2].value == 1e-180 * math.sqrt(
+        mode_l2_norm_sq(c, 0, SubCollar(-xd, xd)))
+    verdict = rep.single("b0_vanishing")
+    assert verdict.status == STATUS_OK and verdict.normalized == 1.0
 
 
 def _bij_grid(n=8):
