@@ -15,6 +15,7 @@ representable exponents.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,9 +35,15 @@ PRINCIPAL_MASS_CONSTANT = 32.0 * math.pi ** 5
 DEFAULT_ELL_GRID = tuple(float(x) for x in np.logspace(-4.0, 0.0, 25))
 DEFAULT_DELTA_GRID = tuple(float(x) for x in np.linspace(0.05, 0.8, 16))
 
-# geometric panel cuts, as fractions of the covered depth from the thin edge
-_PANEL_FRACTIONS = (0.0, 1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.15, 0.35, 0.65, 1.0)
 _EDGE_DEPTH = 40.0   # e^{-40}: deeper contributions are below double noise
+# ln 2^53: a mode whose amplitude at the thin edge is below the first
+# mode's by this many e-folds is below its last bit there
+_MODE_DEPTH = 37.0
+# Gauss points per thin edge before the modes' share: p = 4's pref^3 is
+# smooth in the depth d = -ln t (about 8 (u + d)^6) but not in t, so a
+# rule exact for polynomials in t leaves an error that falls only like a
+# power of the point count
+_EDGE_NODES = 24
 _LP_CHUNK = 48       # s-nodes per partial sum, rows per gemv in _row_dots
 # the L^1 tile skips rows whose terms add at most 2^-80 of a trial's sum:
 # 2^-27 of its last bit, so the sum moves only across a rounding midpoint
@@ -387,28 +394,73 @@ _LP_STATS = {1.0: ("lp_ratio_p1", "max_normalized_p1"),
              math.inf: ("lp_ratio_pinf", "max_normalized_pinf")}
 
 
-def _thin_panels(x_delta: float, n_max: int):
-    """(s1, s2) panels covering [-x_delta, x_delta] exactly, geometric
-    toward both edges.
+@functools.lru_cache(maxsize=256)
+def _edge_rule(cap: float, n_eff: int) -> tuple:
+    """(d, w): depths in (0, cap), ascending, and weights of the m-point
+    Gauss rule of the measure dd in tau = 1 - e^{-d}, m = _EDGE_NODES +
+    ceil(sqrt(8 n_eff)); read-only, as calls share them.
 
-    A cut of _PANEL_FRACTIONS is kept only where its depth below the thin
-    edge is at least 1/(4 n_max), the e-fold length of the fastest term
-    either finite-p integrand has (p = 4's e^{2|k|(s - X)}, |k| <= 2
-    n_max): a thinner panel adds nodes where no term changes by a factor e.
+    Each mode's e^{-nd} is a polynomial of degree n in tau, so the rule is
+    exact for n < 2m, constants included: the weights sum to cap.  A
+    faster mode sits within 1/n of d = 0, where the nodes cluster, and the
+    sqrt(8 n_eff) term keeps every n <= n_eff to ~1e-14 plus the ~n eps
+    that the nodes' rounding brings (e^{n(x - 1)/2} on [-1, 1] has
+    Chebyshev coefficients 2 e^{-n/2} I_k(n/2), below 1e-14 of the first
+    from k ~ sqrt(32 n)).  The recurrence comes from the Stieltjes
+    procedure on the measure discretized by 24-point Gauss-Legendre
+    panels, each in its own tau: ceil(m/4) even in tau from d = 0, then
+    one depth unit each down to cap; the nodes and weights from its
+    Jacobi matrix's eigenvectors (Golub-Welsch).  tau, not t = e^{-d},
+    keeps the shallow nodes' relative accuracy as cap -> 0.
     """
-    cap = min(x_delta, _EDGE_DEPTH)
-    kept = [f for f in _PANEL_FRACTIONS[1:] if f * cap >= 1.0 / (4 * n_max)]
-    if not kept:   # the whole window is thinner than one e-fold
-        return [(-x_delta, x_delta)]
-    cuts = x_delta - cap * np.array([*kept[::-1], 0.0])
-    right = list(zip(cuts[:-1], cuts[1:]))
-    left = [(-s2, -s1) for s1, s2 in right[::-1]]
-    inner = x_delta - cap
-    bridge = []
-    if inner > 0.0:
-        edges = np.linspace(-inner, inner, 9)
-        bridge = list(zip(edges[:-1], edges[1:]))
-    return left + bridge + right
+    m = _EDGE_NODES + math.ceil(math.sqrt(8 * n_eff))
+    even, b = math.ceil(m / 4), -math.expm1(-cap)
+    cuts = -np.log1p(-b * np.arange(even) / even)
+    cuts = np.concatenate([cuts, np.arange(cuts[-1] + 1.0, cap), [cap]])
+    x, gw = np.polynomial.legendre.leggauss(24)
+    half = -0.5 * np.expm1(-np.diff(cuts))[:, None]   # each panel's tau / 2
+    local = half * (x + 1.0)
+    tau = -np.expm1(-(cuts[:-1, None] - np.log1p(-local)).ravel())
+    mu = (half * gw / (1.0 - local)).ravel()
+    # p: the orthonormal polynomials' values at the panel nodes
+    alpha, beta = np.zeros(m), np.zeros(m)
+    p, p_prev = np.full(tau.size, 1.0 / math.sqrt(cap)), np.zeros(tau.size)
+    for k in range(m):
+        alpha[k] = mu @ (tau * p * p)
+        if k + 1 < m:
+            q = (tau - alpha[k]) * p - beta[k] * p_prev
+            beta[k + 1] = math.sqrt(mu @ (q * q))
+            p_prev, p = p, q / beta[k + 1]
+    nodes, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta[1:], 1)
+                                 + np.diag(beta[1:], -1))
+    d, w = -np.log1p(-nodes), cap * vecs[0] ** 2
+    d.flags.writeable = w.flags.writeable = False
+    return d, w
+
+
+def _tile_nodes(x_delta: float, u_delta: float, n_max: int) -> tuple:
+    """(s, w): the finite-p tile's s-nodes on (-x_delta, x_delta),
+    ascending and mirror-symmetric bit for bit, and their weights.
+
+    Each thin edge takes _edge_rule over the depths [0, cap] below it,
+    cap = min(x_delta / 2, 40), for the n_eff = min(n_max,
+    ceil(37 / u_delta)) modes that reach within 2^-53 of the first there:
+    mode n's amplitude at the edge is e^{-n u_delta}, u_delta = X -
+    x_delta, and it fades into the collar as e^{-nd} = t^n.  The middle,
+    (-x_delta + cap, x_delta - cap), where both edges' modes meet, takes
+    8 even 8-point Gauss-Legendre panels.
+    """
+    n_eff = (n_max if n_max * u_delta <= _MODE_DEPTH
+             else math.ceil(_MODE_DEPTH / u_delta))
+    cap = min(0.5 * x_delta, _EDGE_DEPTH)
+    d, w_edge = _edge_rule(cap, n_eff)
+    cuts = (x_delta - cap) * np.arange(5) / 4.0
+    x, gw = np.polynomial.legendre.leggauss(8)
+    mid, hw = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * np.diff(cuts)
+    s = np.concatenate([(mid[:, None] + hw[:, None] * x).ravel(),
+                        x_delta - d[::-1]])
+    w = np.concatenate([(hw[:, None] * gw).ravel(), w_edge[::-1]])
+    return np.concatenate([-s[::-1], s]), np.concatenate([w[::-1], w])
 
 
 def _row_dots(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -496,8 +548,8 @@ def _lp_cell(cfg: SweepConfig, li: int, di: int, stats: dict) -> list:
     exact sup over the _sup_nodes x theta grid, from the pruned pass of
     DensityRows.row_max (the law factor e^{-|n|X} enters as the
     log-scale); p = 2 is the anchored closed form; p = 1 and 4 come
-    together from _density_lp on the Gauss-Legendre panels of
-    _thin_panels (p = 4 by Parseval in theta).
+    together from _density_lp on the s-nodes of _tile_nodes (p = 4 by
+    Parseval in theta).
     """
     ell, delta = cfg.ell_grid[li], cfg.delta_grid[di]
     c = CollarParams(ell)
@@ -517,11 +569,8 @@ def _lp_cell(cfg: SweepConfig, li: int, di: int, stats: dict) -> list:
         t2 = _window_weights(c, ns, [(-xd, xd)])
         per_p[2.0] = np.sqrt(_row_dots(np.abs(Gt) ** 2, t2))
     if 1.0 in stats or 4.0 in stats:
-        s1, s2 = np.array(_thin_panels(xd, cfg.n_max)).T[:, :, None]
-        gl_nodes, gl_weights = np.polynomial.legendre.leggauss(8)
-        mid, hw = 0.5 * (s1 + s2), 0.5 * (s2 - s1)
-        per_p.update(_density_lp(Gt, ns, c, (mid + hw * gl_nodes).ravel(),
-                                 (hw * gl_weights).ravel()))
+        per_p.update(_density_lp(Gt, ns, c, *_tile_nodes(
+            xd, c.half_length - xd, cfg.n_max)))
     env = exp_scale(delta * delta, math.pi / delta)   # delta^2 e^{pi/delta}
     log_env = math.pi / delta + 2.0 * math.log(delta)
 
