@@ -276,6 +276,30 @@ def lp_norm(q: LaurentQD, p: float, win: SubCollar | None = None, *,
 
 
 _ROW_BATCH = 128     # (t, s) rows per FFT call in DensityRows.batches
+_EDGE_DEPTH = 40.0   # e^{-40}: deeper contributions are below double noise
+# depths of the thin-sup s-nodes below each thin edge, as fractions of the cap
+_SUP_LADDER = np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 96)])
+
+
+def _sup_nodes(x_delta: float, ns: np.ndarray) -> np.ndarray:
+    """The s-nodes of every thin sup: a ladder to depth min(x_delta, 40)
+    below each thin edge, where every nonzero mode peaks, and an even
+    bridge across, of 257 points with an exact s = 0 where the modes hold
+    n = 0 (b_0 pref(s) peaks on the core) and of 19 points otherwise."""
+    cap = min(x_delta, _EDGE_DEPTH)
+    right = x_delta - cap * _SUP_LADDER
+    bridge = np.linspace(-x_delta, x_delta, 257 if 0 in ns else 19)[1:-1]
+    return _sorted_unique(np.concatenate([right, -right, bridge]))
+
+
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """np.unique of a float array without NaNs, bit for bit, without the
+    numpy.ma import that np.unique does on its first call."""
+    x = np.sort(x)
+    keep = np.empty(x.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 class DensityRows:
@@ -287,9 +311,10 @@ class DensityRows:
     rows are transformed on demand, any subset at a time.  ``bound``, the
     triangle bound pref(s) * sum_n |coef[t, n]| amp[s, n], is at least the
     row's largest density; ``triangle`` is the sum before pref.
-    ``row_max`` is the one pruned pass over the rows: every thin sup
-    (linf_thin's value and location, the sweeps' p = inf column) is read
-    off its matrix.
+    ``thin`` builds the rows of every thin sup (linf_thin's value and
+    location, the sweeps' p = inf column) on the one s-node rule, and
+    ``row_max`` is the one pruned pass over rows: each sup is read off its
+    matrix.
 
     A transformed row s of trial t, with computed grid max M_s of |phi|,
     also bounds every other row s' of t (the transfer bound).  For any
@@ -331,7 +356,7 @@ class DensityRows:
 
     def __init__(self, coef: np.ndarray, ns: np.ndarray, log_scale: np.ndarray,
                  s_nodes: np.ndarray, pref: np.ndarray):
-        self.pref = pref
+        self.s_nodes, self.pref = s_nodes, pref
         self.n_theta = n_theta = max(256, 8 * int(np.abs(ns).max()))
         amp = np.exp(s_nodes[:, None] * ns[None, :] + log_scale[None, :])
         abs_coef = np.abs(coef)
@@ -351,6 +376,14 @@ class DensityRows:
                            + n_theta * (ns.size + n_theta)) * 2.0 ** -1070
         self.kappa = 4.0 * np.finfo(float).eps \
             * (ns.size + 8.0 * math.log2(n_theta) + 8.0)
+
+    @classmethod
+    def thin(cls, c: CollarParams, x_delta: float, coef: np.ndarray,
+             ns: np.ndarray, log_scale: np.ndarray) -> "DensityRows":
+        """The rows of a thin sup over (-x_delta, x_delta): on the
+        _sup_nodes of the modes, weighted by density_weight."""
+        s_nodes = _sup_nodes(x_delta, ns)
+        return cls(coef, ns, log_scale, s_nodes, density_weight(c, s_nodes))
 
     def abs_phi(self, t: np.ndarray, s: np.ndarray,
                 spec: np.ndarray | None = None) -> np.ndarray:
@@ -482,13 +515,11 @@ def linf_thin(q: LaurentQD, delta: float) -> ThinSup:
     xd = tw.x_delta
     center = density_weight(c, 0.0)
 
-    grid = _sup_grid(xd, 257)
     modes = sorted(q.coeffs)
     # |b_n| e^{n s} as e^{n s + log|b_n|}; sane inputs keep every exponent <= 0
     logb = np.array([math.log(abs(q.coeffs[n])) for n in modes])
     phase = np.array([q.coeffs[n] / abs(q.coeffs[n]) for n in modes])
-    rows = DensityRows(phase[None, :], np.array(modes), logb, grid,
-                       density_weight(c, grid))
+    rows = DensityRows.thin(c, xd, phase[None, :], np.array(modes), logb)
     row_max = rows.row_max()[0]
     # the first row holding the sup (a NaN sup: the first NaN row), then
     # the first theta in it, as a row-major argmax of the full grid finds
@@ -504,26 +535,8 @@ def linf_thin(q: LaurentQD, delta: float) -> ThinSup:
     env = sum(abs(b) * center if n == 0
               else exp_scale(abs(b) * edge, abs(n) * xd)
               for n, b in q.coeffs.items())
-    return ThinSup(sup, env, float(grid[i]), 2.0 * math.pi * j / rows.n_theta)
-
-
-def _sup_grid(xd: float, n_s: int) -> np.ndarray:
-    pts = list(np.linspace(-xd, xd, n_s))
-    u = 0.125
-    while u < xd:
-        pts.extend((xd - u, u - xd))
-        u *= 2.0
-    return _sorted_unique(np.asarray(pts))
-
-
-def _sorted_unique(x: np.ndarray) -> np.ndarray:
-    """np.unique of a float array without NaNs, bit for bit, without the
-    numpy.ma import that np.unique does on its first call."""
-    x = np.sort(x)
-    keep = np.empty(x.shape, dtype=bool)
-    keep[:1] = True
-    np.not_equal(x[1:], x[:-1], out=keep[1:])
-    return x[keep]
+    return ThinSup(sup, env, float(rows.s_nodes[i]),
+                   2.0 * math.pi * j / rows.n_theta)
 
 
 def coefficient_bound_check(q: LaurentQD) -> CoefficientBoundReport:

@@ -24,8 +24,8 @@ import numpy as np
 from .collar import (CollarParams, DEFAULT_DELTA0, DELTA_MAX, ELL_MAX,
                      thin_boundary, validate_delta0)
 from .errors import MODE_MAX, ValidationError, is_int
-from .laurent import (DensityRows, _norm_const, _sorted_unique,
-                      _thick_windows, density_weight, mode_weights)
+from .laurent import (_EDGE_DEPTH, DensityRows, _norm_const, _thick_windows,
+                      density_weight, mode_weights)
 from .numerics import exp_scale
 from .report import Report, ReportRow, STATUS_EMPTY, STATUS_OK
 
@@ -35,7 +35,6 @@ PRINCIPAL_MASS_CONSTANT = 32.0 * math.pi ** 5
 DEFAULT_ELL_GRID = tuple(float(x) for x in np.logspace(-4.0, 0.0, 25))
 DEFAULT_DELTA_GRID = tuple(float(x) for x in np.linspace(0.05, 0.8, 16))
 
-_EDGE_DEPTH = 40.0   # e^{-40}: deeper contributions are below double noise
 # ln 2^53: a mode whose amplitude at the thin edge is below the first
 # mode's by this many e-folds is below its last bit there
 _MODE_DEPTH = 37.0
@@ -48,8 +47,6 @@ _LP_CHUNK = 48       # s-nodes per partial sum, rows per gemv in _row_dots
 # the L^1 tile skips rows whose terms add at most 2^-80 of a trial's sum:
 # 2^-27 of its last bit, so the sum moves only across a rounding midpoint
 _LP_PRUNE = 2.0 ** -80
-# depths of the thin-sup s-nodes below each thin edge, as fractions of the cap
-_SUP_LADDER = np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 96)])
 
 
 def _python_int(x) -> bool:
@@ -235,16 +232,6 @@ def _normalized_draws(cfg: SweepConfig, c: CollarParams, li: int, di: int,
     norms = np.sqrt(_row_dots(np.abs(G) ** 2, t))
     return np.divide(G, norms[:, None], where=norms[:, None] > 0.0,
                      out=np.full(G.shape, math.nan, dtype=complex))
-
-
-def _sup_nodes(x_delta: float) -> np.ndarray:
-    """s-grid for thin sups: clustered at both thin-boundary edges (every
-    single mode peaks exactly there) with a sparse bridge across."""
-    cap = min(x_delta, _EDGE_DEPTH)
-    u = cap * _SUP_LADDER
-    right = x_delta - u
-    bridge = np.linspace(-x_delta, x_delta, 19)[1:-1]
-    return _sorted_unique(np.concatenate([right, -right, bridge]))
 
 
 # --- decay of zero-principal differentials into the thin part ------------------
@@ -545,8 +532,8 @@ def _lp_cell(cfg: SweepConfig, li: int, di: int, stats: dict) -> list:
     """The trial rows of cell (li, di) for each p of ``stats``.
 
     The collar, thin window and draws are built once.  p = inf is the
-    exact sup over the _sup_nodes x theta grid, from the pruned pass of
-    DensityRows.row_max (the law factor e^{-|n|X} enters as the
+    exact sup over the thin-sup nodes x theta grid, from the pruned pass
+    of DensityRows.row_max (the law factor e^{-|n|X} enters as the
     log-scale); p = 2 is the anchored closed form; p = 1 and 4 come
     together from _density_lp on the s-nodes of _tile_nodes (p = 4 by
     Parseval in theta).
@@ -561,10 +548,8 @@ def _lp_cell(cfg: SweepConfig, li: int, di: int, stats: dict) -> list:
     Gt = _normalized_draws(cfg, c, li, di, ns)
     per_p = {}
     if math.inf in stats:
-        s_nodes = _sup_nodes(xd)
-        per_p[math.inf] = DensityRows(
-            Gt, ns, -np.abs(ns) * c.half_length, s_nodes,
-            density_weight(c, s_nodes)).row_max().max(axis=1)
+        per_p[math.inf] = DensityRows.thin(
+            c, xd, Gt, ns, -np.abs(ns) * c.half_length).row_max().max(axis=1)
     if 2.0 in stats:
         t2 = _window_weights(c, ns, [(-xd, xd)])
         per_p[2.0] = np.sqrt(_row_dots(np.abs(Gt) ** 2, t2))

@@ -7,13 +7,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from collardiff.collar import (DEFAULT_DELTA0, CollarParams, cos_profile_vec,
                                thin_boundary)
 from collardiff.errors import DomainError, ValidationError
 from collardiff.laurent import (_ROW_BATCH, DensityRows, LaurentQD,
-                                SubCollar, ThinSup, _sorted_unique, _sup_grid,
+                                SubCollar, ThinSup, _sorted_unique, _sup_nodes,
                                 coefficient_bound_check,
                                 coeffs_from_json, coeffs_to_json, eval_density,
                                 full_window, l2_inner, l2_norm, linf_thin,
@@ -203,31 +203,110 @@ def test_linf_grid_refinement_stable(rng):
     c = random_collar(rng, lo=0.1, hi=0.5)
     q = random_qd(rng, c, n_max=6)
     coarse = linf_thin(q, 0.35).sup
-    fine = _full_grid_linf_thin(q, 0.35, n_s=4097).sup
+    # the rule's nodes and 4097 even points: finer than the rule everywhere
+    fine = _full_grid_linf_thin(q, 0.35, n_even=4097).sup
     assert coarse <= fine * (1.0 + 1e-12)
     assert fine <= coarse * 1.005
 
 
-def _full_grid_linf_thin(q, delta, n_s=257):
+def _even_grid_sup(q, delta, n_s=32769):
+    """The density's max over n_s even s-points of the thin part and the
+    engine's theta grid, summed mode by mode: no thin-sup node rule."""
+    c = q.collar
+    xd = thin_boundary(c, delta).x_delta
+    n_theta = max(256, 8 * q.n_max)
+    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    s = np.linspace(-xd, xd, n_s)
+    best = -math.inf
+    for lo in range(0, n_s, 2048):
+        sl = s[lo:lo + 2048]
+        phi = sum(b * np.exp(n * sl)[:, None] * np.exp(1j * n * theta)[None, :]
+                  for n, b in q.coeffs.items())
+        weight = 2.0 * (2.0 * math.pi / c.ell) ** 2 \
+            * cos_profile_vec(c, sl) ** 2
+        best = max(best, float((np.abs(phi) * weight[:, None]).max()))
+    return best
+
+
+# (ell, delta, a, phase) of b_0 = 1, b_1 = a e^{-X_delta} e^{i phase},
+# b_-1 = a e^{-X_delta}: the core's peak of b_0 pref(s) meets the first
+# modes' rise toward the edges, and the sup sits between them
+_INTERIOR_PANEL = [(1.2, 0.8, 0.5, 3.0), (1.0, 0.7, 1.0, 3.0),
+                   (1.2, 0.85, 1.0, 3.0), (1.2, 0.85, 0.5, 3.0),
+                   (1.0, 0.6, 0.25, 3.0), (1.2, 0.8, 0.25, 3.0),
+                   (1.0, 0.8, 1.0, 3.0), (1.5, 0.8, 0.25, 1.5),
+                   (1.0, 0.85, 1.0, 1.5)]
+
+
+@pytest.mark.parametrize("ell, delta, a, phase", _INTERIOR_PANEL)
+def test_linf_thin_finds_interior_maxima(ell, delta, a, phase):
+    # away from the edge ladders only the bridge samples s: with a
+    # principal part it has 257 points, within 5e-5 of a 32,769-point even
+    # grid here, where a 19-point bridge reads up to 9.5e-4 low
+    c = CollarParams(ell)
+    xd = thin_boundary(c, delta).x_delta
+    edge = a * math.exp(-xd)
+    q = LaurentQD(c, {0: 1.0, 1: edge * cmath.exp(1j * phase), -1: edge})
+    got = linf_thin(q, delta)
+    assert abs(got.s_at) < 0.5 * xd
+    assert got.sup == pytest.approx(_even_grid_sup(q, delta), rel=5e-5)
+
+
+@given(x_delta=st.floats(1e-9, 1e6), principal=st.booleans())
+@example(x_delta=40.0, principal=True)
+@example(x_delta=80.0, principal=False)
+@example(x_delta=1e6, principal=True)
+@example(x_delta=1e-9, principal=False)
+def test_sup_nodes_are_one_rule_for_every_thin_sup(x_delta, principal):
+    ns = np.array([-2, 0, 3]) if principal else np.array([1, -1, 2, -2])
+    n_bridge = 257 if principal else 19
+    s = _sup_nodes(x_delta, ns)
+    # ascending and unique, in the thin window, both edges present
+    assert np.all(np.diff(s) > 0.0)
+    assert s[0] == -x_delta and s[-1] == x_delta
+    # mirror-symmetric in value: each node's mirror image lies within the
+    # even bridge's rounding of a node (the edge ladders mirror bit for bit)
+    miss = np.abs(np.subtract.outer(-s, s)).min(axis=1)
+    assert miss.max() <= 8.0 * np.finfo(float).eps * x_delta
+    # a ladder below each edge to depth cap = min(x_delta, 40): its
+    # deepest rung, a first rung 1e-10 cap deep, 97 rungs in all
+    cap = min(x_delta, 40.0)
+    for side in (s[s >= 0.0], -s[s <= 0.0]):
+        d = np.sort(x_delta - side)
+        assert x_delta - cap in side
+        assert 0.0 < d[1] <= 1e-10 * cap + 2.0 * np.spacing(x_delta)
+        assert np.count_nonzero(d <= cap) >= 97
+    # the even bridge bounds every gap, and holds s = 0 where n = 0 is
+    assert np.diff(s).max() <= 2.0 * x_delta / (n_bridge - 1) * (1.0 + 1e-9)
+    assert not principal or 0.0 in s
+
+
+def _full_grid_linf_thin(q, delta, n_even=0):
     """Reference for laurent.linf_thin: the density on every (s, theta)
-    point of the grid, then the global argmax."""
+    point of the thin-sup nodes (with n_even even points added), then the
+    global argmax."""
     tw = thin_boundary(q.collar, delta)
     if tw.empty or q.is_zero:
         return ThinSup(0.0, 0.0)
     n_theta = max(256, 8 * q.n_max)
     c = q.collar
     xd = tw.x_delta
-    grid = _sup_grid(xd, n_s)
     ns = np.array(sorted(q.coeffs), dtype=float)
+    grid = _sorted_unique(np.concatenate([_sup_nodes(xd, ns),
+                                          np.linspace(-xd, xd, n_even)]))
     logb = np.array([math.log(abs(q.coeffs[int(n)])) for n in ns])
     phase = np.array([q.coeffs[int(n)] / abs(q.coeffs[int(n)]) for n in ns])
-    amp = np.exp(logb[None, :] + ns[None, :] * grid[:, None])
-    spec = np.zeros((grid.size, n_theta), dtype=complex)
-    for j, col in enumerate(ns.astype(int) % n_theta):
-        spec[:, col] += amp[:, j] * phase[j]
-    phi = np.fft.ifft(spec, axis=1, norm="forward")
-    weight = 2.0 * (2.0 * math.pi / c.ell) ** 2 * cos_profile_vec(c, grid) ** 2
-    dens = np.abs(phi) * weight[:, None]
+    # exp(log|b| + n s) may overflow at the thin edge, as it does in the
+    # engine: the reference's own inf and NaN are expected, not reported
+    with np.errstate(over="ignore", invalid="ignore"):
+        amp = np.exp(logb[None, :] + ns[None, :] * grid[:, None])
+        spec = np.zeros((grid.size, n_theta), dtype=complex)
+        for j, col in enumerate(ns.astype(int) % n_theta):
+            spec[:, col] += amp[:, j] * phase[j]
+        phi = np.fft.ifft(spec, axis=1, norm="forward")
+        weight = 2.0 * (2.0 * math.pi / c.ell) ** 2 \
+            * cos_profile_vec(c, grid) ** 2
+        dens = np.abs(phi) * weight[:, None]
     i, j = divmod(int(np.argmax(dens)), n_theta)
     r = math.sinh(0.5 * c.ell) / math.sinh(delta)
     edge = 2.0 * (2.0 * math.pi / c.ell) ** 2 * r * r

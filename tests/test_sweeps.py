@@ -11,8 +11,9 @@ from collardiff.collar import (CollarParams, cos_profile_vec, thin_area,
                                thin_boundary)
 from collardiff.errors import MODE_MAX, DomainError, ValidationError
 from collardiff.laurent import (DensityRows, LaurentQD, SubCollar,
-                                _norm_const, _thick_windows, density_weight,
-                                l2_norm, lp_norm, mode_l2_norm_sq)
+                                _norm_const, _sup_nodes, _thick_windows,
+                                density_weight, l2_norm, linf_thin, lp_norm,
+                                mode_l2_norm_sq)
 from collardiff.numerics import exp_cos2_window, exp_scale
 from collardiff.report import STATUS_EMPTY, STATUS_FAILED, STATUS_OK
 from collardiff.sweeps import (PRINCIPAL_MASS_CONSTANT, SweepConfig,
@@ -199,6 +200,31 @@ def _full_grid_density_max(Gt, ns, c, s_nodes, n_theta):
     return out
 
 
+def test_lp_pinf_is_linf_thin_of_the_trial():
+    # the two callers of the one thin-sup row builder: a trial's
+    # lp_ratio_pinf is linf_thin of its differential b_n = g_n e^{-|n|X}
+    # (ell >= 0.3 and n_max <= 4 keep every b_n representable); linf_thin
+    # forms |b_n| e^{ns} as e^{ns + log|b_n|}, so only rounding separates them
+    cfg = SweepConfig(ell_grid=(0.3, 0.7, 1.2), delta_grid=(0.3, 0.6, 0.79),
+                      n_max=4, trials=8, seed=3)
+    ns = interleaved_modes(cfg.n_max)
+    checked = 0
+    for li, ell in enumerate(cfg.ell_grid):
+        c = CollarParams(ell)
+        for di, delta in enumerate(cfg.delta_grid):
+            if thin_boundary(c, delta).empty:
+                continue
+            Gt = sweeps._normalized_draws(cfg, c, li, di, ns)
+            pinf = _cell_values(cfg, li, di, (math.inf,))[math.inf]
+            for g, want in zip(Gt, pinf):
+                q = LaurentQD(c, {int(n): complex(b) * math.exp(
+                    -abs(n) * c.half_length) for n, b in zip(ns, g)})
+                assert linf_thin(q, delta).sup == pytest.approx(
+                    want, rel=1e-12, abs=0.0), (ell, delta)
+                checked += 1
+    assert checked == 48, checked   # 6 nonempty cells
+
+
 @pytest.mark.parametrize("n_max", [1, 13, 48])
 def test_pruned_density_max_matches_full_grid_bitwise(n_max, transfer_calls):
     # n_theta = 256 for n_max 1 and 13, 384 (not a power of two) for 48
@@ -215,7 +241,7 @@ def test_pruned_density_max_matches_full_grid_bitwise(n_max, transfer_calls):
             if win.empty:
                 continue
             Gt = sweeps._normalized_draws(cfg, c, li, di, ns)
-            s_nodes = sweeps._sup_nodes(win.x_delta)
+            s_nodes = _sup_nodes(win.x_delta, ns)
             want = _full_grid_density_max(Gt, ns, c, s_nodes, n_theta)
             got = _cell_values(cfg, li, di, (math.inf,))[math.inf]
             assert got.tobytes() == want.tobytes(), (ell, delta)
@@ -247,7 +273,7 @@ def test_row_max_is_neg_inf_exactly_on_skipped_rows_full_grid(monkeypatch):
         for di, delta in enumerate(cfg.delta_grid):
             win = thin_boundary(c, delta)
             Gt = sweeps._normalized_draws(cfg, c, li, di, ns)
-            s_nodes = sweeps._sup_nodes(win.x_delta)
+            s_nodes = _sup_nodes(win.x_delta, ns)
             pref = 2.0 * (2.0 * math.pi / c.ell) ** 2 \
                 * cos_profile_vec(c, s_nodes) ** 2
             rows = DensityRows(Gt, ns, -np.abs(ns) * c.half_length, s_nodes,
@@ -287,7 +313,7 @@ def test_pruned_density_max_matches_full_grid_at_subnormal_scale(
     Gt = (seed.standard_normal((4, ns.size))
           + 1j * seed.standard_normal((4, ns.size))) \
         * 10.0 ** seed.uniform(-320.0, -300.0, (4, 1))
-    s_nodes = sweeps._sup_nodes(win.x_delta)
+    s_nodes = _sup_nodes(win.x_delta, ns)
     want = _full_grid_density_max(Gt, ns, c, s_nodes, 256)
     got = DensityRows(Gt, ns, -np.abs(ns) * c.half_length, s_nodes,
                       density_weight(c, s_nodes)).row_max().max(axis=1)
