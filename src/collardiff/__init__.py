@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "defaults": ("DEFAULT_DELTA0", "CUSP_DISC_RADIUS"),
     "collar": ("CollarParams", "ThinWindow", "conformal_factor",
-               "thin_boundary", "injectivity_radius", "thin_area",
-               "thin_area_bound", "validate_delta0", "ELL_MAX", "DELTA_MAX"),
+               "thin_boundary", "injectivity_radius", "thin_area_bound",
+               "validate_delta0", "ELL_MAX", "DELTA_MAX"),
     "errors": ("DomainError", "ValidationError", "InvalidMoveError",
                "RankDeficiencyError", "QuadratureError"),
     "laurent": ("LaurentQD", "SubCollar", "ThinSup", "CoefficientBoundReport",

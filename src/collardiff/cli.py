@@ -94,6 +94,10 @@ def parse_grid(spec: str) -> tuple:
             raise ValidationError(f"bad grid spec {spec!r}: {exc}") from exc
         if num < 1:
             raise ValidationError("grid needs at least one point")
+        # finite only if both endpoints are, and numpy takes this difference
+        if not math.isfinite(stop - start):
+            raise ValidationError("grid endpoints and their difference "
+                                  "must be finite")
         if kind == "log":
             if start <= 0 or stop <= 0:
                 raise ValidationError("log grids need positive endpoints")
@@ -141,7 +145,7 @@ def collar_info(opts, ell, deltas):
                               math.pi ** 2 / ell - math.pi / d))
         rows.append(ReportRow(ell, d, "injectivity_at_thin_boundary",
                               cg.injectivity_radius(c, win.x_delta), d))
-        rows.append(ReportRow(ell, d, "thin_area", cg.thin_area(c, d),
+        rows.append(ReportRow(ell, d, "thin_area", win.area,
                               cg.thin_area_bound(c, d)))
     _emit(opts, Report(rows))
 

@@ -68,9 +68,12 @@ class CollarParams:
 
 @dataclass(frozen=True)
 class ThinWindow:
-    """The delta-thin sub-collar (-x_delta, x_delta) x S^1; empty if 0."""
+    """The delta-thin sub-collar (-x_delta, x_delta) x S^1 (empty if 0),
+    its edge ratio r = cos(ell*x_delta/(2*pi)) and hyperbolic area."""
 
     x_delta: float
+    r: float
+    area: float
 
     @property
     def empty(self) -> bool:
@@ -100,17 +103,18 @@ def conformal_factor(c: CollarParams, s: float) -> float:
 
 
 def thin_boundary(c: CollarParams, delta: float) -> ThinWindow:
-    """Coordinate half-width X_delta of the delta-thin sub-collar.
+    """The delta-thin sub-collar, from r = sinh(ell/2)/sinh(delta).
 
-    Zero (empty thin part) when sinh(ell/2) >= sinh(delta); otherwise
-    X_delta = (2*pi/ell) * acos(sinh(ell/2)/sinh(delta)), which places
-    the injectivity radius exactly at delta.
+    Empty when r >= 1; otherwise X_delta = (2*pi/ell) * acos(r), which
+    places the injectivity radius exactly at delta, and the area
+    2*ell*tan(ell*X_delta/(2*pi)) is written as 2*ell*sqrt(1-r^2)/r.
     """
     _check_delta(delta)
     r = math.sinh(0.5 * c.ell) / math.sinh(delta)
     if r >= 1.0:
-        return ThinWindow(0.0)
-    return ThinWindow((2.0 * math.pi / c.ell) * math.acos(r))
+        return ThinWindow(0.0, r, 0.0)
+    return ThinWindow((2.0 * math.pi / c.ell) * math.acos(r), r,
+                      2.0 * c.ell * math.sqrt(1.0 - r * r) / r)
 
 
 def injectivity_radius(c: CollarParams, s: float) -> float:
@@ -121,21 +125,8 @@ def injectivity_radius(c: CollarParams, s: float) -> float:
     return math.asinh(math.sinh(0.5 * c.ell) / cos_profile_vec(c, s))
 
 
-def thin_area(c: CollarParams, delta: float) -> float:
-    """Hyperbolic area of the delta-thin sub-collar.
-
-    Closed form 2*ell*tan(ell*X_delta/(2*pi)), written as
-    2*ell*sqrt(1-r^2)/r with r = sinh(ell/2)/sinh(delta); 0 when empty.
-    """
-    _check_delta(delta)
-    r = math.sinh(0.5 * c.ell) / math.sinh(delta)
-    if r >= 1.0:
-        return 0.0
-    return 2.0 * c.ell * math.sqrt(1.0 - r * r) / r
-
-
 def thin_area_bound(c: CollarParams, delta: float) -> float:
-    """The elementary bound 2*ell*sinh(delta)/sinh(ell/2) >= thin_area."""
+    """The elementary bound 2*ell*sinh(delta)/sinh(ell/2) >= the area."""
     _check_delta(delta)
     return 2.0 * c.ell * math.sinh(delta) / math.sinh(0.5 * c.ell)
 

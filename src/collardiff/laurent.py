@@ -288,7 +288,8 @@ def _sup_nodes(x_delta: float, ns: np.ndarray) -> np.ndarray:
     n = 0 (b_0 pref(s) peaks on the core) and of 19 points otherwise."""
     cap = min(x_delta, _EDGE_DEPTH)
     right = x_delta - cap * _SUP_LADDER
-    bridge = np.linspace(-x_delta, x_delta, 257 if 0 in ns else 19)[1:-1]
+    half = 0.5 * x_delta  # exact; 2 x_delta overflows past DBL_MAX/2
+    bridge = 2.0 * np.linspace(-half, half, 257 if 0 in ns else 19)[1:-1]
     return _sorted_unique(np.concatenate([right, -right, bridge]))
 
 
@@ -530,8 +531,7 @@ def linf_thin(q: LaurentQD, delta: float) -> ThinSup:
 
     # envelope: each mode profile e^{ns} cos^2 is monotone for n != 0
     # (max at the matching endpoint) and peaks at s = 0 for n = 0
-    r = math.sinh(0.5 * c.ell) / math.sinh(delta)
-    edge = center * r * r
+    edge = center * tw.r * tw.r
     env = sum(abs(b) * center if n == 0
               else exp_scale(abs(b) * edge, abs(n) * xd)
               for n, b in q.coeffs.items())

@@ -206,9 +206,9 @@ def moves_from_json(data) -> list[PinchMove]:
         if not isinstance(item, dict) or "component" not in item \
                 or "kind" not in item:
             raise ValidationError(f"move {i} needs component/kind keys")
-        split = item.get("split") if item["kind"] == SEPARATING else None
         try:
-            moves.append(PinchMove(item["component"], item["kind"], split))
+            moves.append(PinchMove(item["component"], item["kind"],
+                                   item.get("split")))
         except ValidationError as exc:
             raise ValidationError(f"move {i}: {exc}") from exc
     return moves

@@ -15,7 +15,7 @@ import pytest
 
 from collardiff.collar import (CollarParams, DELTA_MAX, ELL_MAX,
                                cos_profile_vec, injectivity_radius,
-                               thin_area, thin_boundary)
+                               thin_boundary)
 from collardiff.cli import main as cli_main
 from collardiff.laurent import (LaurentQD, SubCollar, full_window, l2_norm,
                                 lp_norm, mode_inner_quadrature_ratios)
@@ -67,7 +67,7 @@ def test_criterion_1_thin_boundary_identity(announce):
     for ell, delta in pairs[:1000]:
         c = CollarParams(ell)
         win = thin_boundary(c, delta)
-        closed = thin_area(c, delta)
+        closed = win.area
         quad = 2.0 * math.pi * adaptive_quad(
             lambda s: (c.ell / (2.0 * math.pi * cos_profile_vec(c, s))) ** 2,
             -win.x_delta, win.x_delta, tol_abs=1e-12, tol_rel=1e-12)

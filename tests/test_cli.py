@@ -63,9 +63,15 @@ def test_parse_grid_forms():
     log = parse_grid("log:0.01:1:3")
     assert log == pytest.approx((0.01, 0.1, 1.0))
     assert parse_grid("0.3,0.5") == (0.3, 0.5)
-    for bad in ("log:0:1:5", "lin:0:1", "log:1:2:0", "a,b", "lin:x:1:3"):
-        with pytest.raises(ValidationError):
-            parse_grid(bad)
+    # non-finite endpoints, or a difference that overflows, are refused
+    # before numpy sees (and warns on) them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ("log:0:1:5", "lin:0:1", "log:1:2:0", "a,b", "lin:x:1:3",
+                    "log:1e-4:inf:3", "log:inf:inf:1", "lin:0.1:nan:3",
+                    "lin:-1e308:1e308:3"):
+            with pytest.raises(ValidationError):
+                parse_grid(bad)
 
 
 def test_topology_dim_prints_bare_integer(capsys, tmp_path):
@@ -121,6 +127,12 @@ def test_topology_pinch_script(capsys, tmp_path):
     code, out, err = invoke(capsys, "topology", "pinch", "2,0",
                             "--moves", str(moves))
     assert (code, out) == (2, "") and "split entries must be integers" in err
+    # a split on a nonseparating move is refused as PinchMove refuses it
+    moves.write_text(json.dumps([{"component": 0, "kind": "nonseparating",
+                                  "split": [[0, 1], [1, 0]]}]))
+    code, out, err = invoke(capsys, "topology", "pinch", "2,1",
+                            "--moves", str(moves))
+    assert (code, out) == (2, "") and "nonseparating pinch takes no split" in err
 
 
 def test_collar_info(capsys):

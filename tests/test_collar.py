@@ -9,7 +9,6 @@ from hypothesis import assume, given, strategies as st
 from collardiff.collar import (CollarParams, DELTA_MAX, DEFAULT_DELTA0,
                                ELL_MAX, conformal_factor, cos_profile_vec,
                                disc_metric_density, injectivity_radius,
-                               thin_area,
                                thin_area_bound, thin_boundary,
                                validate_delta0)
 from collardiff.errors import DomainError
@@ -42,7 +41,7 @@ def test_thin_boundary_frozen(ell, delta):
     xd, area = FROZEN_THIN[(ell, delta)]
     win = thin_boundary(CollarParams(ell), delta)
     assert win.x_delta == pytest.approx(xd, rel=1e-13)
-    assert thin_area(CollarParams(ell), delta) == pytest.approx(area, rel=1e-13)
+    assert win.area == pytest.approx(area, rel=1e-13)
 
 
 @given(ells, st.floats(-1.0, 1.0))
@@ -86,7 +85,7 @@ def test_thin_area_closed_vs_quadrature(ell, delta):
     c = CollarParams(ell)
     win = thin_boundary(c, delta)
     assume(not win.empty)
-    area = thin_area(c, delta)
+    area = win.area
     ref = 2.0 * math.pi * adaptive_quad(
         lambda s: (c.ell / (2.0 * math.pi * cos_profile_vec(c, s))) ** 2,
         -win.x_delta, win.x_delta, tol_abs=1e-12, tol_rel=1e-12)
@@ -102,7 +101,7 @@ def test_small_ell_asymptotics():
         approx = math.pi ** 2 / ell - math.pi / math.sinh(0.4)
         assert abs(xd - approx) < max(ell, 1e-8)
     # pinched-to-cusp limit of the thin area is 4*sinh(delta)
-    assert thin_area(CollarParams(1e-8), 0.3) == pytest.approx(
+    assert thin_boundary(CollarParams(1e-8), 0.3).area == pytest.approx(
         4.0 * math.sinh(0.3), rel=1e-8)
 
 
@@ -110,7 +109,8 @@ def test_empty_thin_part():
     c = CollarParams(1.0)
     win = thin_boundary(c, 0.3)  # sinh(0.5) > sinh(0.3)
     assert win.empty and win.x_delta == 0.0
-    assert thin_area(c, 0.3) == 0.0
+    assert win.area == 0.0
+    assert win.r == math.sinh(0.5) / math.sinh(0.3)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -127,7 +127,7 @@ def test_thin_part_near_the_empty_threshold():
         delta = math.asinh(math.sinh(0.25) / (1.0 - gap))
         assert thin_boundary(c, delta).x_delta == pytest.approx(
             float(mp_x_delta(0.5, delta)), rel=1e-12)
-        assert thin_area(c, delta) == pytest.approx(
+        assert thin_boundary(c, delta).area == pytest.approx(
             float(mp_thin_area(0.5, delta)), rel=1e-12)
 
 

@@ -4,6 +4,7 @@ coefficient decay constants, JSON round trips."""
 import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -279,6 +280,23 @@ def test_sup_nodes_are_one_rule_for_every_thin_sup(x_delta, principal):
     # the even bridge bounds every gap, and holds s = 0 where n = 0 is
     assert np.diff(s).max() <= 2.0 * x_delta / (n_bridge - 1) * (1.0 + 1e-9)
     assert not principal or 0.0 in s
+
+
+@pytest.mark.parametrize("principal", [True, False])
+@pytest.mark.parametrize("ell", [1e-307, 6e-308])
+def test_sup_nodes_stay_finite_past_half_dbl_max(ell, principal):
+    # X_delta > DBL_MAX/2, where x_delta - (-x_delta) overflows
+    x_delta = thin_boundary(CollarParams(ell), 0.3).x_delta
+    assert x_delta > 0.5 * np.finfo(float).max
+    ns = np.array([-2, 0, 3]) if principal else np.array([1, -1, 2, -2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = _sup_nodes(x_delta, ns)
+    # the ladder is below x_delta's last bit: both edges and the bridge
+    assert np.all(np.isfinite(s)) and np.all(np.diff(s) > 0.0)
+    assert s[0] == -x_delta and s[-1] == x_delta
+    assert s.size == (257 if principal else 19)
+    assert np.all(np.abs(s + s[::-1]) <= 8.0 * np.finfo(float).eps * x_delta)
 
 
 def _full_grid_linf_thin(q, delta, n_even=0):

@@ -13,7 +13,7 @@ import collardiff
 # imported all of its modules eagerly
 _PUBLIC = {
     "collar": """CollarParams ThinWindow conformal_factor thin_boundary
-        injectivity_radius thin_area thin_area_bound validate_delta0
+        injectivity_radius thin_area_bound validate_delta0
         DEFAULT_DELTA0 ELL_MAX DELTA_MAX CUSP_DISC_RADIUS""",
     "errors": """DomainError ValidationError InvalidMoveError
         RankDeficiencyError QuadratureError""",

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from collardiff.collar import (CollarParams, cos_profile_vec, thin_area,
-                               thin_boundary)
+from collardiff.collar import CollarParams, cos_profile_vec, thin_boundary
 from collardiff.errors import MODE_MAX, DomainError, ValidationError
 from collardiff.laurent import (DensityRows, LaurentQD, SubCollar,
                                 _norm_const, _sup_nodes, _thick_windows,
@@ -674,7 +673,7 @@ def test_lp_rows_satisfy_holder():
     by_p = {p: [r for r in lp.values(f"lp_ratio_{p}") if r.status == STATUS_OK]
             for p in ("p1", "p2", "p4", "pinf")}
     for r1, r2, r4, rinf in zip(*by_p.values()):
-        area = thin_area(CollarParams(r1.ell), r1.delta)
+        area = thin_boundary(CollarParams(r1.ell), r1.delta).area
         # the sup row is a grid max (a slight under-estimate), hence slack
         assert r1.value <= area * rinf.value * 1.01
         assert r1.value <= math.sqrt(area) * r2.value * (1 + 1e-9)
@@ -698,7 +697,7 @@ def test_lp_p1_tile_is_ok_where_p2_underflows():
                    "reads 0, ok, where its weights underflow")
 def test_lp_p2_rows_satisfy_cauchy_schwarz():
     rep = lp_vanishing_sweep(_UNDERFLOW_CELL)
-    area = thin_area(CollarParams(1e-4), 0.0045)
+    area = thin_boundary(CollarParams(1e-4), 0.0045).area
     for r1, r2 in zip(rep.values("lp_ratio_p1"), rep.values("lp_ratio_p2")):
         if r2.status == STATUS_OK:
             # ratio_p2^2 >= ratio_p1^2 / A, unsquared: the squares underflow
