@@ -386,9 +386,8 @@ def cusp_classify(opts, germ_file, radius):
 
     g = cu.load_germ(germ_file, radius=radius)
     cl = cu.classify(g)
-    order = 0 if g.is_zero else cu.pole_order(g)
     rows = [
-        ReportRow(None, None, "pole_order", float(order)),
+        ReportRow(None, None, "pole_order", float(cu.pole_order(g))),
         ReportRow(None, None, "integrable", float(cl.integrable)),
         ReportRow(None, None, "bounded", float(cl.bounded)),
         ReportRow(None, None, "simple_pole_or_better",

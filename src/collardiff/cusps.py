@@ -94,9 +94,7 @@ def _l1_integrand(g: PunctureGerm, n_theta: int):
 
 def pole_order(g: PunctureGerm) -> int:
     """-min{k : c_k != 0} when negative modes exist, else 0."""
-    if g.is_zero:
-        raise DomainError("pole order of the zero germ is undefined")
-    lo = min(g.coeffs)
+    lo = min(g.coeffs, default=0)
     return -lo if lo < 0 else 0
 
 
@@ -108,8 +106,6 @@ def l1_norm(g: PunctureGerm) -> float:
     Single modes use the closed form 4 pi |c| R^{k+2} / (k+2); anything
     else goes through polar quadrature.
     """
-    if g.is_zero:
-        return 0.0
     if pole_order(g) >= 2:
         return math.inf
     if len(g.coeffs) == 1:
@@ -122,8 +118,6 @@ def l1_norm_quadrature(g: PunctureGerm) -> float:
     """Polar quadrature of 2|phi| dx dy; the route that never sees the
     closed form.  Diverges (so refuses to run) for pole order >= 2;
     truncated masses come from ``truncation_profile``."""
-    if g.is_zero:
-        return 0.0
     if pole_order(g) >= 2:
         raise DomainError("integral diverges for pole order >= 2")
     R = g.radius
@@ -138,8 +132,6 @@ def l1_norm_hyperbolic(g: PunctureGerm) -> float:
     the conformal factors cancel numerically -- a cross-check that the
     mass really is metric-independent.
     """
-    if g.is_zero:
-        return 0.0
     if pole_order(g) >= 2:
         return math.inf
 
@@ -158,8 +150,6 @@ def l1_norm_cylinder(g: PunctureGerm) -> float:
     The area element becomes e^{-2s} ds dtheta; the s-cutoff is chosen so
     the dropped tail is below 1e-16 of the closed-form tail bound.
     """
-    if g.is_zero:
-        return 0.0
     if pole_order(g) >= 2:
         return math.inf
     s0 = -math.log(g.radius)
@@ -321,8 +311,6 @@ def classify(g: PunctureGerm) -> Classification:
     is a theorem at exact arithmetic, not a promise about adversarial
     floating-point inputs.
     """
-    if g.is_zero:
-        return Classification(True, True, True)
     profile = truncation_profile(g)
     sups = _annulus_sups(g, profile.epsilons)
     # a bounded density decays into the cusp; any pole >= 2 forces the

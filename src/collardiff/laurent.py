@@ -135,7 +135,10 @@ def eval_density(q: LaurentQD, s: float, theta: float) -> float:
     for n, b in q.coeffs.items():
         phi += scale_complex(b, n * s) * complex(math.cos(n * theta),
                                                  math.sin(n * theta))
-    return abs(phi) * 2.0 / (rho * rho)
+    rho_sq = rho * rho
+    if rho_sq == 0.0:   # rho^2 underflows below ell ~ 1e-161
+        return math.inf if phi else 0.0
+    return abs(phi) * 2.0 / rho_sq
 
 
 def _norm_const(c: CollarParams) -> float:
@@ -552,8 +555,10 @@ def coefficient_bound_check(q: LaurentQD) -> CoefficientBoundReport:
         return CoefficientBoundReport(0.0, {}, 0.0)
     x = q.collar.half_length
     tn = _coord_norm(q, _thick_windows(q.collar, DEFAULT_DELTA0))
+    # the kernel's cancellation leaves the thick norm at 0 for ell from
+    # ~1e-8 to ~1e-150, and no constant can be read off a zero norm
     per = {n: exp_scale(abs(b) / (math.sqrt(abs(n)) * tn), abs(n) * x)
-           for n, b in q.coeffs.items()}
+           if tn else math.nan for n, b in q.coeffs.items()}
     return CoefficientBoundReport(max(per.values()), per, tn)
 
 

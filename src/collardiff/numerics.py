@@ -92,7 +92,10 @@ def exp_cos2_window(a, b: float, s1: float, s2: float):
         raise ValueError(f"window endpoints out of order: {s1} > {s2}")
     a = np.asarray(a, dtype=float)
     rates = np.atleast_1d(a)
-    h = s2 - s1
+    # half width first: s2 - s1 overflows once X > DBL_MAX/2, while every
+    # product below is a power-of-two rescaling with the same bits
+    hh = 0.5 * s2 - 0.5 * s1
+    h = 2.0 * hh
     alpha = np.abs(rates)
     zero = alpha < _A_ZERO
     up = rates > 0
@@ -109,7 +112,7 @@ def exp_cos2_window(a, b: float, s1: float, s2: float):
     term1 = -em1 / (2.0 * alpha)
     # exp(x + iy) - 1 from the real expm1 and the half-angle identity
     # cos(y) - 1 = -2*sin(y/2)**2, so both parts keep full precision
-    y = -2.0 * b * h
+    y = -4.0 * b * hh
     sy2 = math.sin(0.5 * y)
     w = em1 * math.cos(y) - 2.0 * sy2 * sy2
     wim = np.exp(x) * math.sin(y)
@@ -118,7 +121,8 @@ def exp_cos2_window(a, b: float, s1: float, s2: float):
     term2 = (phase * -(w + 1j * wim) / denom).real / 2.0
     # a = 0: the sin difference of the cos^2 antiderivative is collapsed
     # to a product, stable as written
-    flat = 0.5 * h + math.cos(b * (s1 + s2)) * math.sin(b * h) / (2.0 * b)
+    flat = hh + math.cos(2.0 * b * (0.5 * s1 + 0.5 * s2)) \
+        * math.sin(2.0 * b * hh) / (2.0 * b)
     vals = np.where(zero, flat, term1 + term2)
     if a.ndim == 0:
         return float(vals[0]), float(anchors[0])

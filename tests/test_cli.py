@@ -652,6 +652,43 @@ def test_decay_sweep_rows_past_the_double_range(capsys, argv, present,
         assert not re.search(absent, out, re.M), out
 
 
+@pytest.mark.parametrize("ell", ["1e-307", "6e-308"])
+@pytest.mark.parametrize("argv, code, message", [
+    (["qd", "norms", "--coeffs", "COEFFS", "--ell", "ELL"], 3,
+     "numerical failure"),
+    (["qd", "principal-mass", "--ell-grid", "ELL", "--delta-grid", "0.3"],
+     0, ""),
+    (["qd", "bij-check", "--ell-grid", "ELL", "--b0", "pow:1"], 0, ""),
+    (["--n-max", "2", "qd", "decay-sweep", "--ell-grid", "ELL",
+      "--delta-grid", "0.3", "--trials", "2"], 0, ""),
+    (["space", "project", "SPACE", "TARGET"], 2, "non-finite L2 norm"),
+    (["space", "w-report", "SPACE", "--delta", "0.3", "--samples", "2"], 2,
+     "non-finite L2 norm"),
+], ids=["norms", "principal-mass", "bij-check", "decay-sweep", "project",
+        "w-report"])
+def test_collars_past_half_dbl_max(capsys, tmp_path, coeffs_file, ell, argv,
+                                   code, message):
+    # X > DBL_MAX/2: the window kernel's full width 2X overflows, and no
+    # command may report that as bad input
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"collars": [float(ell), 0.8], "basis": [
+        [[{"n": 0, "re": 1.0, "im": 0.0}, {"n": 1, "re": 0.5, "im": 0.0}],
+         [{"n": 1, "re": 0.3, "im": 0.0}]],
+        [[{"n": 0, "re": 1.0, "im": 0.0}, {"n": -1, "re": 0.2, "im": 0.0}],
+         [{"n": 2, "re": 1.0, "im": 0.0}]]]}))
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps([[{"n": 0, "re": 1.0, "im": 0.0}],
+                                  [{"n": 1, "re": 1.0, "im": 0.0}]]))
+    files = {"ELL": ell, "COEFFS": coeffs_file, "SPACE": str(space),
+             "TARGET": str(target)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got, out, err = invoke(capsys, *[files.get(a, a) for a in argv])
+    assert got == code and "math domain error" not in err
+    assert message in err
+    assert (out != "") == (code == 0)
+
+
 def test_bij_check_cli(capsys):
     code, out, _ = invoke(capsys, "qd", "bij-check", "--ell-grid",
                           "log:1e-4:0.1:6", "--b0", "pow:2")

@@ -68,8 +68,8 @@ def test_pole_order_is_exact():
     assert pole_order(PunctureGerm({-2: 1e-30})) == 2
     assert l1_norm(PunctureGerm({-2: 1e-30})) == math.inf
     assert not is_bounded(PunctureGerm({-2: 1e-30})).bounded
-    with pytest.raises(DomainError):
-        pole_order(PunctureGerm({}))
+    # the zero germ has no negative mode, so no pole
+    assert pole_order(PunctureGerm({})) == 0
 
 
 def test_l1_closed_forms_frozen():

@@ -616,6 +616,27 @@ def test_coefficient_bound_check():
     assert empty.constant == 0.0 and empty.thick_norm == 0.0
 
 
+@pytest.mark.parametrize("ell", [1e-8, 1e-50, 1e-150])
+def test_coefficient_bound_check_on_a_zero_thick_norm(ell):
+    # the kernel's cancellation leaves the thick norm at 0 here: the
+    # constants are unknown (NaN), not a division by zero
+    rep = coefficient_bound_check(LaurentQD(CollarParams(ell),
+                                            {1: 1.0, -2: 0.5j}))
+    assert rep.thick_norm == 0.0
+    assert math.isnan(rep.constant)
+    assert set(rep.per_mode) == {1, -2}
+    assert all(math.isnan(v) for v in rep.per_mode.values())
+
+
+@pytest.mark.parametrize("ell", [1e-162, 1e-170, 1e-200])
+def test_eval_density_where_rho_squared_underflows(ell):
+    # rho(0)^2 = (ell/2 pi)^2 underflows to 0, so 2 / rho^2 is +inf
+    c = CollarParams(ell)
+    assert eval_density(LaurentQD(c, {1: 1.0, 0: 0.5j}), 0.0, 0.0) \
+        == math.inf
+    assert eval_density(LaurentQD(c, {}), 0.0, 0.0) == 0.0
+
+
 def test_l2_norm_keeps_a_mode_whose_square_underflows():
     # |b_1|^2 ~ 1e-395 is below the double range, but the mode's coordinate
     # b_1 ||e^{w} dw^2|| ~ 2.5e231 is not, and it carries the norm

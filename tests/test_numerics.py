@@ -68,6 +68,20 @@ def test_window_rejects_reversed_endpoints():
         exp_cos2_window(1.0, 0.5, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("ell", [1e-307, 6e-308])
+def test_window_past_half_dbl_max(ell):
+    # X > DBL_MAX/2, where the full width X - (-X) overflows to inf
+    c = CollarParams(ell)
+    x = c.half_length
+    assert x > 0.5 * np.finfo(float).max
+    vals, anchors = exp_cos2_window(np.array([-4.0, -2.0, 0.0, 2.0, 6.0]),
+                                    c.freq, -x, x)
+    assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+    assert list(anchors) == [-x, -x, 0.0, x, x]
+    # the flat mode integrates cos^2 over about one period, pi/b ~ 2X
+    assert vals[2] == pytest.approx(x, rel=1e-12)
+
+
 @given(a=st.floats(-8, 8), b=st.floats(1e-3, 1.0),
        s1=st.floats(-12, 12), h=st.floats(1e-6, 8))
 def test_window_against_quadrature(a, b, s1, h):

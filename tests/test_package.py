@@ -3,6 +3,7 @@ every name a module imports is read."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -151,3 +152,24 @@ def test_differential_types_are_frozen(make):
     with pytest.raises(AttributeError):
         value.coeffs = {2: 1.0}
     assert value != make() and hash(value) == object.__hash__(value)
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # a traced benchmark run patches each (module, attribute) of the
+    # tracer's TARGETS and fails on one that src/ no longer defines
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    if not path.exists():
+        pytest.skip("perfbench/ is not in this checkout")
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)     # the standard library only
+    missing = []
+    for modname, attr, _ in tracer.TARGETS:
+        owner = importlib.import_module(modname)
+        cls_name, _, name = attr.rpartition(".")
+        if cls_name:                # Class.method, patched on the class
+            owner = vars(owner).get(cls_name)
+        if owner is None or name not in vars(owner):
+            missing.append(f"{modname}.{attr}")
+    assert tracer.TARGETS
+    assert missing == []
