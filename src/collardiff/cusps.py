@@ -202,12 +202,9 @@ def truncation_profile(g: PunctureGerm) -> TruncationProfile:
             for lo, hi in zip(eps, [R] + eps[:-1])]
     values = list(np.cumsum(incs))
     tail = [x for x in incs[-4:] if x > 0]
-    if len(tail) >= 2:
-        ratios = [tail[i + 1] / tail[i] for i in range(len(tail) - 1)]
-        tail_ratio = float(np.exp(np.mean(np.log(ratios)))) if all(
-            r > 0 for r in ratios) else 0.0
-    else:
-        tail_ratio = 0.0
+    # the geometric mean of the consecutive ratios telescopes to this
+    tail_ratio = float((tail[-1] / tail[0]) ** (1.0 / (len(tail) - 1))) \
+        if len(tail) >= 2 else 0.0
     # slope of cumulative mass against log(1/eps) over the last few rungs
     xs = np.log(1.0 / np.array(eps[-5:]))
     ys = np.array(values[-5:])

@@ -31,7 +31,7 @@ from .collar import CollarParams, thin_boundary, cos_profile_vec, \
 from .errors import (DomainError, mode_table, modes_from_json, modes_to_json,
                      read_json)
 from .numerics import (DEFAULT_TOL_ABS, DEFAULT_TOL_REL, adaptive_quad,
-                       exp_cos2_window, exp_scale, scale_complex, square,
+                       exp_cos2_window, exp_scale, scale_complex,
                        vec_scale_complex)
 
 
@@ -150,8 +150,9 @@ def _norm_const(c: CollarParams) -> float:
 def density_weight(c: CollarParams, s):
     """2 rho(s)^-2 = 2 (2 pi/ell)^2 cos^2(ell s/2 pi) = |Theta| / |phi|, at a
     point or elementwise; silently NaN where a vanishing ell gives inf * 0."""
+    k = 2.0 * math.pi / c.ell
     with np.errstate(invalid="ignore"):
-        return 2.0 * square(2.0 * math.pi / c.ell) * cos_profile_vec(c, s) ** 2
+        return 2.0 * (k * k) * cos_profile_vec(c, s) ** 2
 
 
 def _thick_windows(c: CollarParams, delta0: float) -> list:
@@ -166,9 +167,23 @@ def mode_weights(c: CollarParams, ns: np.ndarray, windows):
     _norm_const(c) t_n e^{2 e_n}, e_n the largest n * anchor, so every
     exponent 2(n * anchor - e_n) is <= 0; one kernel call per window."""
     kernel = [exp_cos2_window(2.0 * ns, c.freq, s1, s2) for s1, s2 in windows]
-    na = [ns * anchors for _, anchors in kernel]
-    e = functools.reduce(np.maximum, na)
-    return sum(v * np.exp(2.0 * (x - e)) for (v, _), x in zip(kernel, na)), e
+    # |n| anchor passes DBL_MAX below ell ~ n_max * 5.5e-308: inf, then NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        na = [ns * anchors for _, anchors in kernel]
+        e = functools.reduce(np.maximum, na)
+        return sum(v * np.exp(2.0 * (x - e))
+                   for (v, _), x in zip(kernel, na)), e
+
+
+def _window_weights(c: CollarParams, ns: np.ndarray, windows) -> np.ndarray:
+    """Per-mode L^2 weights over the windows times the e^{-2|n|X} law
+    factor, folded into mode_weights' exponent: every exponent is <= 0
+    before exp, so underflow is the only, and the honest, rounding."""
+    t, e = mode_weights(c, ns, windows)
+    # inf * 0 once ell * ell underflows; inf - inf once |n| X overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _norm_const(c) * (t * np.exp(2.0 * (e - np.abs(ns)
+                                                   * c.half_length)))
 
 
 def _coords(c: CollarParams, tables, windows) -> list:
@@ -215,11 +230,8 @@ def l2_inner(q: LaurentQD, r: LaurentQD, win: SubCollar | None = None) -> comple
 def l2_norm(q: LaurentQD, win: SubCollar | None = None) -> float:
     """Closed-form L2 norm over a window (default: the full collar)."""
     win = _check_window(q.collar, win)
-    return _coord_norm(q, [(win.s1, win.s2)])
-
-
-def _coord_norm(q: LaurentQD, windows) -> float:
-    return math.hypot(*map(abs, _coords(q.collar, [q.coeffs], windows)[0]))
+    coords = _coords(q.collar, [q.coeffs], [(win.s1, win.s2)])[0]
+    return math.hypot(*map(abs, coords))
 
 
 def _phi_on_circle(q: LaurentQD, s: np.ndarray, n_theta: int) -> np.ndarray:
@@ -261,7 +273,8 @@ def lp_norm(q: LaurentQD, p: float, win: SubCollar | None = None, *,
     n_theta = max(64, 8 * q.n_max)
     c = q.collar
     two_pi = 2.0 * math.pi
-    base = square(two_pi / c.ell)  # rho(s)^-2 = base * cos^2
+    k = two_pi / c.ell
+    base = k * k  # rho(s)^-2 = base * cos^2
 
     def integrand(s: np.ndarray) -> np.ndarray:
         cs = cos_profile_vec(c, s)
@@ -312,9 +325,9 @@ class DensityRows:
     amp[s, n] = e^{sn + log_scale_n}, on n_theta = max(256, 8 max|n|) theta
     points: the modes are distinct modulo n_theta, the highest sampled 8
     times a period.  pocketfft gives a row the same bits in any batch, so
-    rows are transformed on demand, any subset at a time.  ``bound``, the
-    triangle bound pref(s) * sum_n |coef[t, n]| amp[s, n], is at least the
-    row's largest density; ``triangle`` is the sum before pref.
+    rows are transformed on demand, any subset at a time.  ``triangle``
+    holds sum_n |coef[t, n]| amp[s, n], and the triangle bound
+    triangle * pref(s) is at least the row's largest density.
     ``thin`` builds the rows of every thin sup (linf_thin's value and
     location, the sweeps' p = inf column) on the one s-node rule, and
     ``row_max`` is the one pruned pass over rows: each sup is read off its
@@ -365,7 +378,6 @@ class DensityRows:
         amp = np.exp(s_nodes[:, None] * ns[None, :] + log_scale[None, :])
         abs_coef = np.abs(coef)
         self.triangle = abs_coef @ amp.T
-        self.bound = self.triangle * pref[None, :]
         bins = np.mod(ns, n_theta)
         order = np.argsort(bins)
         bins = bins[order]
@@ -424,8 +436,9 @@ class DensityRows:
         scaling a row's max equals the max of the scaled row, bit for bit.)
         """
         # seed: each trial's highest-bound row
-        trials = np.arange(self.bound.shape[0])
-        top = np.argmax(self.bound, axis=1)
+        bound = self.triangle * self.pref[None, :]
+        trials = np.arange(bound.shape[0])
+        top = np.argmax(bound, axis=1)
         m = self.abs_phi(trials, top).max(axis=1)
         level = m * self.pref[top]
         # triangle test.  Rounding in the bound (a sum of nonnegative
@@ -441,13 +454,13 @@ class DensityRows:
         # NaN and inf bounds, whose rows must be seen.
         margin = self._floor * 2.0 ** 48
         with np.errstate(invalid="ignore", over="ignore"):
-            keep = ~(self.bound + margin[:, None] * self.pref[None, :]
+            keep = ~(bound + margin[:, None] * self.pref[None, :]
                      < level[:, None] * (1.0 - 1e-12))
         keep[trials, top] = False
         t, s = np.nonzero(keep)
         # transfer test from the seed rows, then transform the rows kept
         keep = ~(self.transfer_bound(t, s, top, m) < level[t])
-        out = np.full(self.bound.shape, -np.inf)
+        out = np.full(bound.shape, -np.inf)
         out[trials, top] = level
         for t, s, phi_abs in self.batches(t[keep], s[keep]):
             out[t, s] = phi_abs.max(axis=1) * self.pref[s]
@@ -490,10 +503,8 @@ class DensityRows:
                 corr[g] = np.einsum("tn,rn->tr", abs_coef[trials],
                                     diff)[ti, si]
             rho = amp[s, n] / amp[seed, n]
-            # sum_n |coef_n| (amp[s', n] + rho amp[s, n]) from the triangle
-            # bounds: kappa needs it only to within a few eps
-            rnd = self.bound[t, s] / self.pref[s] \
-                + rho * (self.bound[t, seed] / self.pref[seed])
+            # sum_n |coef_n| (amp[s', n] + rho amp[s, n])
+            rnd = self.triangle[t, s] + rho * self.triangle[t, seed]
             return self.pref[s] * (rho * m[t] + corr + self.kappa * rnd
                                    + (1.0 + rho) * floor[t])
 
@@ -553,13 +564,21 @@ def coefficient_bound_check(q: LaurentQD) -> CoefficientBoundReport:
         raise DomainError("coefficient bound check requires b_0 = 0")
     if q.is_zero:
         return CoefficientBoundReport(0.0, {}, 0.0)
-    x = q.collar.half_length
-    tn = _coord_norm(q, _thick_windows(q.collar, DEFAULT_DELTA0))
+    c, ns = q.collar, np.array(list(q.coeffs))
+    # law-scaled g_n = |b_n| e^{|n|X - M}, M the largest exponent, on the
+    # sweeps' weights: the thick norm is ||g|| e^M, C_n = g_n / (sqrt|n| ||g||)
+    log_g = np.log(np.abs(list(q.coeffs.values()))) \
+        + np.abs(ns) * c.half_length
+    top = float(log_g.max())
+    g = np.exp(log_g - top)
+    norm = math.sqrt(float((g * g) @ _window_weights(
+        c, ns, _thick_windows(c, DEFAULT_DELTA0))))
     # the kernel's cancellation leaves the thick norm at 0 for ell from
     # ~1e-8 to ~1e-150, and no constant can be read off a zero norm
-    per = {n: exp_scale(abs(b) / (math.sqrt(abs(n)) * tn), abs(n) * x)
-           if tn else math.nan for n, b in q.coeffs.items()}
-    return CoefficientBoundReport(max(per.values()), per, tn)
+    per = {n: gn / (math.sqrt(abs(n)) * norm) if norm else math.nan
+           for n, gn in zip(q.coeffs, g.tolist())}
+    return CoefficientBoundReport(max(per.values()), per,
+                                  exp_scale(norm, top))
 
 
 def mode_inner_quadrature_ratios(c: CollarParams, modes, win: SubCollar

@@ -50,14 +50,6 @@ def exp_scale(mag: float, t: float) -> float:
     return v if mag > 0 else -v
 
 
-def square(x: float) -> float:
-    """x ** 2 bit for bit, with an overflow reported as inf, not raised."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
-
-
 def scale_complex(z: complex, t: float) -> complex:
     """z * exp(t) with the same overflow guard as exp_scale."""
     if z == 0:

@@ -98,7 +98,7 @@ def principal_vector(u: MultiCollarQD) -> np.ndarray:
 class QDSpace:
     """A span of multi-collar differentials with its Gram matrix."""
 
-    __slots__ = ("collars", "basis", "gram")
+    __slots__ = ("collars", "basis")
 
     def __init__(self, basis, collars=None):
         basis = tuple(basis)
@@ -111,29 +111,27 @@ class QDSpace:
             raise ValidationError("zero-dimensional space needs explicit collars")
         self.collars = tuple(collars)
         self.basis = basis
-        self.gram = gram_matrix_of(basis)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @property
+    def gram(self) -> np.ndarray:
+        """sum over collars of C C^H, C the basis's mode coordinates on the
+        full collar, by einsum: unlike BLAS it keeps each sum's order."""
+        g = np.zeros((self.dim, self.dim), dtype=complex)
+        for parts in zip(*(e.parts for e in self.basis)):
+            C = np.array(_full_coords(parts), dtype=complex)
+            with np.errstate(invalid="ignore"):   # inf * 0 past an overflow
+                g += np.einsum("in,jn->ij", C, C.conj())
+        return g
 
 
 def _full_coords(parts) -> list:
     """laurent._coords on the full collar that the parts share."""
     x = parts[0].collar.half_length
     return _coords(parts[0].collar, [p.coeffs for p in parts], [(-x, x)])
-
-
-def gram_matrix_of(basis) -> np.ndarray:
-    """sum over collars of C C^H, C the basis's mode coordinates on the
-    full collar, by einsum: unlike BLAS it keeps each sum's order."""
-    basis = tuple(basis)
-    g = np.zeros((len(basis), len(basis)), dtype=complex)
-    for parts in zip(*(e.parts for e in basis)):
-        C = np.array(_full_coords(parts), dtype=complex)
-        with np.errstate(invalid="ignore"):   # inf * 0 past an overflow
-            g += np.einsum("in,jn->ij", C, C.conj())
-    return g
 
 
 def _cholesky_or_raise(g: np.ndarray):
@@ -168,7 +166,7 @@ def unitary_basis(space: QDSpace) -> list:
         low = _cholesky_or_raise(g)
         inv = np.linalg.inv(low)
         elems = [mc_combine(elems, inv[i, :]) for i in range(len(elems))]
-        g = gram_matrix_of(elems)
+        g = QDSpace(elems).gram
         if np.max(np.abs(g - np.eye(len(elems)))) < 1e-13:
             break
     return elems
@@ -266,7 +264,7 @@ def w_decay_report(space: QDSpace, deltas, *, samples: int = 48,
     if w.dim == 0:
         return Report(rows)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101,)))
-    vecs = [np.eye(w.dim, dtype=complex)[i] for i in range(w.dim)]
+    vecs = list(np.eye(w.dim, dtype=complex))
     for _ in range(samples):
         z = rng.standard_normal(w.dim) + 1j * rng.standard_normal(w.dim)
         vecs.append(z / np.linalg.norm(z))

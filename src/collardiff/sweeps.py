@@ -25,7 +25,7 @@ from .collar import (CollarParams, DEFAULT_DELTA0, DELTA_MAX, ELL_MAX,
                      thin_boundary, validate_delta0)
 from .errors import MODE_MAX, ValidationError, is_int
 from .laurent import (_EDGE_DEPTH, DensityRows, _norm_const, _thick_windows,
-                      density_weight, mode_weights)
+                      _window_weights, density_weight, mode_weights)
 from .numerics import exp_scale
 from .report import Report, ReportRow, STATUS_EMPTY, STATUS_OK
 
@@ -211,16 +211,6 @@ def draw_coefficients(seed: int, li: int, di: int, trials: int,
         bits.state = state
         gen.standard_normal(out=row)
     return G.view(complex)
-
-
-def _window_weights(c: CollarParams, ns: np.ndarray, windows) -> np.ndarray:
-    """Per-mode L^2 weights over the windows times the e^{-2|n|X} law
-    factor, folded into mode_weights' exponent: every exponent is <= 0
-    before exp, so underflow is the only, and the honest, rounding."""
-    t, e = mode_weights(c, ns, windows)
-    with np.errstate(invalid="ignore"):   # inf * 0 once ell * ell underflows
-        return _norm_const(c) * (t * np.exp(2.0 * (e - np.abs(ns)
-                                                   * c.half_length)))
 
 
 def _normalized_draws(cfg: SweepConfig, c: CollarParams, li: int, di: int,
@@ -548,8 +538,11 @@ def _lp_cell(cfg: SweepConfig, li: int, di: int, stats: dict) -> list:
     Gt = _normalized_draws(cfg, c, li, di, ns)
     per_p = {}
     if math.inf in stats:
-        per_p[math.inf] = DensityRows.thin(
-            c, xd, Gt, ns, -np.abs(ns) * c.half_length).row_max().max(axis=1)
+        # past |n| X = DBL_MAX the law factor is e^{-inf}, and the rows NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            per_p[math.inf] = DensityRows.thin(
+                c, xd, Gt, ns, -np.abs(ns) * c.half_length
+            ).row_max().max(axis=1)
     if 2.0 in stats:
         t2 = _window_weights(c, ns, [(-xd, xd)])
         per_p[2.0] = np.sqrt(_row_dots(np.abs(Gt) ** 2, t2))

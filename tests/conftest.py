@@ -51,7 +51,7 @@ def transfer_calls(monkeypatch):
     def recording(self):
         out = real(self)
         trials = np.arange(out.shape[0])
-        level = out[trials, np.argmax(self.bound, axis=1)]
+        level = out[trials, np.argmax(self.triangle * self.pref, axis=1)]
         calls.append((np.count_nonzero(~np.isneginf(out)) - trials.size,
                       bool(np.isfinite(level).all())))
         return out

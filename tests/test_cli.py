@@ -641,7 +641,15 @@ def test_decay_sweep_workers_byte_identical(capsys, tmp_path):
     # product with a trial's sup (~1e-312 here) is ~20
     (["qd", "decay-sweep", "--ell-grid", "1e-4", "--delta-grid", "0.0043",
       "--trials", "3"], ",max_normalized,.*,ok$", ",inf,ok$"),
-], ids=["ell-1e-16", "ell-1e-200", "delta-0.001", "delta-0.0043"])
+    # below ell ~ n_max * 5.5e-308 |n| X passes DBL_MAX: every row is
+    # non-converged, still without a warning
+    *[(["--n-max", n, "qd", "decay-sweep", "--ell-grid", ell,
+        "--delta-grid", "0.3,0.8", "--trials", "2"],
+       "linf_ratio,nan,nan,non-converged$", ",(ok|empty-thin)$")
+      for ell in ("1e-307", "6e-308") for n in ("32", "1024")],
+], ids=["ell-1e-16", "ell-1e-200", "delta-0.001", "delta-0.0043",
+        "ell-1e-307-n32", "ell-1e-307-n1024", "ell-6e-308-n32",
+        "ell-6e-308-n1024"])
 def test_decay_sweep_rows_past_the_double_range(capsys, argv, present,
                                                 absent):
     code, out, _ = invoke(capsys, *argv)

@@ -512,8 +512,7 @@ def _per_row_transfer_bound(rows, t, s, top, m):
         a1 -= a0
         np.abs(a1, out=a1)
         corr = np.einsum("ij,ij->i", c, a1)
-        rnd = rows.bound[t, s] / rows.pref[s] \
-            + rho * (rows.bound[t, top[t]] / rows.pref[top[t]])
+        rnd = rows.triangle[t, s] + rho * rows.triangle[t, top[t]]
         return rows.pref[s] * (rho * m[t] + corr + kappa * rnd
                                + (1.0 + rho) * floor)
 
@@ -538,7 +537,7 @@ def test_transfer_bound_per_trial_terms_keep_the_per_row_bits(
     pref = 10.0 ** seed.uniform(-2.0, 3.0, s_nodes.size)
     rows = DensityRows(coef, ns, log_scale, s_nodes, pref)
     with np.errstate(invalid="ignore"):
-        top = np.argmax(rows.bound, axis=1)
+        top = np.argmax(rows.triangle * rows.pref, axis=1)
     m = rows.abs_phi(np.arange(trials), top).max(axis=1)
     t, s = np.divmod(seed.permutation(trials * s_nodes.size), s_nodes.size)
     want = _per_row_transfer_bound(rows, t, s, top, m)
@@ -626,6 +625,28 @@ def test_coefficient_bound_check_on_a_zero_thick_norm(ell):
     assert math.isnan(rep.constant)
     assert set(rep.per_mode) == {1, -2}
     assert all(math.isnan(v) for v in rep.per_mode.values())
+
+
+@pytest.mark.parametrize("ell, rel", [(0.02, 1e-12), (1e-3, 2e-9),
+                                      (1e-4, 2e-9)])
+def test_coefficient_bound_check_past_an_overflowing_thick_norm(ell, rel):
+    # e^{|n|X} and the thick norm overflow, while each constant, their
+    # ratio, is finite: a 60-digit reference on the package's windows
+    from reference import mode_norm_sq, mpmath, mp
+    c = CollarParams(ell)
+    x, xd = c.half_length, thin_boundary(c, DEFAULT_DELTA0).x_delta
+    coeffs = {1: 1.0, -2: 0.5j}
+    rep = coefficient_bound_check(LaurentQD(c, coeffs))
+    with mpmath.workdps(60):
+        thick = mp.sqrt(sum(abs(b) ** 2 * (mode_norm_sq(ell, n, xd, x)
+                                           + mode_norm_sq(ell, n, -x, -xd))
+                            for n, b in coeffs.items()))
+        want = {n: float(abs(b) * mp.exp(abs(n) * mp.mpf(x))
+                         / (mp.sqrt(abs(n)) * thick))
+                for n, b in coeffs.items()}
+    assert rep.thick_norm == math.inf
+    assert rep.per_mode == pytest.approx(want, rel=rel, abs=0.0)
+    assert rep.constant == max(rep.per_mode.values())
 
 
 @pytest.mark.parametrize("ell", [1e-162, 1e-170, 1e-200])

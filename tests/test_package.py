@@ -1,5 +1,6 @@
-"""The package namespace: every public name resolves on first access, and
-every name a module imports is read."""
+"""The package namespace: every public name resolves on first access,
+every name a module imports is read, and so is every private name a
+module defines."""
 
 import ast
 import importlib
@@ -107,6 +108,42 @@ def test_every_imported_name_is_read():
               for path in sorted(src.glob("*.py"))
               for line, name in _unused_imports(path)]
     assert unused == []
+
+
+def _private_definitions(tree):
+    """(line, name) of each private function, class and constant a module
+    defines at top level, tuple targets included; dunders pass."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+def test_every_private_module_name_is_read():
+    # a private helper whose last caller went is dead code; a name counts
+    # as read where src/ loads it, bare or as an attribute (an importer
+    # that never reads it fails the test above)
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(collardiff.__file__).parent.glob("*.py"))}
+    read = {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+    defined = [(f"{file}:{line}", name) for file, tree in trees.items()
+               for line, name in _private_definitions(tree)]
+    assert len(defined) > 50
+    assert [f"{where} {name}" for where, name in defined
+            if name not in read] == []
 
 
 _FIXED_SIZES = {
