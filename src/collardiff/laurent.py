@@ -31,8 +31,7 @@ from .collar import CollarParams, thin_boundary, cos_profile_vec, \
 from .errors import (DomainError, mode_table, modes_from_json, modes_to_json,
                      read_json)
 from .numerics import (DEFAULT_TOL_ABS, DEFAULT_TOL_REL, adaptive_quad,
-                       exp_cos2_window, exp_scale, scale_complex,
-                       vec_scale_complex)
+                       exp_cos2_window, exp_scale)
 
 
 @dataclass(frozen=True)
@@ -133,8 +132,8 @@ def eval_density(q: LaurentQD, s: float, theta: float) -> float:
     rho = conformal_factor(q.collar, s)  # validates s inside the collar
     phi = 0j
     for n, b in q.coeffs.items():
-        phi += scale_complex(b, n * s) * complex(math.cos(n * theta),
-                                                 math.sin(n * theta))
+        phi += exp_scale(b, n * s) * complex(math.cos(n * theta),
+                                             math.sin(n * theta))
     rho_sq = rho * rho
     if rho_sq == 0.0:   # rho^2 underflows below ell ~ 1e-161
         return math.inf if phi else 0.0
@@ -151,7 +150,7 @@ def density_weight(c: CollarParams, s):
     """2 rho(s)^-2 = 2 (2 pi/ell)^2 cos^2(ell s/2 pi) = |Theta| / |phi|, at a
     point or elementwise; silently NaN where a vanishing ell gives inf * 0."""
     k = 2.0 * math.pi / c.ell
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"):   # inf * 0 where k * k overflows
         return 2.0 * (k * k) * cos_profile_vec(c, s) ** 2
 
 
@@ -205,8 +204,8 @@ def _coord(b: complex, w: float, e: float) -> complex:
     # exact 2^600 first and the lift taken back in the exponent
     z = b * w
     if abs(z) < 2.0 ** -1022:
-        return scale_complex(b * 2.0 ** 600 * w, e - 600 * math.log(2.0))
-    return scale_complex(z, e)
+        return exp_scale(b * 2.0 ** 600 * w, e - 600 * math.log(2.0))
+    return exp_scale(z, e)
 
 
 def mode_l2_norm_sq(c: CollarParams, n: int, win: SubCollar) -> float:
@@ -239,7 +238,7 @@ def _phi_on_circle(q: LaurentQD, s: np.ndarray, n_theta: int) -> np.ndarray:
     # an inverse FFT of the Laurent spectrum at that height.
     spec = np.zeros((s.size, n_theta), dtype=complex)
     for n, b in q.coeffs.items():
-        spec[:, n % n_theta] += vec_scale_complex(b, n * s)
+        spec[:, n % n_theta] += exp_scale(b, n * s)
     return np.fft.ifft(spec, axis=1, norm="forward")
 
 
@@ -387,6 +386,7 @@ class DensityRows:
                       for a, b in zip(cuts, cuts[1:])]
         self._coef, self._amp = coef[:, order], amp[:, order]
         self._abs_coef = abs_coef[:, order]
+        # inf where a trial's |coef| sum overflows
         with np.errstate(over="ignore", invalid="ignore"):
             self._floor = (self._abs_coef.sum(axis=1)
                            + n_theta * (ns.size + n_theta)) * 2.0 ** -1070
@@ -453,6 +453,7 @@ class DensityRows:
         # computed density strictly below the level.  The ~(<) forms keep
         # NaN and inf bounds, whose rows must be seen.
         margin = self._floor * 2.0 ** 48
+        # inf bounds, and NaN from an inf margin times a zero pref
         with np.errstate(invalid="ignore", over="ignore"):
             keep = ~(bound + margin[:, None] * self.pref[None, :]
                      < level[:, None] * (1.0 - 1e-12))
@@ -484,6 +485,7 @@ class DensityRows:
         sign bits would depend on the grouping."""
         abs_coef, floor, amp = self._abs_coef, self._floor, self._amp
         n_modes = abs_coef.shape[1]
+        # 0/0 and inf * 0 where the seed's dominant amplitude is 0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             seed, n = top[t], np.argmax(abs_coef * amp[top], axis=1)[t]
             key = seed * n_modes + n

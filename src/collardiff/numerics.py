@@ -24,50 +24,42 @@ from .errors import QuadratureError
 _A_ZERO = 1e-12
 # math.exp(t) is finite and normal for _EXP_LO < t < _EXP_HI
 _EXP_LO, _EXP_HI = -708.39, 709.78
+_LOG_MAX = math.log(np.finfo(float).max)   # math.exp(t) overflows past it
 _QUAD_LIMIT = 200   # intervals before adaptive_quad gives up
 DEFAULT_TOL_ABS = DEFAULT_TOL_REL = 1e-10   # the package's tolerances
 
 
-def exp_scale(mag: float, t: float) -> float:
-    """mag * exp(t) without spurious intermediate overflow.
+def exp_scale(mag, t):
+    """mag * exp(t) without spurious intermediate overflow, for a real or
+    complex mag, at a float t (math.exp) or elementwise at an array of t
+    (np.exp, a complex array).
 
     The true product may still overflow to inf (or underflow to 0);
-    that is reported honestly.
+    that is reported honestly.  Each array element is formed on its own
+    branch only.
     """
-    if mag == 0.0:
-        return 0.0
+    if isinstance(t, np.ndarray):
+        out = np.zeros(t.shape, dtype=complex)
+        if mag == 0:
+            return out
+        inner = (_EXP_LO < t) & (t < _EXP_HI)
+        with np.errstate(over="ignore"):   # a true overflow is inf
+            out[inner] = mag * np.exp(t[inner])
+            out[~inner] = (mag / abs(mag)) * np.exp(math.log(abs(mag))
+                                                    + t[~inner])
+        return out
+    if mag == 0:
+        return 0j if isinstance(mag, complex) else 0.0
     if _EXP_LO < t < _EXP_HI:
         return mag * math.exp(t)
     # log space, only where exp(t) alone is not finite and normal: the sum
     # log|mag| + t rounds at |t| * eps, so the product is off by about
     # |t| * eps relative (~1.7e-13 at |t| = 750)
     lt = math.log(abs(mag)) + t
-    if lt > _EXP_HI:
-        return math.inf if mag > 0 else -math.inf
-    if lt < -745.0:
-        return 0.0
-    v = math.exp(lt)
-    return v if mag > 0 else -v
-
-
-def scale_complex(z: complex, t: float) -> complex:
-    """z * exp(t) with the same overflow guard as exp_scale."""
-    if z == 0:
-        return 0j
-    if _EXP_LO < t < _EXP_HI:
-        return z * math.exp(t)
-    r = exp_scale(abs(z), t)
-    return (z / abs(z)) * r
-
-
-def vec_scale_complex(z: complex, t: np.ndarray) -> np.ndarray:
-    """scale_complex over an array of exponents t."""
-    t = np.asarray(t, dtype=float)
-    if z == 0:
-        return np.zeros(t.shape, dtype=complex)
-    with np.errstate(over="ignore"):
-        return np.where((_EXP_LO < t) & (t < _EXP_HI), z * np.exp(t),
-                        (z / abs(z)) * np.exp(math.log(abs(z)) + t))
+    r = math.inf if lt > _LOG_MAX else 0.0 if lt < -745.0 else math.exp(lt)
+    if isinstance(mag, complex):
+        return (mag / abs(mag)) * r
+    return r if mag > 0 or not r else -r
 
 
 def exp_cos2_window(a, b: float, s1: float, s2: float):

@@ -486,9 +486,8 @@ def _density_lp(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
     contrib = np.zeros(rows.triangle.shape)   # sums of 2|phi| w_theta
     # u n_s / _LP_PRUNE, so a row is skipped where it is <= x_seed
     kappa = rows.kappa + (rows.n_theta + 8.0) * np.finfo(float).eps
-    with np.errstate(over="ignore", invalid="ignore"):   # inf and NaN kept
-        u = rows.triangle * (4.0 * math.pi * (1.0 + kappa) * s_nodes.size
-                             / _LP_PRUNE * w_nodes)
+    u = rows.triangle * (4.0 * math.pi * (1.0 + kappa) * s_nodes.size
+                         / _LP_PRUNE * w_nodes)
     trials, top = np.arange(Gt.shape[0]), np.argmax(u, axis=1)
     contrib[trials, top] = _row_dots(rows.abs_phi(trials, top), w2_theta)
     # the ~(<=) form keeps NaN and inf bounds, whose rows must be seen
@@ -511,9 +510,8 @@ def _density_lp(Gt: np.ndarray, ns: np.ndarray, c: CollarParams,
         row[:2 * n_max] = np.convolve(a, a)[:2 * n_max]
         row[2 * n_max:] = np.convolve(b, b)[2 * n_max:]
     k = np.arange(-2 * n_max, 2 * n_max + 1)
-    with np.errstate(invalid="ignore", over="ignore"):   # pref ** 3 = inf
-        V = (2.0 * w_nodes * pref ** 3) @ np.exp(
-            2.0 * np.abs(k) * (np.sign(k) * s_nodes[:, None] - X))
+    V = (2.0 * w_nodes * pref ** 3) @ np.exp(
+        2.0 * np.abs(k) * (np.sign(k) * s_nodes[:, None] - X))
     return {1.0: p1,
             4.0: (2.0 * math.pi * _row_dots(np.abs(D) ** 2, V)) ** 0.25}
 
@@ -537,18 +535,20 @@ def _lp_cell(cfg: SweepConfig, li: int, di: int, stats: dict) -> list:
     xd, ns = win.x_delta, interleaved_modes(cfg.n_max)
     Gt = _normalized_draws(cfg, c, li, di, ns)
     per_p = {}
-    if math.inf in stats:
-        # past |n| X = DBL_MAX the law factor is e^{-inf}, and the rows NaN
-        with np.errstate(over="ignore", invalid="ignore"):
+    # one errstate for every p: at small ell the tile's bounds and
+    # pref ** 3 overflow, and past |n| X = DBL_MAX the law factor is
+    # e^{-inf} and every row NaN; a non-finite value reads non-converged
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.inf in stats:
             per_p[math.inf] = DensityRows.thin(
                 c, xd, Gt, ns, -np.abs(ns) * c.half_length
             ).row_max().max(axis=1)
-    if 2.0 in stats:
-        t2 = _window_weights(c, ns, [(-xd, xd)])
-        per_p[2.0] = np.sqrt(_row_dots(np.abs(Gt) ** 2, t2))
-    if 1.0 in stats or 4.0 in stats:
-        per_p.update(_density_lp(Gt, ns, c, *_tile_nodes(
-            xd, c.half_length - xd, cfg.n_max)))
+        if 2.0 in stats:
+            t2 = _window_weights(c, ns, [(-xd, xd)])
+            per_p[2.0] = np.sqrt(_row_dots(np.abs(Gt) ** 2, t2))
+        if 1.0 in stats or 4.0 in stats:
+            per_p.update(_density_lp(Gt, ns, c, *_tile_nodes(
+                xd, c.half_length - xd, cfg.n_max)))
     env = exp_scale(delta * delta, math.pi / delta)   # delta^2 e^{pi/delta}
     log_env = math.pi / delta + 2.0 * math.log(delta)
 

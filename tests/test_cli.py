@@ -1,6 +1,8 @@
 """End-to-end CLI checks: exit codes, output contracts, determinism."""
 
+import ast
 import csv
+import functools
 import json
 import math
 import os
@@ -9,6 +11,7 @@ import stat
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import click
@@ -353,6 +356,100 @@ _SMOKE_COMMANDS = [
     ["space", "w-report", "space.json", "--delta", "0.2", "--samples", "4"],
     ["cusp", "classify", "germ.json"],
 ]
+
+
+# inputs past the sane range, beside the smoke panel's
+_LEDGER_FILES = {
+    "tiny.json": [{"n": 1, "re": 1e-300, "im": 0.0}],
+    "flat.json": [{"n": 0, "re": 1.0, "im": 0.0}],
+    "wide.json": [{"n": 1, "re": 1e300, "im": 0.0},
+                  {"n": -2, "re": 1e-300, "im": 0.0}],
+    "thin_space.json": dict(_SMOKE_FILES["space.json"], collars=[0.3, 1e-20]),
+    "wide_germ.json": [{"k": -2, "re": 1e300, "im": 0.0},
+                       {"k": 5, "re": 1e-300, "im": 0.0}],
+}
+
+_ITEM_4 = "ROADMAP item 4: a true overflow is inf or an error, never NaN"
+
+# Every RuntimeWarning the CLI still raises, per input: the innermost
+# collardiff function holding the warning's line -> the ROADMAP item that
+# removes it.  Each fix shrinks this table; the aim is an empty one.
+_WARNING_LEDGER = [(argv, {}) for argv in _SMOKE_COMMANDS] + [
+    (["qd", "norms", "--coeffs", "coeffs.json", "--ell", "1e-20"],
+     dict.fromkeys(["laurent.DensityRows.__init__",
+                    "laurent.DensityRows.abs_phi", "numerics.exp_scale"],
+                   _ITEM_4)),
+    (["qd", "norms", "--coeffs", "tiny.json", "--ell", "0.01", "--delta",
+      "0.4"], {"laurent.lp_norm.integrand": _ITEM_4}),
+    (["qd", "norms", "--coeffs", "flat.json", "--ell", "1e-307"],
+     dict.fromkeys(["collar.cos_profile_vec", "laurent._phi_on_circle",
+                    "numerics._gk21"], _ITEM_4)),
+    (["qd", "norms", "--coeffs", "wide.json", "--ell", "0.3", "--delta",
+      "0.35"],
+     dict.fromkeys(["laurent.DensityRows.__init__",
+                    "laurent.DensityRows.abs_phi",
+                    "laurent.DensityRows.row_max",
+                    "laurent.lp_norm.integrand"], _ITEM_4)),
+    (["qd", "principal-mass", "--ell-grid", "6e-308,1e-307,1e-300,1e-160",
+      "--delta-grid", "0.05,0.3,0.8"], {}),
+    (["qd", "bij-check", "--b0", "pow:2", "--ell-grid",
+      "6e-308,1e-307,1e-300,1e-160"], {}),
+    (["qd", "decay-sweep", "--ell-grid", "6e-308,1e-160,1e-8",
+      "--delta-grid", "0.0043,0.3", "--trials", "2"], {}),
+    (["space", "project", "thin_space.json", "target.json"], {}),
+    (["space", "w-report", "thin_space.json", "--delta", "0.2",
+      "--samples", "4"],
+     dict.fromkeys(["laurent.DensityRows.__init__",
+                    "laurent.DensityRows.abs_phi"], _ITEM_4)),
+    (["cusp", "classify", "wide_germ.json", "--radius", "1e-27"],
+     {"cusps._abs_phi_at": _ITEM_4}),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _functions(path: Path) -> list:
+    """(first line, last line, qualified name) of every def and class."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = prefix + child.name
+                yield child.lineno, child.end_lineno, name
+                yield from walk(child, name + ".")
+            else:
+                yield from walk(child, prefix)
+
+    return list(walk(ast.parse(path.read_text(encoding="utf-8")), ""))
+
+
+def _warning_site(w) -> str | None:
+    """module.qualname of the innermost collardiff function holding the
+    warning's line; None outside the package (numpy's own files)."""
+    path = Path(w.filename)
+    if path.parent != Path(collardiff.__file__).parent:
+        return None
+    holders = [(lo, name) for lo, hi, name in _functions(path)
+               if lo <= w.lineno <= hi]
+    return ".".join([path.stem, *([max(holders)[1]] if holders else [])])
+
+
+def test_runtime_warnings_match_the_ledger(capsys, tmp_path):
+    files = {**_SMOKE_FILES, **_LEDGER_FILES}
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    problems = []
+    for argv, known in _WARNING_LEDGER:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            main([str(tmp_path / a) if a in files else a for a in argv])
+        capsys.readouterr()
+        fired = {_warning_site(w) for w in caught
+                 if issubclass(w.category, RuntimeWarning)} - {None}
+        problems += [f"{' '.join(argv)}: {name} is not in the ledger"
+                     for name in sorted(fired - set(known))]
+        problems += [f"{' '.join(argv)}: {name} no longer fires"
+                     for name in sorted(set(known) - fired)]
+    assert problems == []
 
 
 def test_no_command_needs_scipy(tmp_path, coeffs_file):

@@ -1,12 +1,13 @@
 """Kernel-level checks: anchored window integrals against frozen
-high-precision values, the overflow-guard scaling helpers, and the
+high-precision values, the overflow-guard scaling function, and the
 adaptive Gauss-Kronrod rule against scipy's QUADPACK."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import collardiff.cusps
 import collardiff.laurent
@@ -19,8 +20,8 @@ from collardiff.errors import QuadratureError
 from collardiff.laurent import SubCollar, lp_norm, mode_inner_quadrature_ratios
 from collardiff.numerics import (DEFAULT_TOL_ABS, DEFAULT_TOL_REL,
                                  adaptive_quad, exp_cos2_integral,
-                                 exp_cos2_window, exp_scale, scale_complex,
-                                 vec_exp_cos2_window, vec_scale_complex)
+                                 exp_cos2_window, exp_scale,
+                                 vec_exp_cos2_window)
 from conftest import random_qd
 
 # mpmath (mp.dps=60) evaluations of integral exp(a*(s-anchor))*cos(b*s)^2
@@ -132,13 +133,68 @@ def test_exp_scale_ranges():
 
 def test_scale_complex_keeps_phase():
     z = complex(3.0, 4.0)
-    w = scale_complex(z, -750.0)
+    w = exp_scale(z, -750.0)
     assert w.real == pytest.approx(0.6 * abs(w), rel=1e-9)
-    assert scale_complex(0j, 1e6) == 0j
+    assert exp_scale(0j, 1e6) == 0j
     t = np.array([-750.0, 3.0, 800.0])
-    assert np.allclose(vec_scale_complex(z, t),
-                       [scale_complex(z, x) for x in t], rtol=1e-12)
-    assert not vec_scale_complex(0j, t).any()
+    assert np.allclose(exp_scale(z, t),
+                       [exp_scale(z, x) for x in t], rtol=1e-12)
+    assert not exp_scale(0j, t).any()
+
+
+def _bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+_NONZERO_MAGS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.complex_numbers(max_magnitude=1e300, allow_nan=False,
+                       allow_infinity=False)).filter(lambda m: m != 0)
+
+
+@given(mag=_NONZERO_MAGS,
+       ts=st.lists(st.floats(-708.39, 709.78, exclude_min=True,
+                             exclude_max=True), min_size=1, max_size=8))
+def test_exp_scale_is_the_plain_product_inside_the_exp_range(mag, ts):
+    # a float t takes math.exp, an array of t np.exp; the two differ in
+    # the last bit for a few t, so each is held to its own
+    for t in ts:
+        got = exp_scale(mag, t)
+        assert type(got) is type(mag * math.exp(t))
+        assert _bits(got) == _bits(mag * math.exp(t))
+    t = np.array(ts)
+    got = exp_scale(mag, t)
+    with np.errstate(over="ignore"):   # a true overflow is inf
+        want = (mag * np.exp(t)).astype(complex)
+    assert got.dtype == complex and got.tobytes() == want.tobytes()
+
+
+@given(mag=_NONZERO_MAGS,
+       t=st.one_of(st.floats(-1500.0, -708.39), st.floats(709.78, 1500.0)))
+@example(mag=1.0, t=709.782)   # e^t is finite up to log(DBL_MAX) = 709.7827...
+@example(mag=0.5 - 0.5j, t=709.9)
+def test_exp_scale_past_the_exp_range(mag, t):
+    # log space: |mag| e^t within 1e-12 of 30 digits wherever it is a
+    # normal double, with mag's phase
+    with mpmath.workdps(30):
+        want = abs(mpmath.mpc(mag)) * mpmath.exp(t)
+        if not np.finfo(float).tiny <= want <= np.finfo(float).max:
+            return
+        phase = mpmath.mpc(mag) / abs(mpmath.mpc(mag))
+        for got in (exp_scale(mag, t), exp_scale(mag, np.array([t]))[0]):
+            assert abs(abs(got) - want) <= 1e-12 * want
+            assert abs(mpmath.mpc(got) / abs(got) - phase) <= 1e-15
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exp_scale_forms_each_element_on_its_own_branch():
+    # e^750 alone overflows; 1e-300 e^750 does not, and the plain product
+    # (1e-300 + 0j) * inf, had it been formed, would be inf + nan j
+    got = exp_scale(1e-300 + 0j, np.array([750.0, 3.0]))
+    assert got[0] == pytest.approx(math.exp(math.log(1e-300) + 750.0),
+                                   rel=1e-12)
+    assert got[1] == 1e-300 * np.exp(3.0)
 
 
 def test_adaptive_quad_known_value():

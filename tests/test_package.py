@@ -146,6 +146,24 @@ def test_every_private_module_name_is_read():
             if name not in read] == []
 
 
+
+def test_every_errstate_says_what_it_expects():
+    # a silenced floating-point error is expected, so the errstate's line
+    # or the line above it names the non-finite value that it lets through
+    words = ("inf", "nan", "overflow", "underflow", "0/0", "non-finite")
+    silenced = unnamed = 0
+    for path in sorted(Path(collardiff.__file__).parent.glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for i, line in enumerate(lines):
+            if "np.errstate(" in line:
+                silenced += 1
+                notes = " ".join(text.partition("#")[2].lower()
+                                 for text in (lines[i - 1], line))
+                if not any(word in notes for word in words):
+                    unnamed += 1
+                    print(f"{path.name}:{i + 1}: {line.strip()}")
+    assert silenced and not unnamed
+
 _FIXED_SIZES = {
     "cusps": {"l1_norm": "n_theta tol_abs tol_rel",
               "l1_norm_quadrature": "n_theta r_lo tol_abs tol_rel",

@@ -776,7 +776,8 @@ def test_summary_rows_tell_failed_trials_from_empty_cells(sweep):
     for ells, want in (((1e-16,), STATUS_FAILED), ((1e-12,), STATUS_FAILED),
                        ((1e-8,), STATUS_FAILED), ((1e-100,), STATUS_FAILED),
                        ((1e-160,), STATUS_FAILED), ((1e-200,), STATUS_FAILED),
-                       ((1e-300,), STATUS_FAILED), ((1.5,), STATUS_EMPTY),
+                       ((1e-300,), STATUS_FAILED), ((1e-307,), STATUS_FAILED),
+                       ((6e-308,), STATUS_FAILED), ((1.5,), STATUS_EMPTY),
                        ((1e-8, 1.5), STATUS_FAILED)):
         statuses, rows, every = summaries(ells)
         assert statuses == {want}, ells
